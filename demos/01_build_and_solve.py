@@ -3,8 +3,8 @@
 The instance here is the l=3, m=2 system with weights (1/2, 1, 3/2) against
 (2, 1) and every expansion factor equal to the cube root of 2, so a full
 period multiplies the abscissa by exactly 4.  We solve for the node
-ordinates three ways (closed form, per-class accumulation, dense linear
-solve) and confirm they agree, then spot-check the defining recurrence.
+ordinates two ways (closed form, dense linear solve) and confirm they
+agree, then spot-check the defining recurrence.
 """
 
 import numpy as np
@@ -19,7 +19,6 @@ print(f"slope alphabet: {np.round(w.slope_vector, 4)}")
 print(f"full-period ratio tau = {sch.tau}")
 
 g = rg.build_graph(w, sch)
-u_acc, v_acc = rg.solve_uv_accumulated(w, sch) if w.d > 1 else rg.solve_uv(w, sch)
 u_ora, v_ora = rg.solve_uv_oracle(w, sch)
 
 print("\nnode ordinates (value / abscissa at each grid point):")

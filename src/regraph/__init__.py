@@ -19,7 +19,6 @@ from .construct import (
     ConstructError,
     InvalidFactor,
     ScheduleMismatch,
-    NotCoprime,
     SingularSystem,
     PowerForm,
     ExpansionSchedule,
@@ -27,8 +26,6 @@ from .construct import (
     compute_U,
     compute_V,
     solve_uv,
-    solve_uv_coprime,
-    solve_uv_accumulated,
     solve_uv_oracle,
     propagate_v_from_u,
     Subgraph,
@@ -73,11 +70,10 @@ __version__ = "0.1.0"
 __all__ = [
     "Weights", "WeightError", "NegativeWeight", "AllZero", "BalanceViolated",
     "LengthMismatch", "IndexOutOfRange", "validate_weights",
-    "ConstructError", "InvalidFactor", "ScheduleMismatch", "NotCoprime",
-    "SingularSystem", "PowerForm", "ExpansionSchedule", "chi", "compute_U",
-    "compute_V", "solve_uv", "solve_uv_coprime", "solve_uv_accumulated",
-    "solve_uv_oracle", "propagate_v_from_u", "Subgraph", "RegularGraph",
-    "build_graph",
+    "ConstructError", "InvalidFactor", "ScheduleMismatch", "SingularSystem",
+    "PowerForm", "ExpansionSchedule", "chi", "compute_U", "compute_V",
+    "solve_uv", "solve_uv_oracle", "propagate_v_from_u", "Subgraph",
+    "RegularGraph", "build_graph",
     "NegativeAbscissa", "EmptyWindow", "Segment", "lower_node", "upper_node",
     "segments_in_window", "evaluate", "Piece", "PiecewiseLinearSystem",
     "component_functions",

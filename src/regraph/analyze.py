@@ -57,7 +57,6 @@ class CheckReport:
     """Bundle of check results; ok iff nothing failed or errored."""
 
     results: tuple[CheckResult, ...]
-    seed: Optional[int] = None
 
     @property
     def ok(self) -> bool:
@@ -319,9 +318,7 @@ def check_subgraphs(
     return CheckResult("subgraphs", PASS, tol, worst, witness)
 
 
-def run_all_checks(
-    g: RegularGraph, tol: float = 1e-9, t_base: int = 0, seed: Optional[int] = None
-) -> CheckReport:
+def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> CheckReport:
     """Run the full verification suite over a three-period window."""
     sys3 = component_functions(g, t_base, t_base + 2)
     results = [
@@ -335,7 +332,7 @@ def run_all_checks(
     ]
     if g.weights.d > 1:
         results.append(check_subgraphs(g, t_base, t_base + 2, tol))
-    return CheckReport(results=tuple(results), seed=seed)
+    return CheckReport(results=tuple(results))
 
 
 __all__ = [

@@ -251,8 +251,9 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_ in specs.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("config", help="path to a JSON instance config")
-        p.add_argument("--tolerance", type=float, default=None,
-                       help="override the config tolerance")
+        if name == "check":
+            p.add_argument("--tolerance", type=float, default=None,
+                           help="override the config tolerance")
         if name == "eval":
             p.add_argument("--q", type=float, required=True,
                            help="abscissa to evaluate at (non-negative)")

@@ -10,17 +10,16 @@ u_0..u_{k-1} (lower nodes) satisfy
 where chi_r is the growth across n consecutive steps starting at r and
 U_r collects the two slope contributions of the segment pair based at
 r.  The upper heights v_r satisfy the mirrored system with V_r.  The
-system splits into gcd(l, m) independent cyclic blocks; each block is
-solved in closed form by unrolling the recurrence once around its
-cycle, where the chi products telescope to a power of tau.
-
-Three independent routes to the same numbers are provided (expanded
-closed form, blockwise accumulation, dense linear solve) so they can
-be played against each other in verification.
+system splits into gcd(l, m) independent cyclic blocks.  solve_uv
+solves each block in closed form by walking its cycle with the affine
+step x <- (x + U_r) / chi_r, in O(k) and without forming any power of
+tau.  solve_uv_oracle assembles the same system as a dense matrix and
+stays independent of it, as the cross-check in verification.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -40,10 +39,6 @@ class InvalidFactor(ConstructError):
 
 class ScheduleMismatch(ConstructError):
     """Schedule length must equal lcm(l, m) of the paired weights."""
-
-
-class NotCoprime(ConstructError):
-    """Route only valid when the two group sizes are coprime."""
 
 
 class SingularSystem(ConstructError):
@@ -71,7 +66,11 @@ class PowerForm:
 
     @property
     def value(self) -> float:
-        return float(self.base) ** (self.num / self.den)
+        """base ** (num / den); inf where that overflows a float."""
+        try:
+            return float(self.base) ** (self.num / self.den)
+        except OverflowError:
+            return math.inf
 
 
 FactorLike = Union[float, PowerForm]
@@ -121,8 +120,13 @@ class ExpansionSchedule:
         tau = sigmas[-1] * values[-1]
         if exponents and all(e.denominator == 1 for e in exponents.values()):
             tau = plain
-            for base, e in exponents.items():
-                tau *= float(base) ** int(e)
+            try:
+                for base, e in exponents.items():
+                    tau *= float(base) ** int(e)
+            except OverflowError:
+                tau = math.inf
+        if not math.isfinite(tau):
+            raise InvalidFactor(f"period ratio tau = {tau} is not a finite float")
         return cls(factors=tuple(values), sigmas=tuple(sigmas), tau=tau)
 
     def __len__(self) -> int:
@@ -165,26 +169,6 @@ def compute_V(weights: Weights, schedule: ExpansionSchedule, r: int) -> float:
     return -weights.beta_at(r + 1) * (pm - 1.0) + weights.alpha_at(r + 1 + m) * (pn - pm)
 
 
-def _solve_cyclic(
-    rhs: np.ndarray, mult: np.ndarray, step: int, denom: float
-) -> np.ndarray:
-    """Solve x_h - mult_h * x_{(h+step) mod p} = -rhs_h on a single cycle.
-
-    Unrolling the recurrence p times telescopes the multiplier product
-    to denom + 1, leaving (denom) * x_h = sum of accumulated rhs terms.
-    """
-    p = len(rhs)
-    out = np.empty(p)
-    for h in range(p):
-        acc = rhs[h]
-        prod = 1.0
-        for j in range(1, p):
-            prod *= mult[(h + (j - 1) * step) % p]
-            acc += prod * rhs[(h + j * step) % p]
-        out[h] = acc / denom
-    return out
-
-
 def _check_pairing(weights: Weights, schedule: ExpansionSchedule) -> None:
     if len(schedule) != weights.k:
         raise ScheduleMismatch(
@@ -192,66 +176,59 @@ def _check_pairing(weights: Weights, schedule: ExpansionSchedule) -> None:
         )
 
 
-def solve_uv_coprime(
-    weights: Weights, schedule: ExpansionSchedule
-) -> tuple[np.ndarray, np.ndarray]:
-    """Fully expanded closed form for coprime group sizes.
+def _solve_block(rhs: list[float], mult: list[float]) -> list[float]:
+    """Periodic solution of x_{j+1} = (x_j + rhs_j) / mult_j, j mod p.
 
-    Valid only when gcd(l, m) = 1, in which case the index walk
-    r, r+n, r+2n, ... visits every residue and the chi products fold
-    into plain psi offsets.  Each height is a single weighted sum of
-    psi differences divided by tau^n - 1.
+    One pass around the cycle from x = 0 gives c = x_p; a general start
+    x_0 ends at x_0 * prod_j (1 / mult_j) + c, so the periodic start is
+    x_0 = c / (1 - prod_j (1 / mult_j)).  Every factor of that product
+    is below 1 (sigma is strictly increasing, so mult_j > 1), so it can
+    neither overflow nor reach 1; it may underflow to 0, which is
+    harmless.  A second pass fills the block; each step divides by
+    mult_j > 1 and so shrinks the rounding error carried in x.
     """
-    if weights.d != 1:
-        raise NotCoprime(f"gcd(l, m) = {weights.d}, expected 1")
-    _check_pairing(weights, schedule)
-    k, n, l, m = weights.k, weights.n, weights.l, weights.m
-    denom = schedule.tau**n - 1.0
-    u = np.empty(k)
-    v = np.empty(k)
-    for r in range(k):
-        su = 0.0
-        sv = 0.0
-        for j in range(k):
-            jn = j * n
-            p0 = schedule.psi(r, jn)
-            p1 = schedule.psi(r, jn + l)
-            p2 = schedule.psi(r, jn + m)
-            p3 = schedule.psi(r, jn + n)
-            su += weights.alpha_at(r + 1 + jn) * (p1 - p0)
-            su -= weights.beta_at(r + 1 + l + jn) * (p3 - p1)
-            sv += weights.alpha_at(r + 1 + m + jn) * (p3 - p2)
-            sv -= weights.beta_at(r + 1 + jn) * (p2 - p0)
-        u[r] = su / denom
-        v[r] = sv / denom
-    return u, v
+    c = 0.0
+    decay = 1.0
+    for b, m in zip(rhs, mult):
+        c = (c + b) / m
+        decay *= 1.0 / m
+    x = c / (1.0 - decay)
+    out = []
+    for b, m in zip(rhs, mult):
+        out.append(x)
+        x = (x + b) / m
+    return out
 
 
-def solve_uv_accumulated(
+def solve_uv(
     weights: Weights, schedule: ExpansionSchedule
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Blockwise accumulation solve, valid for every gcd(l, m).
+    """Node heights for any weight system, in O(k).
 
     Segments with index congruent to f modulo d form an independent
-    cyclic block of length k/d whose index step is n/d; around one
-    block the chi product telescopes to tau^(n/d).  For d = 1 this is
-    the plain one-block accumulation of the recurrence.
+    cyclic block of length k/d.  Walking it as h_j = f + d * ((j * n/d)
+    mod k/d) turns the system into u_{h_{j+1}} = (u_{h_j} + U_{h_j}) /
+    chi_{h_j}, solved by _solve_block (likewise v with V).  Raises
+    ConstructError when the coefficients are not finite floats.
     """
     _check_pairing(weights, schedule)
     k, d = weights.k, weights.d
     kp, np_ = weights.k_prime, weights.n_prime
-    denom = schedule.tau**np_ - 1.0
-    if denom == 0.0:
-        raise SingularSystem("period ratio tau^(n/d) equals 1")
+    try:
+        U = [compute_U(weights, schedule, r) for r in range(k)]
+        V = [compute_V(weights, schedule, r) for r in range(k)]
+        mult = [chi(weights, schedule, r) for r in range(k)]
+    except OverflowError as exc:
+        raise ConstructError(f"node system overflows a float: {exc}") from exc
+    if not all(math.isfinite(x) for x in (*U, *V, *mult)):
+        raise ConstructError("node system has non-finite coefficients")
     u = np.empty(k)
     v = np.empty(k)
     for f in range(d):
-        idx = [f + d * h for h in range(kp)]
-        uc = np.array([compute_U(weights, schedule, r) for r in idx])
-        vc = np.array([compute_V(weights, schedule, r) for r in idx])
-        mult = np.array([chi(weights, schedule, r) for r in idx])
-        u[idx] = _solve_cyclic(uc, mult, np_, denom)
-        v[idx] = _solve_cyclic(vc, mult, np_, denom)
+        idx = [f + d * ((j * np_) % kp) for j in range(kp)]
+        m = [mult[r] for r in idx]
+        u[idx] = _solve_block([U[r] for r in idx], m)
+        v[idx] = _solve_block([V[r] for r in idx], m)
     return u, v
 
 
@@ -261,8 +238,8 @@ def solve_uv_oracle(
     """Dense reference solve of the node-height system.
 
     Assembles the k x k cyclic matrix explicitly and hands it to a
-    general linear solver.  Much slower than the closed forms and kept
-    deliberately independent of them; used as the second route in
+    general linear solver.  Much slower than solve_uv and kept
+    deliberately independent of it; used as the second route in
     differential checks.
     """
     _check_pairing(weights, schedule)
@@ -280,19 +257,6 @@ def solve_uv_oracle(
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     return u, v
-
-
-def solve_uv(
-    weights: Weights, schedule: ExpansionSchedule
-) -> tuple[np.ndarray, np.ndarray]:
-    """Closed-form node heights for any weight system.
-
-    Dispatches to the expanded coprime formula when gcd(l, m) = 1 and
-    to the blockwise accumulation otherwise.
-    """
-    if weights.d == 1:
-        return solve_uv_coprime(weights, schedule)
-    return solve_uv_accumulated(weights, schedule)
 
 
 def propagate_v_from_u(
@@ -352,23 +316,9 @@ class RegularGraph:
         return self.schedule.tau
 
 
-def build_graph(
-    weights: Weights, schedule: ExpansionSchedule, method: str = "closed"
-) -> RegularGraph:
-    """Solve the node system and bundle the result.
-
-    method selects the solve route: "closed" (default), "accumulated"
-    or "oracle"; all agree to rounding error, the alternatives exist
-    for differential testing.
-    """
-    if method == "closed":
-        u, v = solve_uv(weights, schedule)
-    elif method == "accumulated":
-        u, v = solve_uv_accumulated(weights, schedule)
-    elif method == "oracle":
-        u, v = solve_uv_oracle(weights, schedule)
-    else:
-        raise ValueError(f"unknown solve method {method!r}")
+def build_graph(weights: Weights, schedule: ExpansionSchedule) -> RegularGraph:
+    """Solve the node system and bundle the result."""
+    u, v = solve_uv(weights, schedule)
     subgraphs = []
     for f in range(weights.d):
         subgraphs.append(
@@ -392,15 +342,12 @@ __all__ = [
     "ConstructError",
     "InvalidFactor",
     "ScheduleMismatch",
-    "NotCoprime",
     "SingularSystem",
     "PowerForm",
     "ExpansionSchedule",
     "chi",
     "compute_U",
     "compute_V",
-    "solve_uv_coprime",
-    "solve_uv_accumulated",
     "solve_uv_oracle",
     "solve_uv",
     "propagate_v_from_u",

@@ -206,8 +206,3 @@ def test_report_lines_and_entry(fig_instance):
     assert any(line.startswith("proper-sufficient: NOT-SUFFICIENT") for line in lines)
     with pytest.raises(KeyError):
         rep.entry("nonexistent")
-
-
-def test_report_seed_recorded(fig_instance):
-    rep = rg.run_all_checks(fig_instance, seed=123)
-    assert rep.seed == 123

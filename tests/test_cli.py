@@ -146,6 +146,16 @@ def test_cmd_check_tolerance_flag(capsys):
     assert "tol=1e-06" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("command", ["build", "eval", "plot", "export"])
+def test_tolerance_flag_only_on_check(command, tmp_path, capsys):
+    out = str(tmp_path / "out")
+    extra = {"eval": ["--q", "1.0"], "plot": ["--out", out], "export": ["--out", out]}
+    with pytest.raises(SystemExit) as exc:
+        main([command, FIG, *extra.get(command, []), "--tolerance", "1e-6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
 # -------------------------------------------------------------------- eval
 
 def test_cmd_eval(capsys):
@@ -243,6 +253,22 @@ def test_invalid_weights_exit_two(tmp_path, capsys):
     assert main(["build", cfg]) == 2
     err = capsys.readouterr().err
     assert "error: input:" in err and "alpha/beta" in err
+
+
+@pytest.mark.parametrize("l, m, rho", [
+    (1, 1, [1e160]),          # sigma_r overflows inside the node system
+    (2, 1, [1e200, 1e200]),   # tau itself is not a finite float
+    (1, 1, [{"base": 1e200, "num": 3, "den": 1}]),  # the factor itself overflows
+    (2, 1, [{"base": 1e200, "num": 3, "den": 2}] * 2),  # tau snapped to 1e200 ** 3
+])
+def test_unrepresentable_schedule_exits_two(tmp_path, capsys, l, m, rho):
+    doc = {"l": l, "m": m, "alpha": [1.0] * l, "beta": [float(l) / m] * m,
+           "rho": rho, "window": {"t_min": 0, "t_max": 1}}
+    cfg = write_config(tmp_path, "huge.json", doc)
+    assert main(["build", cfg]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input:")
 
 
 def _console_script(name):

@@ -56,6 +56,10 @@ def test_invalid_factors():
         rg.ExpansionSchedule.from_factors([rg.PowerForm(2.0, -1, 3)])
     with pytest.raises(rg.InvalidFactor):
         rg.PowerForm(2.0, 1, 0)
+    with pytest.raises(rg.InvalidFactor):  # tau = inf
+        rg.ExpansionSchedule.from_factors([1e200, 1e200])
+    with pytest.raises(rg.InvalidFactor):  # the factor itself overflows
+        rg.ExpansionSchedule.from_factors([rg.PowerForm(1e200, 3, 1)])
 
 
 def test_power_form_value():
@@ -137,28 +141,6 @@ def test_recurrence_residuals_randomized():
             assert abs(rv) <= 1e-9 * scale
 
 
-def test_coprime_requires_coprime():
-    w = rg.validate_weights(2, 2, (1.0, 2.0), (2.0, 1.0))
-    sch = rg.ExpansionSchedule.from_factors([1.4, 1.7])
-    with pytest.raises(rg.NotCoprime):
-        rg.solve_uv_coprime(w, sch)
-
-
-def test_expanded_equals_accumulated():
-    # two evaluation orders of the same closed form agree very tightly
-    rng = np.random.default_rng(3111)
-    for _ in range(60):
-        l = int(rng.integers(1, 5))
-        m = int(rng.integers(1, 5))
-        if np.gcd(l, m) != 1:
-            continue
-        g = random_instance(rng, l=l, m=m)
-        u2, v2 = rg.solve_uv_accumulated(g.weights, g.schedule)
-        scale = max(1.0, np.abs(u2).max(), np.abs(v2).max())
-        assert np.abs(g.u - u2).max() <= 1e-12 * scale
-        assert np.abs(g.v - v2).max() <= 1e-12 * scale
-
-
 def test_closed_matches_oracle_randomized():
     rng = np.random.default_rng(271828)
     for _ in range(120):
@@ -173,19 +155,30 @@ def test_solve_dispatch():
     g2 = make_instance(2, 2, (1.0, 2.0), (2.0, 1.0), [1.4, 1.7])
     assert g1.weights.d == 1 and g2.weights.d == 2
     for g in (g1, g2):
-        ua, va = rg.solve_uv_accumulated(g.weights, g.schedule)
-        assert np.allclose(g.u, ua, rtol=1e-12, atol=1e-14)
-        assert np.allclose(g.v, va, rtol=1e-12, atol=1e-14)
+        uo, vo = rg.solve_uv_oracle(g.weights, g.schedule)
+        assert np.allclose(g.u, uo, rtol=1e-12, atol=1e-14)
+        assert np.allclose(g.v, vo, rtol=1e-12, atol=1e-14)
 
 
 def test_build_graph_methods_agree(l4m2_instance):
     g = l4m2_instance
-    for method in ("accumulated", "oracle"):
-        h = rg.build_graph(g.weights, g.schedule, method=method)
-        assert np.allclose(g.u, h.u, rtol=1e-9, atol=1e-12)
-        assert np.allclose(g.v, h.v, rtol=1e-9, atol=1e-12)
-    with pytest.raises(ValueError):
-        rg.build_graph(g.weights, g.schedule, method="guess")
+    u, v = rg.solve_uv(g.weights, g.schedule)
+    assert np.array_equal(g.u, u) and np.array_equal(g.v, v)
+    uo, vo = rg.solve_uv_oracle(g.weights, g.schedule)
+    assert np.allclose(g.u, uo, rtol=1e-9, atol=1e-12)
+    assert np.allclose(g.v, vo, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize("l, m, rho_lo, rho_hi", [(13, 11, 1.5, 2.0), (31, 29, 1.01, 1.02)])
+def test_solve_large_period_power_no_overflow(l, m, rho_lo, rho_hi):
+    # tau^n exceeds the float range here, the node system itself does not
+    g = random_instance(np.random.default_rng(l * m), l=l, m=m, rho_lo=rho_lo, rho_hi=rho_hi)
+    with pytest.raises(OverflowError):
+        g.schedule.tau ** g.weights.n
+    assert np.isfinite(g.u).all() and np.isfinite(g.v).all()
+    uo, vo = rg.solve_uv_oracle(g.weights, g.schedule)
+    assert np.allclose(g.u, uo, rtol=1e-9, atol=1e-12)
+    assert np.allclose(g.v, vo, rtol=1e-9, atol=1e-12)
 
 
 def test_propagation_recovers_v():
