@@ -34,6 +34,7 @@ from .construct import (
 )
 from .graph import (
     NegativeAbscissa,
+    NonFiniteAbscissa,
     EmptyWindow,
     Segment,
     lower_node,
@@ -74,9 +75,9 @@ __all__ = [
     "PowerForm", "ExpansionSchedule", "chi", "compute_U", "compute_V",
     "solve_uv", "solve_uv_oracle", "propagate_v_from_u", "Subgraph",
     "RegularGraph", "build_graph",
-    "NegativeAbscissa", "EmptyWindow", "Segment", "lower_node", "upper_node",
-    "segments_in_window", "evaluate", "Piece", "PiecewiseLinearSystem",
-    "component_functions",
+    "NegativeAbscissa", "NonFiniteAbscissa", "EmptyWindow", "Segment",
+    "lower_node", "upper_node", "segments_in_window", "evaluate", "Piece",
+    "PiecewiseLinearSystem", "component_functions",
     "PASS", "FAIL", "NOT_SUFFICIENT", "NOT_APPLICABLE", "ERROR",
     "CheckResult", "CheckReport", "check_system", "check_regular",
     "check_proper_direct", "check_proper_nodes", "check_proper_sufficient",

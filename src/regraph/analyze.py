@@ -168,16 +168,17 @@ def check_regular(
         if rel_bp > tol:
             return CheckResult("regular", FAIL, tol, rel_bp, {"t": t},
                                note="breakpoints do not scale by tau")
-        probes = np.concatenate([cur, 0.5 * (cur[:-1] + cur[1:])]) if len(cur) > 1 else cur
-        for q in probes:
-            a = sys.values_at(q) * tau
-            b = sys.values_at(q * tau)
-            rel = float(np.max(np.abs(b - a) / np.maximum(1.0, np.abs(a))))
-            if rel > worst:
-                worst, witness = rel, {"q": float(q), "t": t}
-            if rel > tol:
-                return CheckResult("regular", FAIL, tol, rel, {"q": float(q)},
-                                   note="values do not scale by tau")
+        probes = np.concatenate([cur, 0.5 * (cur[:-1] + cur[1:])])
+        a, b = np.split(sys.values_at(np.concatenate([probes, probes * tau])), 2)
+        a = a * tau
+        rel = np.max(np.abs(b - a) / np.maximum(1.0, np.abs(a)), axis=1)
+        i = int(np.argmax(rel > tol))  # the first failing probe, if any
+        if rel[i] > tol:
+            return CheckResult("regular", FAIL, tol, float(rel[i]), {"q": float(probes[i])},
+                               note="values do not scale by tau")
+        i = int(np.argmax(rel))
+        if rel[i] > worst:
+            worst, witness = float(rel[i]), {"q": float(probes[i]), "t": t}
     return CheckResult("regular", PASS, tol, worst, witness)
 
 
@@ -190,23 +191,18 @@ def check_proper_direct(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckR
     q must not exceed the one just right.  Margin is the minimal
     right-minus-left slack over all tested (q, i).
     """
-    best = np.inf
-    witness = None
-    for b in range(1, len(sys.pieces)):
-        left, right = sys.pieces[b - 1], sys.pieces[b]
-        q = sys.breakpoints[b]
-        vals = right.values  # = P(q) by continuity
-        lsum = np.cumsum(left.slopes)
-        rsum = np.cumsum(right.slopes)
-        for i in range(1, sys.n):
-            gap = vals[i] - vals[i - 1]
-            if gap <= tol * max(1.0, abs(vals[i])):
-                continue  # components tied at q: condition does not apply
-            slack = float(rsum[i - 1] - lsum[i - 1])
-            if slack < best:
-                best, witness = slack, {"q": float(q), "i": i}
-    if witness is None:
-        best = 0.0  # no open gaps anywhere: vacuously proper
+    # row b - 1 is interior breakpoint b, where P = the right piece's left values
+    vals = np.array([p.values for p in sys.pieces])[1:]
+    csum = np.cumsum([p.slopes for p in sys.pieces], axis=1)
+    slack = csum[1:, :-1] - csum[:-1, :-1]
+    gap = vals[:, 1:] - vals[:, :-1]
+    # components tied at q are exempt; a NaN gap is not tied, so it counts
+    open_gap = ~(gap <= tol * np.maximum(1.0, np.abs(vals[:, 1:])))
+    if open_gap.any():
+        b, i = np.unravel_index(np.argmin(np.where(open_gap, slack, np.inf)), slack.shape)
+        best, witness = float(slack[b, i]), {"q": float(sys.breakpoints[b + 1]), "i": int(i) + 1}
+    else:
+        best, witness = 0.0, None  # no open gaps anywhere: vacuously proper
     status = PASS if best >= -tol else FAIL
     return CheckResult("proper-direct", status, tol, float(best), witness)
 

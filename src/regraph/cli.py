@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Optional, Sequence, Union
 
+import numpy as np
+
 from .analyze import run_all_checks
 from .construct import (
     ConstructError,
@@ -113,9 +115,10 @@ def load_config(source: Union[str, Path, dict]) -> InstanceConfig:
     """Parse and validate an instance description.
 
     Accepts a dict, a JSON text (anything starting with '{'), or a
-    path to a JSON file.  Raises ParseError for malformed JSON and
+    path to a JSON file.  Raises ParseError for malformed JSON,
     ValidationError (with a field path in the message) for schema
-    violations, including everything the weight validator rejects.
+    violations (including everything the weight validator rejects and
+    windows outside the float range), and ConstructError when tau overflows.
     """
     if isinstance(source, dict):
         raw = source
@@ -148,12 +151,22 @@ def load_config(source: Union[str, Path, dict]) -> InstanceConfig:
             f"rho: expected lcm(l, m) = {w.k} factors, got {len(rho_raw)}"
         )
     rho = tuple(_rho_entry(entry, i) for i, entry in enumerate(rho_raw))
+    tau = ExpansionSchedule.from_factors(rho).tau
 
     window = _require(raw, "window", dict, "window")
     t_min = _require(window, "t_min", int, "window.t_min")
     t_max = _require(window, "t_max", int, "window.t_max")
     if t_min > t_max:
         raise ValidationError(f"window: t_min={t_min} exceeds t_max={t_max}")
+    # check reads three periods from t_min whatever t_max is
+    t_end = max(t_max, t_min + 2) + 1
+    try:
+        in_range = tau**t_min >= _sys.float_info.min and np.isfinite(tau**t_end)
+    except OverflowError:
+        in_range = False
+    if not in_range:
+        raise ValidationError(
+            f"window: tau^{t_min} .. tau^{t_end} leave the float range (tau={tau:g})")
 
     tolerance = raw.get("tolerance", 1e-9)
     if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or tolerance <= 0:
@@ -167,10 +180,6 @@ def load_config(source: Union[str, Path, dict]) -> InstanceConfig:
         t_min=t_min, t_max=t_max,
         tolerance=float(tolerance), samples_per_piece=spp,
     )
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.12g}"
 
 
 def cmd_build(cfg: InstanceConfig, out=None) -> int:
@@ -204,7 +213,7 @@ def cmd_check(cfg: InstanceConfig, tolerance: Optional[float], out=None) -> int:
 def cmd_eval(cfg: InstanceConfig, q: float, out=None) -> int:
     out = out if out is not None else _sys.stdout
     values = evaluate(cfg.graph(), q)
-    out.write(" ".join(_fmt(v) for v in values) + "\n")
+    out.write(" ".join(f"{v:.12g}" for v in values) + "\n")
     return 0
 
 
@@ -217,20 +226,14 @@ def cmd_plot(cfg: InstanceConfig, out_path: str) -> int:
 
 def cmd_export(cfg: InstanceConfig, out_path: str) -> int:
     sys_ = component_functions(cfg.graph(), cfg.t_min, cfg.t_max)
-    rows: list[tuple[float, ...]] = []
-    for piece in sys_.pieces:
-        rows.append((piece.q_lo, *piece.values))
-        width = piece.q_hi - piece.q_lo
-        for s in range(cfg.samples_per_piece):
-            q = piece.q_lo + width * (s + 1) / (cfg.samples_per_piece + 1)
-            rows.append((q, *piece.values_at(q)))
-    last = sys_.pieces[-1]
-    rows.append((last.q_hi, *last.values_at(last.q_hi)))
+    # per piece: its left breakpoint (s = 0), then samples_per_piece interior samples
+    spp = cfg.samples_per_piece
+    lo, hi = sys_.breakpoints[:-1, None], sys_.breakpoints[1:, None]
+    qs = np.append(lo + (hi - lo) * np.arange(spp + 1) / (spp + 1), sys_.q_hi)
     header = "q," + ",".join(f"P_{i + 1}" for i in range(sys_.n))
     with open(out_path, "w", newline="\n") as fh:
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(x) for x in row) + "\n")
+        np.savetxt(fh, np.column_stack([qs, sys_.values_at(qs)]), fmt="%.12g",
+                   delimiter=",", header=header, comments="")
     print(f"wrote {out_path}")
     return 0
 
@@ -256,7 +259,7 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="override the config tolerance")
         if name == "eval":
             p.add_argument("--q", type=float, required=True,
-                           help="abscissa to evaluate at (non-negative)")
+                           help="abscissa to evaluate at (finite, non-negative)")
         if name in ("plot", "export"):
             p.add_argument("--out", required=True, help="output file path")
     return parser
@@ -266,7 +269,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except (ParseError, ValidationError) as exc:
+    except (ParseError, ValidationError, ConstructError) as exc:
         print(f"error: input: {exc}", file=_sys.stderr)
         return 2
     try:
@@ -275,8 +278,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "check":
             return cmd_check(cfg, args.tolerance)
         if args.command == "eval":
-            if args.q < 0:
-                print("error: usage: --q must be non-negative", file=_sys.stderr)
+            if not (np.isfinite(args.q) and args.q >= 0):
+                print("error: usage: --q must be finite and non-negative", file=_sys.stderr)
                 return 2
             return cmd_eval(cfg, args.q)
         if args.command == "plot":

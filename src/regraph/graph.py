@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import combinations
-from math import floor, log
+from math import floor, isfinite, log
 
 import numpy as np
 
@@ -27,10 +27,16 @@ from .construct import RegularGraph
 
 CROSSING_REL_TOL = 1e-12
 BOUNDARY_SNAP_REL = 1e-12
+# powers of tau with |log| below this are normal, finite floats
+_LOG_POWER_RANGE = 700.0
 
 
 class NegativeAbscissa(ValueError):
     """Evaluation abscissa must be non-negative."""
+
+
+class NonFiniteAbscissa(ValueError):
+    """Evaluation abscissa must be a finite number."""
 
 
 class EmptyWindow(ValueError):
@@ -212,19 +218,30 @@ def _locate(g: RegularGraph, q: float) -> tuple[int, int]:
 def evaluate(g: RegularGraph, q: float) -> np.ndarray:
     """Sorted ordinates of the n graph points above abscissa q.
 
-    Defined for q >= 0; at q = 0 all components vanish.  Not limited to
-    any materialized window — the supporting lines are reconstructed
-    from the closed-form node data at whatever period q falls in.
+    Defined for finite q >= 0; at q = 0 all components vanish, and up
+    to the largest float they stay finite wherever they fit one.  Not
+    limited to any materialized window — the supporting lines are
+    reconstructed from the closed-form node data at whatever period q
+    falls in.
     """
+    if not isfinite(q):
+        raise NonFiniteAbscissa(f"q = {q}")
     if q < 0:
         raise NegativeAbscissa(f"q = {q}")
-    w = g.weights
     if q == 0:
-        return np.zeros(w.n)
-    t, j = _locate(g, q)
-    vals = np.array([ln.value_at(q) for ln in _active_lines(g, t, j)])
+        return np.zeros(g.weights.n)
+    tau = g.schedule.tau
+    s = floor(log(q) / log(tau))
+    a = b = 1.0
+    if (abs(s) + 2) * log(tau) >= _LOG_POWER_RANGE:
+        # _locate's tau^(s+2) would overflow or tau^(s-2) vanish: use
+        # P(q) = tau^s P(q / tau^s), with tau^s = a * b in two in-range halves
+        a, b = tau ** (s // 2), tau ** (s - s // 2)
+    x = q / a / b
+    t, j = _locate(g, x)
+    vals = np.array([ln.value_at(x) for ln in _active_lines(g, t, j)])
     vals.sort()
-    return vals
+    return vals if a == b == 1.0 else vals * a * b
 
 
 @dataclass(frozen=True, eq=False)
@@ -269,13 +286,17 @@ class PiecewiseLinearSystem:
     alphabet: tuple[tuple[str, int], ...]
     subgraph: int | None = None
 
-    def piece_index(self, q: float) -> int:
-        idx = int(np.searchsorted(self.breakpoints, q, side="right")) - 1
-        return min(max(idx, 0), len(self.pieces) - 1)
-
-    def values_at(self, q: float) -> np.ndarray:
-        """Component values at q, from the piece containing it."""
-        return self.pieces[self.piece_index(q)].values_at(q)
+    def values_at(self, q) -> np.ndarray:
+        """Component values at q from the piece containing it (the first or
+        last piece beyond the window); an array of abscissae gives one row
+        of n values per entry, equal to the scalar calls."""
+        idx = np.searchsorted(self.breakpoints, q, side="right") - 1
+        idx = np.clip(idx, 0, len(self.pieces) - 1)
+        if np.ndim(idx) == 0:
+            return self.pieces[idx].values_at(q)
+        values = np.array([p.values for p in self.pieces])[idx]
+        slopes = np.array([p.slopes for p in self.pieces])[idx]
+        return values + slopes * (np.asarray(q) - self.breakpoints[idx])[..., None]
 
 
 def _crossings(lines: list[_Line], q_lo: float, q_hi: float) -> list[float]:
@@ -376,6 +397,7 @@ def component_functions(
 
 __all__ = [
     "NegativeAbscissa",
+    "NonFiniteAbscissa",
     "EmptyWindow",
     "Segment",
     "lower_node",

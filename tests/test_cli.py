@@ -179,6 +179,21 @@ def test_cmd_eval_negative_q(capsys):
     assert "error: usage" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("q", ["inf", "nan", "-inf"])
+def test_cmd_eval_non_finite_q(q, capsys):
+    assert main(["eval", FIG, f"--q={q}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: usage")
+
+
+def test_cmd_eval_largest_q(capsys):
+    # the period index of q = 1.7e308 is the last one whose tau power fits
+    assert main(["eval", CLASSICAL, "--q", "1.7e308"]) == 0
+    values = [float(x) for x in capsys.readouterr().out.split()]
+    assert len(values) == 2 and all(np.isfinite(values))
+
+
 # -------------------------------------------------------------------- plot
 
 def test_cmd_plot_svg_contract(tmp_path, capsys):
@@ -269,6 +284,36 @@ def test_unrepresentable_schedule_exits_two(tmp_path, capsys, l, m, rho):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: input:")
+
+
+@pytest.mark.parametrize("window", [
+    {"t_min": 0, "t_max": 200000},  # tau^(t_max + 1) overflows
+    {"t_min": 2000, "t_max": 2000},
+    {"t_min": -1200, "t_max": 0},  # tau^t_min vanishes
+    {"t_min": -2000, "t_max": -1999},
+    {"t_min": 1021, "t_max": 1021},  # fits, but check's three periods do not
+])
+@pytest.mark.parametrize("command", ["build", "check", "eval", "plot", "export"])
+def test_out_of_range_window_exits_two(window, command, tmp_path, capsys):
+    doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [2], "window": window}
+    cfg = write_config(tmp_path, "far.json", doc)
+    extra = {"eval": ["--q", "1"], "plot": ["--out", str(tmp_path / "g.svg")],
+             "export": ["--out", str(tmp_path / "g.csv")]}.get(command, [])
+    assert main([command, cfg, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input: window:")
+    with pytest.raises(rg.ValidationError, match="^window:"):
+        rg.load_config(doc)
+
+
+@pytest.mark.parametrize("window", [{"t_min": -1022, "t_max": -1022},
+                                    {"t_min": 1020, "t_max": 1022}])
+def test_window_at_float_range_edges_accepted(window, tmp_path, capsys):
+    # tau = 2: 2^-1022 is the smallest normal float and 2^1023 the largest power
+    doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [2], "window": window}
+    assert main(["check", write_config(tmp_path, "edge.json", doc)]) == 0
+    assert capsys.readouterr().out.endswith("all applicable checks passed\n")
 
 
 def _console_script(name):

@@ -109,6 +109,30 @@ def test_evaluate_negative_rejected(fig_instance):
         rg.evaluate(fig_instance, -0.5)
 
 
+@pytest.mark.parametrize("q", [float("nan"), float("inf"), float("-inf")])
+def test_evaluate_non_finite_rejected(fig_instance, q):
+    with pytest.raises(rg.NonFiniteAbscissa):
+        rg.evaluate(fig_instance, q)
+    assert issubclass(rg.NonFiniteAbscissa, ValueError)
+
+
+@pytest.mark.parametrize("q", [5e-324, 1e-310, 1e-305, 1e-300, 1e300, 1.7e308,
+                               1.7976931348623157e308])
+def test_evaluate_extreme_q_finite(all_fixture_instances, q):
+    # with tau = 10 the period power below 5e-324 rounds to zero
+    tau10 = make_instance(1, 1, (1.0,), (1.0,), [10.0])
+    for g in [*all_fixture_instances.values(), tau10]:
+        vals = rg.evaluate(g, q)
+        assert vals.shape == (g.weights.n,)
+        assert np.all(np.isfinite(vals))
+        assert np.all(np.diff(vals) >= 0)
+        # P(q) = tau^s P(q / tau^s), checked where the result is a normal float
+        if 1e-300 < q < 1e308:
+            s = 200 if q > 1 else -200
+            ref = g.tau**s * rg.evaluate(g, q / g.tau**s)
+            assert np.allclose(vals, ref, rtol=1e-12, atol=0.0)
+
+
 def test_evaluate_fig_at_one(fig_instance):
     g = fig_instance
     vals = rg.evaluate(g, 1.0)
