@@ -82,61 +82,86 @@ class CheckReport:
         return out
 
 
+def _non_finite(name: str, sys: PiecewiseLinearSystem, tol: float) -> Optional[CheckResult]:
+    """FAIL at the first piece whose ends, values or slopes hold NaN or +-inf."""
+    bp = sys.breakpoints
+    ok = np.isfinite(sys.values).all(axis=1) & np.isfinite(sys.slopes).all(axis=1)
+    ok &= np.isfinite(bp[:-1]) & np.isfinite(bp[1:])
+    if ok.all():
+        return None
+    p = int(np.argmin(ok))
+    return CheckResult(name, FAIL, tol, -np.inf, {"piece": p, "q": float(bp[p])},
+                       note="non-finite value in the piece table")
+
+
 def check_system(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckResult:
     """Structural validity of an extracted component system.
 
     Verifies, piece by piece: the slope labels form exactly the
     expected alphabet (as a multiset, label-level equality); the
-    component sum stays on gamma * q; components are continuous across
-    breakpoints; the components are sorted; and the first-period values
-    are consistent with all components vanishing at the origin
-    (|P_i(q_lo)| bounded by the largest slope times q_lo).
+    components are sorted; the component sum stays on gamma * q; then
+    components are continuous across breakpoints; and the first-period
+    values are consistent with all components vanishing at the origin
+    (|P_i(q_lo)| bounded by the largest slope times q_lo).  A failure
+    reports the first violated test in that order; a pass reports the
+    largest sum residual or jump.  Any non-finite entry fails.
     """
-    expected = tuple(sorted(sys.alphabet))
-    worst = 0.0
-    witness = None
-    scale_tol = lambda v: tol * max(1.0, abs(v))
+    failed = _non_finite("system", sys, tol)
+    if failed is not None:
+        return failed
+    vals, slopes = sys.values, sys.slopes
+    lo, hi = sys.breakpoints[:-1], sys.breakpoints[1:]
+    scale_tol = lambda v: tol * np.maximum(1.0, np.abs(v))
 
-    for pi, piece in enumerate(sys.pieces):
-        if tuple(sorted(piece.labels)) != expected:
-            return CheckResult(
-                "system", FAIL, tol, -1.0,
-                {"piece": pi, "q": piece.q_lo},
-                note="slope labels are not a permutation of the alphabet",
-            )
-        if np.any(np.diff(piece.values) < -scale_tol(piece.q_lo)):
-            return CheckResult(
-                "system", FAIL, tol, float(np.diff(piece.values).min()),
-                {"piece": pi, "q": piece.q_lo}, note="components out of order",
-            )
-        for q in (piece.q_lo, 0.5 * (piece.q_lo + piece.q_hi), piece.q_hi):
-            resid = abs(float(np.sum(piece.values_at(q))) - sys.gamma * q)
-            if resid > worst:
-                worst, witness = resid, {"q": q, "kind": "sum"}
-            if resid > scale_tol(sys.gamma * q):
-                return CheckResult("system", FAIL, tol, resid, {"q": q},
-                                   note="component sum off the expected line")
+    gaps = np.diff(vals, axis=1)
+    qs = np.stack([lo, 0.5 * (lo + hi), hi], axis=1)  # left end, midpoint, right end
+    sums = (vals[:, None, :] + slopes[:, None, :] * (qs - lo[:, None])[..., None]).sum(axis=2)
+    resid = np.abs(sums - sys.gamma * qs)
+    bad = np.column_stack([
+        np.any(np.sort(sys.labels, axis=1) != np.arange(len(sys.alphabet)), axis=1),
+        np.any(gaps < -scale_tol(lo)[:, None], axis=1),
+        resid > scale_tol(sys.gamma * qs),
+    ])
+    if bad.any():
+        p, test = divmod(int(np.argmax(bad)), bad.shape[1])
+        if test == 0:
+            return CheckResult("system", FAIL, tol, -1.0, {"piece": p, "q": float(lo[p])},
+                               note="slope labels are not a permutation of the alphabet")
+        if test == 1:
+            return CheckResult("system", FAIL, tol, float(gaps[p].min()),
+                               {"piece": p, "q": float(lo[p])}, note="components out of order")
+        return CheckResult("system", FAIL, tol, float(resid[p, test - 2]),
+                           {"q": float(qs[p, test - 2])},
+                           note="component sum off the expected line")
 
-    for pi in range(len(sys.pieces) - 1):
-        left, right = sys.pieces[pi], sys.pieces[pi + 1]
-        jump = np.abs(left.values_at(left.q_hi) - right.values)
-        j = float(jump.max())
-        if j > worst:
-            worst, witness = j, {"q": right.q_lo, "kind": "jump", "i": int(jump.argmax()) + 1}
-        if j > scale_tol(right.q_lo):
-            return CheckResult("system", FAIL, tol, j,
-                               {"q": right.q_lo, "i": int(jump.argmax()) + 1},
-                               note="component discontinuous across breakpoint")
+    # row b compares the right end of piece b with the left end of piece b + 1
+    jump = np.abs(vals[:-1] + slopes[:-1] * (hi[:-1] - lo[:-1])[:, None] - vals[1:])
+    j, i = jump.max(axis=1), jump.argmax(axis=1) + 1
+    bad = j > scale_tol(lo[1:])
+    if bad.any():
+        b = int(np.argmax(bad))
+        return CheckResult("system", FAIL, tol, float(j[b]),
+                           {"q": float(lo[b + 1]), "i": int(i[b])},
+                           note="component discontinuous across breakpoint")
 
-    w_max = max(abs(v) for v in sys.pieces[0].slopes) if sys.pieces else 0.0
+    w_max = float(np.max(np.abs(slopes[0])))
     # every component must vanish at 0, so |P_i(q)| <= max|slope| * q
-    first = sys.pieces[0]
-    over = float(np.max(np.abs(first.values))) - w_max * sys.q_lo
+    over = float(np.max(np.abs(vals[0]))) - w_max * sys.q_lo
     if over > scale_tol(w_max * sys.q_lo):
         return CheckResult("system", FAIL, tol, over, {"q": sys.q_lo},
                            note="first-period values inconsistent with vanishing at 0")
 
-    return CheckResult("system", PASS, tol, worst, witness)
+    # the first largest of the sum residuals (piece by piece) and then the jumps
+    seen = np.concatenate([resid.ravel(), j])
+    p = int(np.argmax(seen))
+    if not seen[p] > 0.0:
+        return CheckResult("system", PASS, tol, 0.0, None)
+    if p < resid.size:
+        witness = {"q": float(qs.flat[p]), "kind": "sum"}
+    else:
+        b = p - resid.size
+        witness = {"q": float(lo[b + 1]), "kind": "jump", "i": int(i[b])}
+    return CheckResult("system", PASS, tol, float(seen[p]), witness)
 
 
 def check_regular(
@@ -151,6 +176,9 @@ def check_regular(
     if sys.t_hi - sys.t_lo < 1:
         return CheckResult("regular", ERROR, tol, 0.0, None,
                            note="InsufficientWindow: need at least two periods")
+    failed = _non_finite("regular", sys, tol)
+    if failed is not None:
+        return failed
     tau = g.schedule.tau
     bp = sys.breakpoints
     worst = 0.0
@@ -191,13 +219,16 @@ def check_proper_direct(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckR
     q must not exceed the one just right.  Margin is the minimal
     right-minus-left slack over all tested (q, i).
     """
+    failed = _non_finite("proper-direct", sys, tol)
+    if failed is not None:
+        return failed
     # row b - 1 is interior breakpoint b, where P = the right piece's left values
-    vals = np.array([p.values for p in sys.pieces])[1:]
-    csum = np.cumsum([p.slopes for p in sys.pieces], axis=1)
+    vals = sys.values[1:]
+    csum = np.cumsum(sys.slopes, axis=1)
     slack = csum[1:, :-1] - csum[:-1, :-1]
     gap = vals[:, 1:] - vals[:, :-1]
-    # components tied at q are exempt; a NaN gap is not tied, so it counts
-    open_gap = ~(gap <= tol * np.maximum(1.0, np.abs(vals[:, 1:])))
+    # components tied at q are exempt
+    open_gap = gap > tol * np.maximum(1.0, np.abs(vals[:, 1:]))
     if open_gap.any():
         b, i = np.unravel_index(np.argmin(np.where(open_gap, slack, np.inf)), slack.shape)
         best, witness = float(slack[b, i]), {"q": float(sys.breakpoints[b + 1]), "i": int(i) + 1}

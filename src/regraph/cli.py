@@ -229,7 +229,12 @@ def cmd_export(cfg: InstanceConfig, out_path: str) -> int:
     # per piece: its left breakpoint (s = 0), then samples_per_piece interior samples
     spp = cfg.samples_per_piece
     lo, hi = sys_.breakpoints[:-1, None], sys_.breakpoints[1:, None]
-    qs = np.append(lo + (hi - lo) * np.arange(spp + 1) / (spp + 1), sys_.q_hi)
+    s = np.arange(spp + 1)
+    with np.errstate(over="ignore"):
+        offset = (hi - lo) * s
+    # near the largest float (hi - lo) * s overflows; divide first only there
+    offset = np.where(np.isfinite(offset), offset / (spp + 1), (hi - lo) / (spp + 1) * s)
+    qs = np.append(lo + offset, sys_.q_hi)
     header = "q," + ",".join(f"P_{i + 1}" for i in range(sys_.n))
     with open(out_path, "w", newline="\n") as fh:
         np.savetxt(fh, np.column_stack([qs, sys_.values_at(qs)]), fmt="%.12g",

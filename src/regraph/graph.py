@@ -9,7 +9,10 @@ segments pass (l rising, m falling), and sorting their ordinates
 yields continuous piecewise-linear component functions P_1 <= ... <=
 P_n.  This module materializes segments over an integer period window,
 evaluates the component values at arbitrary q, and extracts the full
-sorted system as explicit piece data.
+sorted system as a piece table: P pieces between P + 1 breakpoints,
+with (P, n) arrays of left-end values, slopes and slope-label codes.
+Its `pieces` attribute views the same rows as `Piece` objects, each
+built only when it is read.
 
 Window convention: a window (t_lo, t_hi) of period indices covers
 abscissae [tau^t_lo, tau^(t_hi+1)].
@@ -17,8 +20,8 @@ abscissae [tau^t_lo, tau^(t_hi+1)].
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
 from math import floor, isfinite, log
 
 import numpy as np
@@ -143,46 +146,24 @@ def segments_in_window(g: RegularGraph, t_lo: int, t_hi: int) -> list[Segment]:
     return out
 
 
-@dataclass(frozen=True)
-class _Line:
-    """A segment's supporting line, for evaluation above one subinterval."""
-
-    kind: str
-    r: int
-    t: int
-    x0: float
-    y0: float
-    slope: float
-    label: tuple[str, int]
-
-    def value_at(self, q: float) -> float:
-        return self.y0 + self.slope * (q - self.x0)
-
-    @property
-    def identity(self) -> tuple[str, int, int]:
-        return (self.kind, self.r, self.t)
-
-
-def _active_lines(g: RegularGraph, t: int, j: int) -> list[_Line]:
-    """The n lines above grid subinterval j of period t.
+def _lines(g: RegularGraph, j) -> tuple[np.ndarray, ...]:
+    """The n lines above grid subinterval j (an int, or a column of ints
+    for one row each) of any period.
 
     The rising lines are the l segments based at indices j, j-1, ...,
-    j-l+1 (wrapping into period t-1 below zero); falling lines
-    analogously with m.  Exactly one line per slope label.
+    j-l+1, which wrap into the period before below zero; then the m
+    falling lines, analogously.  Exactly one line per slope label.
+    Returns per line: segment index r, whether it wrapped, whether it
+    falls, sigma_r, slope and node height (u_r rising, v_r falling).
     """
     w = g.weights
-    lines: list[_Line] = []
-    for c in range(w.l):
-        r0 = j - c
-        tt, r = (t, r0) if r0 >= 0 else (t - 1, r0 + w.k)
-        x0, y0 = lower_node(g, r, tt)
-        lines.append(_Line("A", r, tt, x0, y0, w.alpha_at(r + 1), ("A", (r % w.l) + 1)))
-    for c in range(w.m):
-        r0 = j - c
-        tt, r = (t, r0) if r0 >= 0 else (t - 1, r0 + w.k)
-        x0, y0 = upper_node(g, r, tt)
-        lines.append(_Line("B", r, tt, x0, y0, -w.beta_at(r + 1), ("B", (r % w.m) + 1)))
-    return lines
+    r = j - np.concatenate([np.arange(w.l), np.arange(w.m)])
+    wrapped = r < 0
+    r = r % w.k
+    falls = np.arange(w.n) >= w.l
+    slope = np.where(falls, -np.asarray(w.beta)[r % w.m], np.asarray(w.alpha)[r % w.l])
+    height = np.where(falls, np.asarray(g.v)[r], np.asarray(g.u)[r])
+    return r, wrapped, falls, np.asarray(g.schedule.sigmas)[r], slope, height
 
 
 def _locate(g: RegularGraph, q: float) -> tuple[int, int]:
@@ -239,7 +220,9 @@ def evaluate(g: RegularGraph, q: float) -> np.ndarray:
         a, b = tau ** (s // 2), tau ** (s - s // 2)
     x = q / a / b
     t, j = _locate(g, x)
-    vals = np.array([ln.value_at(x) for ln in _active_lines(g, t, j)])
+    _, wrapped, _, sig_r, slope, height = _lines(g, j)
+    x0 = np.where(wrapped, tau ** (t - 1), tau**t) * sig_r
+    vals = x0 * height + slope * (x - x0)
     vals.sort()
     return vals if a == b == 1.0 else vals * a * b
 
@@ -263,15 +246,41 @@ class Piece:
         return self.values + self.slopes * (q - self.q_lo)
 
 
+class _PieceRows(Sequence):
+    """Read-only sequence of Piece views of a system's rows; a row's Piece is
+    built when it is read, so len() builds nothing."""
+
+    def __init__(self, system: "PiecewiseLinearSystem"):
+        self._system = system
+
+    def __len__(self) -> int:
+        return len(self._system.values)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return tuple(self[j] for j in range(len(self))[i])
+        i = range(len(self))[i]  # negative indices, IndexError
+        s = self._system
+        return Piece(
+            q_lo=float(s.breakpoints[i]),
+            q_hi=float(s.breakpoints[i + 1]),
+            values=s.values[i],
+            slopes=s.slopes[i],
+            labels=tuple(s.alphabet[c] for c in s.labels[i]),
+        )
+
+
 @dataclass(frozen=True, eq=False)
 class PiecewiseLinearSystem:
-    """The sorted component functions over a window, as explicit pieces.
+    """The sorted component functions over a window, as a piece table.
 
     grid holds the subinterval boundaries tau^t sigma_j including the
     window terminus; breakpoints additionally contains every interior
-    crossing abscissa.  pieces[i] spans breakpoints[i] ..
-    breakpoints[i+1].  gamma is the expected slope-sum on every piece
-    (zero for the full graph, the class drift for a residue subgraph).
+    crossing abscissa.  Row i of the (P, n) arrays is the piece from
+    breakpoints[i] to breakpoints[i+1]: values are the components at its
+    left end, slopes their slopes and labels integer codes into alphabet.
+    gamma is the expected slope-sum on every piece (zero for the full
+    graph, the class drift for a residue subgraph).
     """
 
     n: int
@@ -281,47 +290,75 @@ class PiecewiseLinearSystem:
     q_hi: float
     grid: np.ndarray
     breakpoints: np.ndarray
-    pieces: tuple[Piece, ...]
+    values: np.ndarray
+    slopes: np.ndarray
+    labels: np.ndarray
     gamma: float
     alphabet: tuple[tuple[str, int], ...]
     subgraph: int | None = None
+
+    @property
+    def pieces(self) -> Sequence[Piece]:
+        """The rows as Piece objects, built one at a time on access."""
+        return _PieceRows(self)
 
     def values_at(self, q) -> np.ndarray:
         """Component values at q from the piece containing it (the first or
         last piece beyond the window); an array of abscissae gives one row
         of n values per entry, equal to the scalar calls."""
         idx = np.searchsorted(self.breakpoints, q, side="right") - 1
-        idx = np.clip(idx, 0, len(self.pieces) - 1)
-        if np.ndim(idx) == 0:
-            return self.pieces[idx].values_at(q)
-        values = np.array([p.values for p in self.pieces])[idx]
-        slopes = np.array([p.slopes for p in self.pieces])[idx]
-        return values + slopes * (np.asarray(q) - self.breakpoints[idx])[..., None]
+        idx = np.clip(idx, 0, len(self.values) - 1)
+        return self.values[idx] + self.slopes[idx] * (
+            np.asarray(q) - self.breakpoints[idx])[..., None]
 
 
-def _crossings(lines: list[_Line], q_lo: float, q_hi: float) -> list[float]:
-    """Interior abscissae where two of the lines meet, deduplicated."""
-    found: list[float] = []
-    for a, b in combinations(lines, 2):
-        ds = a.slope - b.slope
-        if ds == 0.0:
-            continue
-        qx = ((b.y0 - b.slope * b.x0) - (a.y0 - a.slope * a.x0)) / ds
-        tol = CROSSING_REL_TOL * abs(qx)
-        if q_lo + tol < qx < q_hi - tol:
-            found.append(qx)
-    found.sort()
-    out: list[float] = []
-    for qx in found:
-        if not out or qx - out[-1] > CROSSING_REL_TOL * qx:
-            out.append(qx)
-    return out
+def _line_table(g: RegularGraph, subgraph: int | None, alphabet) -> tuple[np.ndarray, ...]:
+    """The lines above every subinterval j of one period, row j each.
+
+    Row j holds the lines of _lines(g, j) in the residue class, in
+    identity order (kind, r): sigma_r, whether the line is based in the
+    period before, slope, node height and label code into alphabet.
+    None of it depends on the period.
+    """
+    w = g.weights
+    r, wrapped, falls, sig_r, slope, height = np.broadcast_arrays(
+        *_lines(g, np.arange(w.k)[:, None]))
+    key = falls * w.k + r
+    if subgraph is not None:
+        key = np.where(r % w.d == subgraph, key, 2 * w.k)
+    cols = np.argsort(key, axis=1)[:, : len(alphabet)]
+    code_of = {lab: c for c, lab in enumerate(alphabet)}
+    code = np.array([code_of.get(lab, -1) for lab in w.slope_labels])[
+        np.where(falls, w.l + r % w.m, r % w.l)].astype(np.min_scalar_type(-len(alphabet)))
+    return tuple(np.take_along_axis(a, cols, 1) for a in (sig_r, wrapped, slope, height, code))
+
+
+def _dedupe_crossings(qx: np.ndarray, count: np.ndarray) -> np.ndarray:
+    """Which of each row's sorted crossings qx[:, :count] are kept.
+
+    A crossing is dropped when it lies within CROSSING_REL_TOL * qx of
+    the last kept one.  Comparing with the previous crossing instead
+    gives the same answer unless two neighbours in a row are dropped, so
+    only such rows are walked one crossing at a time.
+    """
+    valid = np.arange(qx.shape[1]) < count[:, None]
+    keep = valid.copy()
+    with np.errstate(invalid="ignore"):
+        keep[:, 1:] &= qx[:, 1:] - qx[:, :-1] > CROSSING_REL_TOL * qx[:, 1:]
+    dropped = valid & ~keep
+    for row in np.flatnonzero((dropped[:, 1:] & dropped[:, :-1]).any(axis=1)):
+        last = qx[row, 0]
+        for i in range(1, count[row]):
+            keep[row, i] = qx[row, i] - last > CROSSING_REL_TOL * qx[row, i]
+            if keep[row, i]:
+                last = qx[row, i]
+    return keep
 
 
 def component_functions(
     g: RegularGraph, t_lo: int, t_hi: int, subgraph: int | None = None
 ) -> PiecewiseLinearSystem:
-    """Extract P_1 <= ... <= P_n over the window as explicit piece data.
+    """Extract P_1 <= ... <= P_n over the window as a piece table.
 
     Within each grid subinterval the active lines are intersected
     pairwise; every interior crossing becomes a breakpoint, and on each
@@ -330,7 +367,8 @@ def component_functions(
     assignment through each crossing (immediately left of a crossing
     the steeper line ranks lower, immediately right the shallower
     one).  Lines that coincide over a whole piece are kept as distinct
-    components in a stable order given by segment identity.
+    components in a stable order given by segment identity.  All k
+    subintervals of a period are handled together as arrays.
 
     With subgraph=f only the lines of residue class f are used; the
     result then has n/d components whose slope sum is gamma_f instead
@@ -349,46 +387,63 @@ def component_functions(
         n = w.n
         gamma = 0.0
         alphabet = w.slope_labels
+    sig_r, wrapped, slope, height, code = _line_table(g, subgraph, alphabet)
+    sig = np.asarray(g.schedule.sigmas)
+    ia, ib = np.triu_indices(n, 1)
+    ds = slope[:, ia] - slope[:, ib]
+    ends = np.ones((w.k, 1), dtype=bool)
 
-    grid: list[float] = []
-    cells: list[tuple[int, int]] = []
+    grid, periods = [], []
     for t in range(t_lo, t_hi + 1):
-        for j in range(w.k):
-            grid.append(tau**t * g.schedule.sigmas[j])
-            cells.append((t, j))
-    grid.append(tau ** (t_hi + 1))
+        lo = tau**t * sig
+        hi = np.append(lo[1:], tau ** (t + 1))
+        x0 = np.where(wrapped, tau ** (t - 1), tau**t) * sig_r
+        y0 = x0 * height
+        c = y0 - slope * x0
+        with np.errstate(divide="ignore", invalid="ignore"):
+            qx = (c[:, ib] - c[:, ia]) / ds
+            tol = CROSSING_REL_TOL * np.abs(qx)
+            inside = (ds != 0.0) & (lo[:, None] + tol < qx) & (qx < hi[:, None] - tol)
+        count = inside.sum(axis=1)
+        qx = np.sort(np.where(inside, qx, np.inf), axis=1)[:, : count.max()]
+        keep = _dedupe_crossings(qx, count)
+        p_lo = np.concatenate([lo[:, None], qx], axis=1)[np.concatenate([ends, keep], axis=1)]
+        p_hi = np.concatenate([qx, hi[:, None]], axis=1)[np.concatenate([keep, ends], axis=1)]
+        cell = np.repeat(np.arange(w.k), 1 + keep.sum(axis=1))
+        grid.append(lo)
+        periods.append((x0, y0, p_lo, p_hi, cell))
+    grid.append([tau ** (t_hi + 1)])
+    grid = np.concatenate(grid)
+    breakpoints = np.concatenate([grid[:1], *(p_hi for *_, p_hi, _ in periods)])
 
-    breakpoints: list[float] = [grid[0]]
-    pieces: list[Piece] = []
-    for idx, (t, j) in enumerate(cells):
-        cell_lo, cell_hi = grid[idx], grid[idx + 1]
-        lines = _active_lines(g, t, j)
-        if subgraph is not None:
-            lines = [ln for ln in lines if ln.r % w.d == subgraph]
-        bounds = [cell_lo, *_crossings(lines, cell_lo, cell_hi), cell_hi]
-        for p_lo, p_hi in zip(bounds[:-1], bounds[1:]):
-            mid = 0.5 * (p_lo + p_hi)
-            order = sorted(lines, key=lambda ln: (ln.value_at(mid), ln.identity))
-            pieces.append(
-                Piece(
-                    q_lo=p_lo,
-                    q_hi=p_hi,
-                    values=np.array([ln.value_at(p_lo) for ln in order]),
-                    slopes=np.array([ln.slope for ln in order]),
-                    labels=tuple(ln.label for ln in order),
-                )
-            )
-            breakpoints.append(p_hi)
+    # rank each piece's lines, filling the table one period at a time
+    values = np.empty((len(breakpoints) - 1, n))
+    slopes = np.empty_like(values)
+    labels = np.empty(values.shape, dtype=code.dtype)
+    start = 0
+    for x0, y0, p_lo, p_hi, cell in periods:
+        rows = slice(start, start + len(cell))
+        start = rows.stop
+        mid = 0.5 * (p_lo + p_hi)[:, None]
+        order = np.argsort(y0[cell] + slope[cell] * (mid - x0[cell]), axis=1, kind="stable")
+        line = (cell[:, None], order)
+        slopes[rows] = slope[line]
+        values[rows] = y0[line] + slopes[rows] * (p_lo[:, None] - x0[line])
+        labels[rows] = code[line]
+    for a in (grid, breakpoints, values, slopes, labels):
+        a.flags.writeable = False
 
     return PiecewiseLinearSystem(
         n=n,
         t_lo=t_lo,
         t_hi=t_hi,
-        q_lo=grid[0],
-        q_hi=grid[-1],
-        grid=np.array(grid),
-        breakpoints=np.array(breakpoints),
-        pieces=tuple(pieces),
+        q_lo=float(grid[0]),
+        q_hi=float(grid[-1]),
+        grid=grid,
+        breakpoints=breakpoints,
+        values=values,
+        slopes=slopes,
+        labels=labels,
         gamma=gamma,
         alphabet=alphabet,
         subgraph=subgraph,

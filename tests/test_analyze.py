@@ -58,24 +58,20 @@ def test_improper_instance_flagged(improper_instance):
 
 def test_check_system_detects_broken_slope(fig_instance):
     sys1 = rg.component_functions(fig_instance, 0, 1)
-    bad_piece = sys1.pieces[3]
-    slopes = bad_piece.slopes.copy()
-    slopes[0] = 0.0
-    pieces = list(sys1.pieces)
-    pieces[3] = dataclasses.replace(bad_piece, slopes=slopes)
-    broken = dataclasses.replace(sys1, pieces=tuple(pieces))
+    slopes = sys1.slopes.copy()
+    slopes[3, 0] = 0.0
+    broken = dataclasses.replace(sys1, slopes=slopes)
     assert analyze.check_system(broken).status == "fail"
 
 
 def test_check_system_detects_wrong_label(fig_instance):
     sys1 = rg.component_functions(fig_instance, 0, 1)
-    bad_piece = sys1.pieces[0]
-    labels = (("A", 1),) + bad_piece.labels[1:]
-    pieces = (dataclasses.replace(bad_piece, labels=labels),) + sys1.pieces[1:]
-    broken = dataclasses.replace(sys1, pieces=pieces)
+    labels = sys1.labels.copy()
+    labels[0, 0] = sys1.alphabet.index(("A", 1))
+    broken = dataclasses.replace(sys1, labels=labels)
     res = analyze.check_system(broken)
     # piece 0 now repeats label A1; only fails if it was not A1 already
-    if bad_piece.labels[0] != ("A", 1):
+    if sys1.pieces[0].labels[0] != ("A", 1):
         assert res.status == "fail"
         assert res.witness["piece"] == 0
 
@@ -83,13 +79,54 @@ def test_check_system_detects_wrong_label(fig_instance):
 def test_check_regular_detects_perturbation(fig_instance):
     sys1 = rg.component_functions(fig_instance, 0, 1)
     idx = len(sys1.pieces) // 2
-    piece = sys1.pieces[idx]
-    values = piece.values.copy()
-    values[0] -= 1e-3
-    pieces = list(sys1.pieces)
-    pieces[idx] = dataclasses.replace(piece, values=values)
-    broken = dataclasses.replace(sys1, pieces=tuple(pieces))
+    values = sys1.values.copy()
+    values[idx, 0] -= 1e-3
+    broken = dataclasses.replace(sys1, values=values)
     assert analyze.check_regular(fig_instance, broken).status == "fail"
+
+
+@pytest.fixture(scope="module")
+def fig_table(fig_instance):
+    return rg.component_functions(fig_instance, 0, 2)
+
+
+def with_non_finite(sys, field, bad):
+    """The table with one entry of field set to bad, and the piece it lands in."""
+    p = len(sys.values) // 3
+    arr = getattr(sys, field).copy()
+    if field == "breakpoints":
+        arr[p + 1] = bad  # right end of piece p, left end of piece p + 1
+    else:
+        arr[p, 1] = bad
+    return dataclasses.replace(sys, **{field: arr}), p
+
+
+NON_FINITE = [(field, bad) for field in ("breakpoints", "values", "slopes")
+              for bad in (np.nan, np.inf, -np.inf)]
+
+
+@pytest.mark.parametrize("field,bad", NON_FINITE)
+def test_check_system_fails_on_non_finite(fig_table, field, bad):
+    broken, p = with_non_finite(fig_table, field, bad)
+    res = analyze.check_system(broken)
+    assert res.status == "fail" and res.witness["piece"] == p
+    assert "non-finite" in res.note
+
+
+@pytest.mark.parametrize("field,bad", NON_FINITE)
+def test_check_regular_fails_on_non_finite(fig_instance, fig_table, field, bad):
+    broken, p = with_non_finite(fig_table, field, bad)
+    res = analyze.check_regular(fig_instance, broken)
+    assert res.status == "fail" and res.witness["piece"] == p
+    assert "non-finite" in res.note
+
+
+@pytest.mark.parametrize("field,bad", NON_FINITE)
+def test_check_proper_direct_fails_on_non_finite(fig_table, field, bad):
+    broken, p = with_non_finite(fig_table, field, bad)
+    res = analyze.check_proper_direct(broken)
+    assert res.status == "fail" and res.witness["piece"] == p
+    assert "non-finite" in res.note
 
 
 def test_check_regular_window_too_small(fig_instance):

@@ -248,6 +248,18 @@ def test_cmd_export_sample_count(tmp_path):
     assert len(lines) == 1 + 2 * 3 + 1
 
 
+def test_cmd_export_near_largest_float(tmp_path):
+    # the window ends within a factor samples_per_piece + 1 of the largest float
+    doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [2],
+           "window": {"t_min": 1020, "t_max": 1022}}
+    cfg = write_config(tmp_path, "edge.json", doc)
+    out = tmp_path / "edge.csv"
+    assert main(["export", cfg, "--out", str(out)]) == 0
+    rows = np.loadtxt(out, delimiter=",", skiprows=1)
+    assert np.isfinite(rows).all()
+    assert (np.diff(rows[:, 0]) > 0).all()
+
+
 # ------------------------------------------------------------- error paths
 
 def test_bad_config_exits_two(tmp_path, capsys):

@@ -1,24 +1,136 @@
-"""Array lookups of the piece table against the per-piece loops they replace.
+"""The array-backed piece table against the per-piece loops it replaces.
 
-The reference functions below are the loop forms of `check_regular`,
-`check_proper_direct` and `cmd_export` that walked `Piece` objects one
-at a time.  The array forms do the same float operations in the same
-order, so results must agree exactly: same status, margin and witness,
-and the same CSV bytes.
+The reference functions below are the loop forms that walked `Piece`
+objects one at a time: the per-subinterval extraction (`_Line` objects,
+all-pairs crossings, one sort per piece), `check_system`,
+`check_regular`, `check_proper_direct` and `cmd_export`.  The array
+forms do the same float operations in the same order, so results must
+agree exactly: bit-identical tables, the same status, margin and
+witness, and the same CSV bytes.
 """
 
 import dataclasses
 import json
+from itertools import combinations
 from math import lcm
 
 import numpy as np
 import pytest
 
 import regraph as rg
-from regraph import analyze
+from regraph import analyze, graph
 from regraph.cli import main
 
+from conftest import make_instance
+
 N_INSTANCES = 50
+N_EXTRACT = 60
+CROSSING_REL_TOL = 1e-12
+
+
+def reference_active_lines(g, t, j):
+    """(kind, r, t, x0, y0, slope, label) of the n lines above subinterval j of period t."""
+    w = g.weights
+    lines = []
+    for kind, count in (("A", w.l), ("B", w.m)):
+        for c in range(count):
+            r0 = j - c
+            tt, r = (t, r0) if r0 >= 0 else (t - 1, r0 + w.k)
+            if kind == "A":
+                x0, y0 = rg.lower_node(g, r, tt)
+                slope, label = w.alpha_at(r + 1), ("A", (r % w.l) + 1)
+            else:
+                x0, y0 = rg.upper_node(g, r, tt)
+                slope, label = -w.beta_at(r + 1), ("B", (r % w.m) + 1)
+            lines.append((kind, r, tt, x0, y0, slope, label))
+    return lines
+
+
+def reference_crossings(lines, q_lo, q_hi):
+    found = []
+    for a, b in combinations(lines, 2):
+        ds = a[5] - b[5]
+        if ds == 0.0:
+            continue
+        qx = ((b[4] - b[5] * b[3]) - (a[4] - a[5] * a[3])) / ds
+        tol = CROSSING_REL_TOL * abs(qx)
+        if q_lo + tol < qx < q_hi - tol:
+            found.append(qx)
+    return reference_dedupe(sorted(found))
+
+
+def reference_dedupe(found):
+    out = []
+    for qx in found:
+        if not out or qx - out[-1] > CROSSING_REL_TOL * qx:
+            out.append(qx)
+    return out
+
+
+def reference_extract(g, t_lo, t_hi, subgraph=None):
+    """grid, breakpoints, values, slopes and label tuples from the cell loop."""
+    w, tau = g.weights, g.schedule.tau
+    value_at = lambda ln, q: ln[4] + ln[5] * (q - ln[3])
+    grid, cells = [], []
+    for t in range(t_lo, t_hi + 1):
+        for j in range(w.k):
+            grid.append(tau**t * g.schedule.sigmas[j])
+            cells.append((t, j))
+    grid.append(tau ** (t_hi + 1))
+    breakpoints, values, slopes, labels = [grid[0]], [], [], []
+    for idx, (t, j) in enumerate(cells):
+        lines = reference_active_lines(g, t, j)
+        if subgraph is not None:
+            lines = [ln for ln in lines if ln[1] % w.d == subgraph]
+        bounds = [grid[idx], *reference_crossings(lines, grid[idx], grid[idx + 1]), grid[idx + 1]]
+        for p_lo, p_hi in zip(bounds[:-1], bounds[1:]):
+            mid = 0.5 * (p_lo + p_hi)
+            order = sorted(lines, key=lambda ln: (value_at(ln, mid), ln[:3]))
+            values.append([value_at(ln, p_lo) for ln in order])
+            slopes.append([ln[5] for ln in order])
+            labels.append(tuple(ln[6] for ln in order))
+            breakpoints.append(p_hi)
+    return np.array(grid), np.array(breakpoints), np.array(values), np.array(slopes), labels
+
+
+def reference_check_system(sys, tol=1e-9):
+    expected = tuple(sorted(sys.alphabet))
+    worst = 0.0
+    witness = None
+    scale_tol = lambda v: tol * max(1.0, abs(v))
+    for pi, piece in enumerate(sys.pieces):
+        if tuple(sorted(piece.labels)) != expected:
+            return analyze.CheckResult(
+                "system", analyze.FAIL, tol, -1.0, {"piece": pi, "q": piece.q_lo},
+                note="slope labels are not a permutation of the alphabet")
+        if np.any(np.diff(piece.values) < -scale_tol(piece.q_lo)):
+            return analyze.CheckResult(
+                "system", analyze.FAIL, tol, float(np.diff(piece.values).min()),
+                {"piece": pi, "q": piece.q_lo}, note="components out of order")
+        for q in (piece.q_lo, 0.5 * (piece.q_lo + piece.q_hi), piece.q_hi):
+            resid = abs(float(np.sum(piece.values_at(q))) - sys.gamma * q)
+            if resid > worst:
+                worst, witness = resid, {"q": q, "kind": "sum"}
+            if resid > scale_tol(sys.gamma * q):
+                return analyze.CheckResult("system", analyze.FAIL, tol, resid, {"q": q},
+                                           note="component sum off the expected line")
+    for pi in range(len(sys.pieces) - 1):
+        left, right = sys.pieces[pi], sys.pieces[pi + 1]
+        jump = np.abs(left.values_at(left.q_hi) - right.values)
+        j = float(jump.max())
+        if j > worst:
+            worst, witness = j, {"q": right.q_lo, "kind": "jump", "i": int(jump.argmax()) + 1}
+        if j > scale_tol(right.q_lo):
+            return analyze.CheckResult("system", analyze.FAIL, tol, j,
+                                       {"q": right.q_lo, "i": int(jump.argmax()) + 1},
+                                       note="component discontinuous across breakpoint")
+    first = sys.pieces[0]
+    w_max = max(abs(v) for v in first.slopes)
+    over = float(np.max(np.abs(first.values))) - w_max * sys.q_lo
+    if over > scale_tol(w_max * sys.q_lo):
+        return analyze.CheckResult("system", analyze.FAIL, tol, over, {"q": sys.q_lo},
+                                   note="first-period values inconsistent with vanishing at 0")
+    return analyze.CheckResult("system", analyze.PASS, tol, worst, witness)
 
 
 def reference_values_at(sys, q):
@@ -143,12 +255,9 @@ def test_check_regular_matches_loop(instances, fig_instance):
     # perturbed tables exercise the failing branch and its witness
     for g, sys in cases[:10] + [(fig_instance, rg.component_functions(fig_instance, 0, 1))]:
         for idx in (0, len(sys.pieces) // 2, len(sys.pieces) - 1):
-            piece = sys.pieces[idx]
-            values = piece.values.copy()
-            values[-1] += 1e-3
-            pieces = list(sys.pieces)
-            pieces[idx] = dataclasses.replace(piece, values=values)
-            cases.append((g, dataclasses.replace(sys, pieces=tuple(pieces))))
+            values = sys.values.copy()
+            values[idx, -1] += 1e-3
+            cases.append((g, dataclasses.replace(sys, values=values)))
     statuses = set()
     for g, sys in cases:
         got, want = analyze.check_regular(g, sys), reference_check_regular(g, sys)
@@ -176,3 +285,140 @@ def test_export_matches_loop_bytes(instances, tmp_path, capsys):
         path.write_text(json.dumps(random_doc(i)))
         assert main(["export", str(path), "--out", str(out)]) == 0
         assert out.read_bytes() == reference_export(cfg)
+
+
+def extract_doc(i):
+    """Instance i: l, m <= 5, a random schedule, t_lo in -3..3, 1 to 3 periods."""
+    rng = np.random.default_rng(7000 + i)
+    l, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    alpha = rng.uniform(0.05, 3.0, size=l)
+    beta = rng.uniform(0.05, 3.0, size=m)
+    beta *= alpha.sum() / beta.sum()
+    t_lo = int(rng.integers(-3, 4))
+    return {"l": l, "m": m, "alpha": alpha.tolist(), "beta": beta.tolist(),
+            "rho": rng.uniform(1.05, 3.0, size=lcm(l, m)).tolist(),
+            "window": {"t_min": t_lo, "t_max": t_lo + int(rng.integers(0, 3))}}
+
+
+def same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+#: equal weights give crossings of three or more lines at one point; zero
+#: weights give lines that coincide over whole pieces (ties in the ranking)
+DEGENERATE = [
+    (3, 3, [1.0] * 3, [1.0] * 3, [2.0] * 3),
+    (4, 4, [1.0] * 4, [1.0] * 4, [1.5] * 4),
+    (3, 3, [2.0, 0.0, 2.0], [2.0, 2.0, 0.0], [2.0] * 3),
+    (5, 5, [0.0, 1.0, 1.0, 1.0, 1.0], [1.0, 0.5, 0.5, 1.0, 1.0], [2.0] * 5),
+    (4, 4, [0.0, 2.0, 1.0, 0.0], [0.0, 0.0, 0.0, 3.0], [1.5, 2.0, 1.5, 3.0]),
+    (4, 4, [0.0, 2.0, 0.0, 1.0], [1.5, 0.0, 0.0, 1.5], [2.0] * 4),
+    (5, 5, [1.0, 0.0, 2.0, 2.0, 0.0], [0.0, 0.0, 0.0, 2.5, 2.5], [2.0, 2.0, 2.0, 1.5, 2.0]),
+]
+
+
+def test_extraction_matches_loop(all_fixture_instances):
+    cases = [(g, 0, 2) for g in all_fixture_instances.values()]
+    cases += [(make_instance(*args), -1, 1) for args in DEGENERATE]
+    for i in range(N_EXTRACT):
+        cfg = rg.load_config(extract_doc(i))
+        cases.append((cfg.graph(), cfg.t_min, cfg.t_max))
+    checked = set()
+    for g, t_lo, t_hi in cases:
+        for f in (None, *range(g.weights.d)):
+            sys = rg.component_functions(g, t_lo, t_hi, subgraph=f)
+            grid, bp, values, slopes, labels = reference_extract(g, t_lo, t_hi, f)
+            assert same_bits(sys.grid, grid)
+            assert same_bits(sys.breakpoints, bp)
+            assert same_bits(sys.values, values)
+            assert same_bits(sys.slopes, slopes)
+            assert [tuple(sys.alphabet[c] for c in row) for row in sys.labels] == labels
+            assert (sys.q_lo, sys.q_hi) == (grid[0], grid[-1])
+            checked.add((g.weights.d, f is None))
+    assert {(1, True), (2, True), (2, False)} <= checked
+
+
+def test_pieces_are_row_views(fig_instance):
+    sys = rg.component_functions(fig_instance, 0, 1)
+    rows = sys.pieces
+    assert len(rows) == len(sys.values) == len(sys.breakpoints) - 1
+    last = rows[-1]
+    assert (last.q_lo, last.q_hi) == (sys.breakpoints[-2], sys.q_hi)
+    assert np.shares_memory(last.values, sys.values)
+    assert not last.values.flags.writeable
+    assert [p.q_lo for p in rows[1:3]] == [rows[1].q_lo, rows[2].q_lo]
+    with pytest.raises(IndexError):
+        rows[len(rows)]
+
+
+def system_cases(fig_instance, l2m2_instance):
+    """(name, system): extracted tables, and perturbed ones that reach each FAIL."""
+    cases = []
+    for i in range(N_EXTRACT):
+        cfg = rg.load_config(extract_doc(i))
+        g = cfg.graph()
+        cases.append((f"random{i}", rg.component_functions(g, cfg.t_min, cfg.t_max)))
+        for f in range(g.weights.d):
+            cases.append((f"random{i}/f{f}", rg.component_functions(g, cfg.t_min, cfg.t_max, f)))
+    for g in (fig_instance, l2m2_instance):
+        sys = rg.component_functions(g, 0, 1)
+        p = len(sys.values) // 2
+        labels = sys.labels.copy()
+        labels[p, 0] = labels[p, 1]
+        cases.append(("labels", dataclasses.replace(sys, labels=labels)))
+        values = sys.values.copy()
+        values[p, [0, -1]] = values[p, [-1, 0]]
+        cases.append(("order", dataclasses.replace(sys, values=values)))
+        values = sys.values.copy()
+        values[p] += 1e-3
+        cases.append(("sum", dataclasses.replace(sys, values=values)))
+        values = sys.values.copy()
+        values[p, 0] -= 1e-3
+        values[p, -1] += 1e-3
+        cases.append(("jump", dataclasses.replace(sys, values=values)))
+        values = sys.values.copy()
+        values[:, 0] -= 10.0 * sys.q_hi
+        values[:, -1] += 10.0 * sys.q_hi
+        cases.append(("first period", dataclasses.replace(sys, values=values)))
+    return cases
+
+
+def test_check_system_matches_loop(fig_instance, l2m2_instance):
+    notes = {
+        "labels": "slope labels are not a permutation of the alphabet",
+        "order": "components out of order",
+        "sum": "component sum off the expected line",
+        "jump": "component discontinuous across breakpoint",
+        "first period": "first-period values inconsistent with vanishing at 0",
+    }
+    seen = set()
+    for name, sys in system_cases(fig_instance, l2m2_instance):
+        for tol in (1e-9, 1e-15):
+            got = analyze.check_system(sys, tol)
+            assert got == reference_check_system(sys, tol), name
+            if name in notes and tol == 1e-9:
+                assert got.status == analyze.FAIL and got.note == notes[name], name
+            seen.add((got.status, got.note))
+    assert (analyze.PASS, "") in seen
+    assert {(analyze.FAIL, note) for note in notes.values()} <= seen
+
+
+def test_dedupe_compares_with_last_kept():
+    # chains of gaps just under the tolerance: comparing each crossing with
+    # its predecessor instead of the last kept one would drop too many
+    rng = np.random.default_rng(3)
+    rows = []
+    for _ in range(300):
+        row = [float(rng.uniform(1.0, 10.0))]
+        for _ in range(int(rng.integers(0, 12))):
+            row.append(row[-1] + rng.choice([0.4, 0.7, 0.99, 1.5, 1e3]) * 1e-12 * row[-1])
+        rows.append(row)
+    count = np.array([len(row) for row in rows])
+    qx = np.full((len(rows), count.max()), np.inf)
+    for i, row in enumerate(rows):
+        qx[i, : len(row)] = row
+    keep = graph._dedupe_crossings(qx, count)
+    for i, row in enumerate(rows):
+        assert [q for q, kept in zip(row, keep[i]) if kept] == reference_dedupe(row)
+        assert not keep[i, len(row):].any()
