@@ -227,8 +227,8 @@ def check_proper_direct(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckR
     csum = np.cumsum(sys.slopes, axis=1)
     slack = csum[1:, :-1] - csum[:-1, :-1]
     gap = vals[:, 1:] - vals[:, :-1]
-    # components tied at q are exempt
-    open_gap = gap > tol * np.maximum(1.0, np.abs(vals[:, 1:]))
+    # components tied at q are exempt; a NaN gap is not tied, so it counts
+    open_gap = ~(gap <= tol * np.maximum(1.0, np.abs(vals[:, 1:])))
     if open_gap.any():
         b, i = np.unravel_index(np.argmin(np.where(open_gap, slack, np.inf)), slack.shape)
         best, witness = float(slack[b, i]), {"q": float(sys.breakpoints[b + 1]), "i": int(i) + 1}

@@ -231,9 +231,10 @@ def cmd_export(cfg: InstanceConfig, out_path: str) -> int:
     lo, hi = sys_.breakpoints[:-1, None], sys_.breakpoints[1:, None]
     s = np.arange(spp + 1)
     with np.errstate(over="ignore"):
-        offset = (hi - lo) * s
-    # near the largest float (hi - lo) * s overflows; divide first only there
-    offset = np.where(np.isfinite(offset), offset / (spp + 1), (hi - lo) / (spp + 1) * s)
+        offset = (hi - lo) * s / (spp + 1)
+    # (hi - lo) * s overflows near the largest float: divide first only there,
+    # as dividing first elsewhere moves some printed digits
+    offset = np.where(np.isinf(offset), (hi - lo) / (spp + 1) * s, offset)
     qs = np.append(lo + offset, sys_.q_hi)
     header = "q," + ",".join(f"P_{i + 1}" for i in range(sys_.n))
     with open(out_path, "w", newline="\n") as fh:

@@ -337,21 +337,14 @@ def _dedupe_crossings(qx: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Which of each row's sorted crossings qx[:, :count] are kept.
 
     A crossing is dropped when it lies within CROSSING_REL_TOL * qx of
-    the last kept one.  Comparing with the previous crossing instead
-    gives the same answer unless two neighbours in a row are dropped, so
-    only such rows are walked one crossing at a time.
+    the last kept one.  The walk goes one column at a time over all rows.
     """
-    valid = np.arange(qx.shape[1]) < count[:, None]
-    keep = valid.copy()
+    keep = np.zeros(qx.shape, dtype=bool)
+    last = np.full(len(qx), -np.inf)
     with np.errstate(invalid="ignore"):
-        keep[:, 1:] &= qx[:, 1:] - qx[:, :-1] > CROSSING_REL_TOL * qx[:, 1:]
-    dropped = valid & ~keep
-    for row in np.flatnonzero((dropped[:, 1:] & dropped[:, :-1]).any(axis=1)):
-        last = qx[row, 0]
-        for i in range(1, count[row]):
-            keep[row, i] = qx[row, i] - last > CROSSING_REL_TOL * qx[row, i]
-            if keep[row, i]:
-                last = qx[row, i]
+        for i, q in enumerate(qx.T):
+            keep[:, i] = (i < count) & (q - last > CROSSING_REL_TOL * q)
+            last = np.where(keep[:, i], q, last)
     return keep
 
 

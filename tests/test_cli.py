@@ -1,3 +1,4 @@
+import io
 import json
 import os
 import subprocess
@@ -246,6 +247,29 @@ def test_cmd_export_sample_count(tmp_path):
     lines = out.read_text().strip().split("\n")
     # 2 pieces, each contributing its breakpoint + 2 samples, plus terminus
     assert len(lines) == 1 + 2 * 3 + 1
+
+
+def test_cmd_export_multiplies_before_dividing(tmp_path):
+    # on this instance sampling at lo + (hi - lo) / (spp + 1) * s instead
+    # changes a printed digit of one row
+    doc = {"l": 1, "m": 2, "alpha": [4], "beta": [1, 3], "rho": [1.75, 3.0],
+           "window": {"t_min": 0, "t_max": 0}}
+    cfg = write_config(tmp_path, "digits.json", doc)
+    out = tmp_path / "digits.csv"
+    assert main(["export", cfg, "--out", str(out)]) == 0
+    c = rg.load_config(cfg)
+    sys1 = rg.component_functions(c.graph(), c.t_min, c.t_max)
+    lo, hi = sys1.breakpoints[:-1, None], sys1.breakpoints[1:, None]
+    s = np.arange(c.samples_per_piece + 1)
+
+    def csv(qs):
+        buf = io.StringIO()
+        np.savetxt(buf, np.column_stack([qs, sys1.values_at(qs)]), fmt="%.12g", delimiter=",")
+        return buf.getvalue()
+
+    rows = out.read_text().split("\n", 1)[1]
+    assert rows == csv(np.append(lo + (hi - lo) * s / (s[-1] + 1), sys1.q_hi))
+    assert rows != csv(np.append(lo + (hi - lo) / (s[-1] + 1) * s, sys1.q_hi))
 
 
 def test_cmd_export_near_largest_float(tmp_path):
