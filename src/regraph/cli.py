@@ -10,6 +10,7 @@ on stderr.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys as _sys
 from dataclasses import dataclass
@@ -169,8 +170,10 @@ def load_config(source: Union[str, Path, dict]) -> InstanceConfig:
             f"window: tau^{t_min} .. tau^{t_end} leave the float range (tau={tau:g})")
 
     tolerance = raw.get("tolerance", 1e-9)
-    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or tolerance <= 0:
-        raise ValidationError("tolerance: must be a positive number")
+    # the chained comparison is false for NaN, and bounds integers too
+    if isinstance(tolerance, bool) or not isinstance(tolerance, (int, float)) or not (
+            0 < tolerance <= _sys.float_info.max):
+        raise ValidationError("tolerance: must be a finite positive number")
     spp = raw.get("samples_per_piece", 8)
     if isinstance(spp, bool) or not isinstance(spp, int) or spp < 0:
         raise ValidationError("samples_per_piece: must be a non-negative integer")
@@ -244,7 +247,10 @@ def cmd_export(cfg: InstanceConfig, out_path: str) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process; parse_args keeps no
+    state between calls."""
     parser = argparse.ArgumentParser(
         prog="regraph",
         description="Build, verify and export regular self-similar piecewise-linear graphs.",
@@ -282,6 +288,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "build":
             return cmd_build(cfg)
         if args.command == "check":
+            if args.tolerance is not None and not 0 < args.tolerance <= _sys.float_info.max:
+                print("error: usage: --tolerance must be finite and positive", file=_sys.stderr)
+                return 2
             return cmd_check(cfg, args.tolerance)
         if args.command == "eval":
             if not (np.isfinite(args.q) and args.q >= 0):

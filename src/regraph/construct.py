@@ -20,7 +20,7 @@ stays independent of it, as the cross-check in verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -295,6 +295,53 @@ class Subgraph:
 
 
 @dataclass(frozen=True, eq=False)
+class LineTable:
+    """The n lines above every grid subinterval j of one period, row j each.
+
+    Columns 0..l-1 are the rising lines, based at segment indices j,
+    j-1, ..., j-l+1; columns l..n-1 the falling lines, based at j, ...,
+    j-m+1.  An index below zero wraps into the period before.  There is
+    exactly one line per slope label.  Per line: segment index r (mod
+    k), whether it wrapped, whether it falls, sigma_r, slope, node
+    height (u_r rising, v_r falling) and label, an index into
+    weights.slope_labels.  In
+    period t a line passes through x0 = tau^t sigma_r (tau^(t-1) if
+    wrapped) at height x0 * height.  None of it depends on the period.
+    All arrays are (k, n) and read-only.
+    """
+
+    r: np.ndarray
+    wrapped: np.ndarray
+    falls: np.ndarray
+    sigma: np.ndarray
+    slope: np.ndarray
+    height: np.ndarray
+    label: np.ndarray
+
+    @classmethod
+    def build(cls, weights: Weights, schedule: ExpansionSchedule,
+              u: np.ndarray, v: np.ndarray) -> "LineTable":
+        l, m, k = weights.l, weights.m, weights.k
+        r = np.arange(k)[:, None] - np.concatenate([np.arange(l), np.arange(m)])
+        wrapped = r < 0
+        r %= k
+        falls = np.broadcast_to(np.arange(weights.n) >= l, r.shape)
+        table = cls(
+            r=r,
+            wrapped=wrapped,
+            falls=falls,
+            sigma=np.asarray(schedule.sigmas)[r],
+            slope=np.where(falls, -np.asarray(weights.beta)[r % m],
+                           np.asarray(weights.alpha)[r % l]),
+            height=np.where(falls, v[r], u[r]),
+            label=np.where(falls, l + r % m, r % l),
+        )
+        for a in vars(table).values():
+            a.flags.writeable = False
+        return table
+
+
+@dataclass(frozen=True, eq=False)
 class RegularGraph:
     """A solved instance: weights, schedule and the node heights.
 
@@ -302,7 +349,10 @@ class RegularGraph:
     node rays based at segment index r; the actual plane points carry
     the sigma_r scale and a tau^t period factor on top (see the graph
     module).  subgraphs lists the d independent residue blocks (a
-    single block when l and m are coprime).
+    single block when l and m are coprime).  lines is the period line
+    table, derived from the other fields on construction (also by
+    dataclasses.replace); u and v are read-only copies so that it
+    cannot go stale.
     """
 
     weights: Weights
@@ -310,6 +360,15 @@ class RegularGraph:
     u: np.ndarray
     v: np.ndarray
     subgraphs: tuple[Subgraph, ...]
+    lines: LineTable = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for name in ("u", "v"):
+            a = np.array(getattr(self, name), dtype=float)
+            a.flags.writeable = False
+            object.__setattr__(self, name, a)
+        object.__setattr__(
+            self, "lines", LineTable.build(self.weights, self.schedule, self.u, self.v))
 
     @property
     def tau(self) -> float:
@@ -352,6 +411,7 @@ __all__ = [
     "solve_uv",
     "propagate_v_from_u",
     "Subgraph",
+    "LineTable",
     "RegularGraph",
     "build_graph",
 ]

@@ -14,12 +14,19 @@ with (P, n) arrays of left-end values, slopes and slope-label codes.
 Its `pieces` attribute views the same rows as `Piece` objects, each
 built only when it is read.
 
+Both evaluation and extraction read the lines above each subinterval
+from the period line table the graph carries (`RegularGraph.lines`,
+built once with the graph).  `evaluate` finds the subinterval by
+bisection over sigma and builds no arrays from the graph's fields, so
+a call costs O(log k + n log n).
+
 Window convention: a window (t_lo, t_hi) of period indices covers
 abscissae [tau^t_lo, tau^(t_hi+1)].
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
 from math import floor, isfinite, log
@@ -146,26 +153,6 @@ def segments_in_window(g: RegularGraph, t_lo: int, t_hi: int) -> list[Segment]:
     return out
 
 
-def _lines(g: RegularGraph, j) -> tuple[np.ndarray, ...]:
-    """The n lines above grid subinterval j (an int, or a column of ints
-    for one row each) of any period.
-
-    The rising lines are the l segments based at indices j, j-1, ...,
-    j-l+1, which wrap into the period before below zero; then the m
-    falling lines, analogously.  Exactly one line per slope label.
-    Returns per line: segment index r, whether it wrapped, whether it
-    falls, sigma_r, slope and node height (u_r rising, v_r falling).
-    """
-    w = g.weights
-    r = j - np.concatenate([np.arange(w.l), np.arange(w.m)])
-    wrapped = r < 0
-    r = r % w.k
-    falls = np.arange(w.n) >= w.l
-    slope = np.where(falls, -np.asarray(w.beta)[r % w.m], np.asarray(w.alpha)[r % w.l])
-    height = np.where(falls, np.asarray(g.v)[r], np.asarray(g.u)[r])
-    return r, wrapped, falls, np.asarray(g.schedule.sigmas)[r], slope, height
-
-
 def _locate(g: RegularGraph, q: float) -> tuple[int, int]:
     """Period index t and subinterval index j with tau^t sigma_j <= q.
 
@@ -185,9 +172,8 @@ def _locate(g: RegularGraph, q: float) -> tuple[int, int]:
     x = q / tau**t
     sig = g.schedule.sigmas
     k = g.weights.k
-    j = k - 1
-    while j > 0 and sig[j] > x:
-        j -= 1
+    # x can sit just below sigma_0 = 1 after the snap
+    j = max(bisect_right(sig, x) - 1, 0)
     nxt = sig[j + 1] if j + 1 < k else tau
     if x >= nxt * (1.0 - BOUNDARY_SNAP_REL):
         j += 1
@@ -201,9 +187,9 @@ def evaluate(g: RegularGraph, q: float) -> np.ndarray:
 
     Defined for finite q >= 0; at q = 0 all components vanish, and up
     to the largest float they stay finite wherever they fit one.  Not
-    limited to any materialized window — the supporting lines are
-    reconstructed from the closed-form node data at whatever period q
-    falls in.
+    limited to any materialized window: the n lines above q are row j
+    of the graph's period line table, placed in whatever period q
+    falls in.  Costs O(log k + n log n) per call.
     """
     if not isfinite(q):
         raise NonFiniteAbscissa(f"q = {q}")
@@ -220,9 +206,9 @@ def evaluate(g: RegularGraph, q: float) -> np.ndarray:
         a, b = tau ** (s // 2), tau ** (s - s // 2)
     x = q / a / b
     t, j = _locate(g, x)
-    _, wrapped, _, sig_r, slope, height = _lines(g, j)
-    x0 = np.where(wrapped, tau ** (t - 1), tau**t) * sig_r
-    vals = x0 * height + slope * (x - x0)
+    lines = g.lines
+    x0 = np.where(lines.wrapped[j], tau ** (t - 1), tau**t) * lines.sigma[j]
+    vals = x0 * lines.height[j] + lines.slope[j] * (x - x0)
     vals.sort()
     return vals if a == b == 1.0 else vals * a * b
 
@@ -313,24 +299,22 @@ class PiecewiseLinearSystem:
 
 
 def _line_table(g: RegularGraph, subgraph: int | None, alphabet) -> tuple[np.ndarray, ...]:
-    """The lines above every subinterval j of one period, row j each.
+    """The columns of g.lines used by the extraction, row j per subinterval.
 
-    Row j holds the lines of _lines(g, j) in the residue class, in
-    identity order (kind, r): sigma_r, whether the line is based in the
-    period before, slope, node height and label code into alphabet.
-    None of it depends on the period.
+    Keeps the lines in the residue class, in identity order (kind, r):
+    sigma_r, whether the line is based in the period before, slope, node
+    height and label code into alphabet.
     """
-    w = g.weights
-    r, wrapped, falls, sig_r, slope, height = np.broadcast_arrays(
-        *_lines(g, np.arange(w.k)[:, None]))
-    key = falls * w.k + r
+    w, lines = g.weights, g.lines
+    key = lines.falls * w.k + lines.r
     if subgraph is not None:
-        key = np.where(r % w.d == subgraph, key, 2 * w.k)
+        key = np.where(lines.r % w.d == subgraph, key, 2 * w.k)
     cols = np.argsort(key, axis=1)[:, : len(alphabet)]
     code_of = {lab: c for c, lab in enumerate(alphabet)}
-    code = np.array([code_of.get(lab, -1) for lab in w.slope_labels])[
-        np.where(falls, w.l + r % w.m, r % w.l)].astype(np.min_scalar_type(-len(alphabet)))
-    return tuple(np.take_along_axis(a, cols, 1) for a in (sig_r, wrapped, slope, height, code))
+    code = np.array([code_of.get(lab, -1) for lab in w.slope_labels])[lines.label].astype(
+        np.min_scalar_type(-len(alphabet)))
+    return tuple(np.take_along_axis(a, cols, 1)
+                 for a in (lines.sigma, lines.wrapped, lines.slope, lines.height, code))
 
 
 def _dedupe_crossings(qx: np.ndarray, count: np.ndarray) -> np.ndarray:

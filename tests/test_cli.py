@@ -147,6 +147,47 @@ def test_cmd_check_tolerance_flag(capsys):
     assert "tol=1e-06" in capsys.readouterr().out
 
 
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1", "1e400"])
+def test_cmd_check_bad_tolerance_flag_exits_two(value, capsys):
+    assert main(["check", FIG, f"--tolerance={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: usage: --tolerance must be finite and positive\n"
+
+
+# JSON text of the tolerance field; Python's json reads NaN and Infinity,
+# 1e400 as inf, and the long integer as an int too large for a float
+@pytest.mark.parametrize("text", ["1e400", "Infinity", "-Infinity", "NaN", "0", "0.0", "-1",
+                                  "1" + "0" * 400])
+def test_bad_config_tolerance_exits_two(text, tmp_path, capsys):
+    doc = json.loads(Path(FIG).read_text())
+    doc["tolerance"] = "TOL"
+    cfg = tmp_path / "tol.json"
+    cfg.write_text(json.dumps(doc).replace('"TOL"', text))
+    with pytest.raises(rg.ValidationError, match="tolerance"):
+        rg.load_config(str(cfg))
+    assert main(["check", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input: tolerance: must be a finite positive number\n"
+
+
+def test_main_calls_share_no_arguments(capsys):
+    # the parser is built once per process; each call parses its own argv
+    assert main(["check", FIG, "--tolerance", "1e-3"]) == 0
+    assert "tol=0.001" in capsys.readouterr().out
+    assert main(["check", FIG]) == 0
+    out = capsys.readouterr().out
+    assert "tol=1e-09" in out and "tol=0.001" not in out
+    values = []
+    for q in (1.0, 2.7):
+        assert main(["eval", FIG, "--q", str(q)]) == 0
+        values.append(capsys.readouterr().out)
+    g = rg.load_config(FIG).graph()
+    assert values == [" ".join(f"{v:.12g}" for v in rg.evaluate(g, q)) + "\n"
+                      for q in (1.0, 2.7)]
+
+
 @pytest.mark.parametrize("command", ["build", "eval", "plot", "export"])
 def test_tolerance_flag_only_on_check(command, tmp_path, capsys):
     out = str(tmp_path / "out")

@@ -3,16 +3,20 @@
 The reference functions below are the loop forms that walked `Piece`
 objects one at a time: the per-subinterval extraction (`_Line` objects,
 all-pairs crossings, one sort per piece), `check_system`,
-`check_regular`, `check_proper_direct` and `cmd_export`.  The array
-forms do the same float operations in the same order, so results must
-agree exactly: bit-identical tables, the same status, margin and
-witness, and the same CSV bytes.
+`check_regular`, `check_proper_direct` and `cmd_export`.  Beside them
+is `evaluate` as it was before the graph carried its period line
+table: a linear scan over sigma and the active lines rebuilt on every
+call.  The array forms do the same float operations in the same order,
+so results must agree exactly: bit-identical tables and values, the
+same status, margin and witness, and the same CSV bytes.
 """
 
 import dataclasses
 import json
+import sys
 from itertools import combinations
-from math import lcm
+from math import floor, lcm, log
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -422,3 +426,111 @@ def test_dedupe_compares_with_last_kept():
     for i, row in enumerate(rows):
         assert [q for q, kept in zip(row, keep[i]) if kept] == reference_dedupe(row)
         assert not keep[i, len(row):].any()
+
+
+def reference_lines(g, j):
+    """The n lines above subinterval j, rebuilt from the graph's fields."""
+    w = g.weights
+    r = j - np.concatenate([np.arange(w.l), np.arange(w.m)])
+    wrapped = r < 0
+    r = r % w.k
+    falls = np.arange(w.n) >= w.l
+    slope = np.where(falls, -np.asarray(w.beta)[r % w.m], np.asarray(w.alpha)[r % w.l])
+    height = np.where(falls, np.asarray(g.v)[r], np.asarray(g.u)[r])
+    return wrapped, np.asarray(g.schedule.sigmas)[r], slope, height
+
+
+def reference_locate(g, q):
+    tau = g.schedule.tau
+    t = floor(log(q) / log(tau))
+    while tau ** (t + 1) <= q:
+        t += 1
+    while tau**t > q:
+        t -= 1
+    if q >= tau ** (t + 1) * (1.0 - graph.BOUNDARY_SNAP_REL):
+        t += 1
+    x = q / tau**t
+    sig = g.schedule.sigmas
+    k = g.weights.k
+    j = k - 1
+    while j > 0 and sig[j] > x:
+        j -= 1
+    nxt = sig[j + 1] if j + 1 < k else tau
+    if x >= nxt * (1.0 - graph.BOUNDARY_SNAP_REL):
+        j += 1
+        if j == k:
+            t, j = t + 1, 0
+    return t, j
+
+
+def reference_evaluate(g, q):
+    if q == 0:
+        return np.zeros(g.weights.n)
+    tau = g.schedule.tau
+    s = floor(log(q) / log(tau))
+    a = b = 1.0
+    if (abs(s) + 2) * log(tau) >= graph._LOG_POWER_RANGE:
+        a, b = tau ** (s // 2), tau ** (s - s // 2)
+    x = q / a / b
+    t, j = reference_locate(g, x)
+    wrapped, sig_r, slope, height = reference_lines(g, j)
+    x0 = np.where(wrapped, tau ** (t - 1), tau**t) * sig_r
+    vals = x0 * height + slope * (x - x0)
+    vals.sort()
+    return vals if a == b == 1.0 else vals * a * b
+
+
+def evaluate_points(g, rng, n_log):
+    """q log-uniform over tau^-12 .. tau^12, grid abscissae tau^t sigma_j
+    and points within 1e-13 of them (inside the snap) and 2e-12 (outside),
+    q below 1, and q past the split of evaluate's power range."""
+    tau, sig = g.schedule.tau, np.asarray(g.schedule.sigmas)
+    span = 12 * log(tau)
+    qs = [np.exp(rng.uniform(-span, span, n_log))]
+    ts = rng.integers(-12, 13, size=n_log // 2)
+    grid = np.concatenate([tau ** ts * sig[rng.integers(len(sig), size=len(ts))],
+                           *(tau**t * sig for t in (-1, 0, 1))])
+    qs += [grid, *(grid * (1 + e) for e in (-1e-13, 1e-13, -2e-12, 2e-12)),
+           np.nextafter(grid, 0), np.nextafter(grid, np.inf)]
+    big = graph._LOG_POWER_RANGE / log(tau)
+    qs.append([0.0, 1e-3, 0.5, 1 - 1e-16, 1.0, 5e-324, 1e-300, sys.float_info.min,
+               1e300, sys.float_info.max, tau ** -floor(big - 2), tau ** floor(big - 2)])
+    qs.append(np.exp(rng.uniform(-700, 709, n_log // 4)))
+    return np.concatenate([np.ravel(a) for a in qs])
+
+
+def test_evaluate_matches_rebuilt_lines():
+    rng = np.random.default_rng(11)
+    configs = Path(__file__).resolve().parent.parent / "configs"
+    cases = [(rg.load_config(path).graph(), 400) for path in sorted(configs.glob("*.json"))]
+    cases += [(rg.load_config(extract_doc(i)).graph(), 60) for i in range(20)]
+    alpha = rng.uniform(0.05, 3.0, 13)
+    beta = rng.uniform(0.05, 3.0, 11)
+    cases.append((make_instance(13, 11, alpha, beta * alpha.sum() / beta.sum(),
+                                rng.uniform(1.05, 1.15, 143)), 400))
+    for g, n_log in cases:
+        with np.errstate(over="ignore"):
+            for q in evaluate_points(g, rng, n_log).tolist():
+                assert same_bits(rg.evaluate(g, q), reference_evaluate(g, q)), q
+
+
+def test_line_table_follows_replaced_heights(l4m2_instance):
+    g = l4m2_instance
+    with pytest.raises(ValueError):
+        g.u[0] = 0.0
+    with pytest.raises(ValueError):
+        g.lines.height[0, 0] = 0.0
+    u2 = g.u + np.linspace(0.01, 0.02, g.weights.k)
+    g2 = dataclasses.replace(g, u=u2)
+    u2[0] = 5.0  # the graph holds its own copy
+    assert g2.u[0] != 5.0 and not g2.u.flags.writeable
+    for q in (0.37, 1.0, 1.3, 2.9, 41.0):
+        assert same_bits(rg.evaluate(g2, q), reference_evaluate(g2, q))
+        assert not np.array_equal(rg.evaluate(g2, q), rg.evaluate(g, q))
+    for f in (None, *range(g.weights.d)):
+        sys2 = rg.component_functions(g2, -1, 1, subgraph=f)
+        grid, bp, values, slopes, labels = reference_extract(g2, -1, 1, f)
+        assert same_bits(sys2.breakpoints, bp)
+        assert same_bits(sys2.values, values)
+        assert same_bits(sys2.slopes, slopes)
+        assert [tuple(sys2.alphabet[c] for c in row) for row in sys2.labels] == labels
