@@ -29,10 +29,9 @@ print("closed form vs dense solve, max |difference|:",
 
 # The ordinates are pinned down by a cyclic recurrence: stepping n grid
 # points ahead rescales by chi_r and shifts by the local geometry term.
-worst = 0.0
-for r in range(w.k):
-    res = g.u[r] - rg.chi(w, sch, r) * g.u[(r + w.n) % w.k] + rg.compute_U(w, sch, r)
-    worst = max(worst, abs(res))
+_, _, chi, U, _ = rg.growth_terms(w, sch)
+res = g.u - chi * g.u[(np.arange(w.k) + w.n) % w.k] + U
+worst = np.abs(res).max()
 print(f"\nrecurrence residual, worst over r: {worst:.3e}")
 
 # Lower nodes rise to upper nodes with slope alpha_{r+1}; upper nodes fall

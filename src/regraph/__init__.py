@@ -23,8 +23,7 @@ from .construct import (
     PowerForm,
     ExpansionSchedule,
     chi,
-    compute_U,
-    compute_V,
+    growth_terms,
     solve_uv,
     solve_uv_oracle,
     propagate_v_from_u,
@@ -72,7 +71,7 @@ __all__ = [
     "Weights", "WeightError", "NegativeWeight", "AllZero", "BalanceViolated",
     "LengthMismatch", "IndexOutOfRange", "validate_weights",
     "ConstructError", "InvalidFactor", "ScheduleMismatch", "SingularSystem",
-    "PowerForm", "ExpansionSchedule", "chi", "compute_U", "compute_V",
+    "PowerForm", "ExpansionSchedule", "chi", "growth_terms",
     "solve_uv", "solve_uv_oracle", "propagate_v_from_u", "Subgraph",
     "RegularGraph", "build_graph",
     "NegativeAbscissa", "NonFiniteAbscissa", "EmptyWindow", "Segment",

@@ -24,7 +24,7 @@ from typing import Optional
 
 import numpy as np
 
-from .construct import ExpansionSchedule, RegularGraph, compute_U, compute_V
+from .construct import ExpansionSchedule, RegularGraph, growth_terms
 from .graph import PiecewiseLinearSystem, component_functions
 from .weights import Weights
 
@@ -249,9 +249,7 @@ def check_proper_nodes(g: RegularGraph) -> CheckResult:
     )
 
 
-def check_proper_sufficient(
-    w: Weights, schedule: ExpansionSchedule, tol: float = 0.0
-) -> CheckResult:
+def check_proper_sufficient(w: Weights, schedule: ExpansionSchedule) -> CheckResult:
     """Ratio form of the sufficient properness condition.
 
     Requires every pair sum alpha_i + beta_j to be positive; then
@@ -260,41 +258,30 @@ def check_proper_sufficient(
     the inequality fails the result is 'not-sufficient', not 'fail'.
     """
     if w.pair_sum_min <= 0:
-        return CheckResult("proper-sufficient", NOT_APPLICABLE, tol, 0.0, None,
+        return CheckResult("proper-sufficient", NOT_APPLICABLE, 0.0, 0.0, None,
                            note="some pair sum alpha_i + beta_j is zero")
     rhs = w.pair_sum_max / w.pair_sum_min
-    best = np.inf
-    wit = None
-    for r in range(w.k):
-        lhs = (schedule.psi(r, w.n) + 1.0) / (schedule.psi(r, w.l) + schedule.psi(r, w.m))
-        if lhs - rhs < best:
-            best, wit = lhs - rhs, {"r": r, "lhs": lhs, "rhs": rhs}
-    status = PASS if best >= -tol else NOT_SUFFICIENT
-    return CheckResult("proper-sufficient", status, tol, float(best), wit)
+    pl, pm, pn, _, _ = growth_terms(w, schedule)
+    lhs = (pn + 1.0) / (pl + pm)
+    r = int((lhs - rhs).argmin())
+    return _one_sided("proper-sufficient", lhs[r] - rhs,
+                      {"r": r, "lhs": float(lhs[r]), "rhs": rhs})
 
 
-def check_proper_termwise(
-    w: Weights, schedule: ExpansionSchedule, tol: float = 0.0
-) -> CheckResult:
+def check_proper_termwise(w: Weights, schedule: ExpansionSchedule) -> CheckResult:
     """Termwise sufficient condition: V_r - U_r >= 0 for every r.
 
     This is the inequality the ratio condition actually bounds; it is
     weaker (closer to necessary) than the ratio form and likewise only
     certifies, never refutes.
     """
-    best = np.inf
-    wit = None
-    for r in range(w.k):
-        s = compute_V(w, schedule, r) - compute_U(w, schedule, r)
-        if s < best:
-            best, wit = s, {"r": r}
-    status = PASS if best >= -tol else NOT_SUFFICIENT
-    return CheckResult("proper-termwise", status, tol, float(best), wit)
+    _, _, _, U, V = growth_terms(w, schedule)
+    slack = V - U
+    r = int(slack.argmin())
+    return _one_sided("proper-termwise", slack[r], {"r": r})
 
 
-def check_proper_m1(
-    w: Weights, schedule: ExpansionSchedule, tol: float = 0.0
-) -> CheckResult:
+def check_proper_m1(w: Weights, schedule: ExpansionSchedule) -> CheckResult:
     """Per-factor bound for a single falling weight equal to the rising
     count.
 
@@ -302,17 +289,20 @@ def check_proper_m1(
     (alpha_{r+1} + l) for r = 1..l certifies properness.
     """
     if w.m != 1 or abs(w.beta[0] - w.l) > 1e-12:
-        return CheckResult("proper-m1", NOT_APPLICABLE, tol, 0.0, None,
+        return CheckResult("proper-m1", NOT_APPLICABLE, 0.0, 0.0, None,
                            note="requires m = 1 and beta_1 = l")
-    best = np.inf
-    wit = None
-    for r in range(1, w.l + 1):
-        bound = (w.alpha_at(r) + w.l) / (w.alpha_at(r + 1) + w.l)
-        s = schedule.factors[r - 1] - bound
-        if s < best:
-            best, wit = s, {"r": r, "bound": bound}
-    status = PASS if best >= -tol else NOT_SUFFICIENT
-    return CheckResult("proper-m1", status, tol, float(best), wit)
+    alpha = np.array(w.alpha + w.alpha[:1])  # alpha_1 .. alpha_{l+1}
+    bound = (alpha[:-1] + w.l) / (alpha[1:] + w.l)
+    slack = np.asarray(schedule.factors[:w.l]) - bound
+    i = int(slack.argmin())
+    return _one_sided("proper-m1", slack[i], {"r": i + 1, "bound": float(bound[i])})
+
+
+def _one_sided(name: str, margin: float, witness: dict) -> CheckResult:
+    """A sufficient condition's result: its worst slack (the first minimum)
+    certifies properness when non-negative, and is 'not-sufficient' otherwise."""
+    status = PASS if margin >= 0.0 else NOT_SUFFICIENT
+    return CheckResult(name, status, 0.0, float(margin), witness)
 
 
 def check_subgraphs(

@@ -9,12 +9,15 @@ u_0..u_{k-1} (lower nodes) satisfy
 
 where chi_r is the growth across n consecutive steps starting at r and
 U_r collects the two slope contributions of the segment pair based at
-r.  The upper heights v_r satisfy the mirrored system with V_r.  The
-system splits into gcd(l, m) independent cyclic blocks.  solve_uv
-solves each block in closed form by walking its cycle with the affine
-step x <- (x + U_r) / chi_r, in O(k) and without forming any power of
-tau.  solve_uv_oracle assembles the same system as a dense matrix and
-stays independent of it, as the cross-check in verification.
+r.  The upper heights v_r satisfy the mirrored system with V_r.
+growth_terms computes chi, U, V and the growths psi(r, l), psi(r, m)
+for every r in one array pass over the sigmas of (at most) three
+periods.  The system splits into gcd(l, m) independent cyclic blocks.
+solve_uv solves each block in closed form by walking its cycle with
+the affine step x <- (x + U_r) / chi_r, in O(k) and without forming
+tau^n.  solve_uv_oracle assembles the same system as a dense matrix
+from the same coefficient arrays and is otherwise independent of it,
+as the cross-check in verification.
 """
 
 from __future__ import annotations
@@ -149,31 +152,36 @@ def chi(weights: Weights, schedule: ExpansionSchedule, r: int) -> float:
     return schedule.psi(r, weights.n)
 
 
-def compute_U(weights: Weights, schedule: ExpansionSchedule, r: int) -> float:
-    """Inhomogeneous term of the lower-node recurrence at segment r.
+def growth_terms(
+    weights: Weights, schedule: ExpansionSchedule
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """psi(r, l), psi(r, m), chi_r, U_r and V_r for r = 0..k-1, as arrays.
 
-    Pairs the rising contribution over the first l steps with the
-    falling one over the remaining m.
+    U_r pairs the rising contribution over the first l steps with the
+    falling one over the remaining m; V_r is its mirror for the upper
+    nodes.  sigma_0..sigma_{k+n-1} are the base-period sigmas times
+    tau^0, tau^1 and (when n > k) tau^2, the float operations of
+    ExpansionSchedule.sigma_at, so every entry equals its scalar psi
+    formula bit for bit.  Raises ConstructError when a power of tau
+    overflows a float; a sigma that overflows gives inf terms.
     """
-    l, n = weights.l, weights.n
-    pl = schedule.psi(r, l)
-    pn = schedule.psi(r, n)
-    return weights.alpha_at(r + 1) * (pl - 1.0) - weights.beta_at(r + 1 + l) * (pn - pl)
-
-
-def compute_V(weights: Weights, schedule: ExpansionSchedule, r: int) -> float:
-    """Inhomogeneous term of the upper-node recurrence at segment r."""
-    m, n = weights.m, weights.n
-    pm = schedule.psi(r, m)
-    pn = schedule.psi(r, n)
-    return -weights.beta_at(r + 1) * (pm - 1.0) + weights.alpha_at(r + 1 + m) * (pn - pm)
-
-
-def _check_pairing(weights: Weights, schedule: ExpansionSchedule) -> None:
-    if len(schedule) != weights.k:
-        raise ScheduleMismatch(
-            f"schedule has {len(schedule)} factors, weights require k={weights.k}"
-        )
+    l, m, n, k = weights.l, weights.m, weights.n, weights.k
+    if len(schedule) != k:
+        raise ScheduleMismatch(f"schedule has {len(schedule)} factors, weights require k={k}")
+    try:
+        powers = [schedule.tau**s for s in range((k + n - 1) // k + 1)]
+    except OverflowError as exc:
+        raise ConstructError(f"node system overflows a float: {exc}") from exc
+    sig = np.array(schedule.sigmas)
+    # a[i] = alpha_{i+1}, b[i] = beta_{i+1} for i < k + m and i < k + l
+    a = np.array(weights.alpha * ((k + m) // l + 1))
+    b = np.array(weights.beta * ((k + l) // m + 1))
+    with np.errstate(over="ignore", invalid="ignore"):
+        sigma = np.multiply.outer(powers, sig).ravel()
+        pl, pm, pn = (sigma[s:s + k] / sig for s in (l, m, n))
+        U = a[:k] * (pl - 1.0) - b[l:l + k] * (pn - pl)
+        V = -b[:k] * (pm - 1.0) + a[m:m + k] * (pn - pm)
+    return pl, pm, pn, U, V
 
 
 def _solve_block(rhs: list[float], mult: list[float]) -> list[float]:
@@ -211,24 +219,17 @@ def solve_uv(
     chi_{h_j}, solved by _solve_block (likewise v with V).  Raises
     ConstructError when the coefficients are not finite floats.
     """
-    _check_pairing(weights, schedule)
     k, d = weights.k, weights.d
     kp, np_ = weights.k_prime, weights.n_prime
-    try:
-        U = [compute_U(weights, schedule, r) for r in range(k)]
-        V = [compute_V(weights, schedule, r) for r in range(k)]
-        mult = [chi(weights, schedule, r) for r in range(k)]
-    except OverflowError as exc:
-        raise ConstructError(f"node system overflows a float: {exc}") from exc
-    if not all(math.isfinite(x) for x in (*U, *V, *mult)):
+    _, _, mult, U, V = growth_terms(weights, schedule)
+    if not np.isfinite([mult, U, V]).all():
         raise ConstructError("node system has non-finite coefficients")
     u = np.empty(k)
     v = np.empty(k)
-    for f in range(d):
-        idx = [f + d * ((j * np_) % kp) for j in range(kp)]
-        m = [mult[r] for r in idx]
-        u[idx] = _solve_block([U[r] for r in idx], m)
-        v[idx] = _solve_block([V[r] for r in idx], m)
+    for idx in np.arange(d)[:, None] + d * (np.arange(kp) * np_ % kp):
+        m = mult[idx].tolist()
+        u[idx] = _solve_block(U[idx].tolist(), m)
+        v[idx] = _solve_block(V[idx].tolist(), m)
     return u, v
 
 
@@ -239,21 +240,18 @@ def solve_uv_oracle(
 
     Assembles the k x k cyclic matrix explicitly and hands it to a
     general linear solver.  Much slower than solve_uv and kept
-    deliberately independent of it; used as the second route in
+    deliberately independent of it (the two share only the
+    growth_terms coefficients); used as the second route in
     differential checks.
     """
-    _check_pairing(weights, schedule)
     k, n = weights.k, weights.n
+    _, _, mult, U, V = growth_terms(weights, schedule)
+    r = np.arange(k)
     M = np.eye(k)
-    rhs_u = np.empty(k)
-    rhs_v = np.empty(k)
-    for r in range(k):
-        M[r, (r + n) % k] -= chi(weights, schedule, r)
-        rhs_u[r] = -compute_U(weights, schedule, r)
-        rhs_v[r] = -compute_V(weights, schedule, r)
+    M[r, (r + n) % k] -= mult
     try:
-        u = np.linalg.solve(M, rhs_u)
-        v = np.linalg.solve(M, rhs_v)
+        u = np.linalg.solve(M, -U)
+        v = np.linalg.solve(M, -V)
     except np.linalg.LinAlgError as exc:
         raise SingularSystem(str(exc)) from exc
     return u, v
@@ -271,10 +269,10 @@ def propagate_v_from_u(
     the whole construction.
     """
     k, l = weights.k, weights.l
+    pl = growth_terms(weights, schedule)[0]
+    r = np.arange(k)
     v = np.empty(k)
-    for r in range(k):
-        pl = schedule.psi(r, l)
-        v[(r + l) % k] = (u[r] + weights.alpha_at(r + 1) * (pl - 1.0)) / pl
+    v[(r + l) % k] = (u + np.asarray(weights.alpha)[r % l] * (pl - 1.0)) / pl
     return v
 
 
@@ -405,8 +403,7 @@ __all__ = [
     "PowerForm",
     "ExpansionSchedule",
     "chi",
-    "compute_U",
-    "compute_V",
+    "growth_terms",
     "solve_uv_oracle",
     "solve_uv",
     "propagate_v_from_u",

@@ -72,8 +72,8 @@ class Segment:
     kind "A" rises with slope alpha_{r+1} from a lower node across l
     grid steps; kind "B" falls with slope -beta_{r+1} from an upper
     node across m steps.  start/end are already clipped to the
-    requested window when the segment protrudes; the clipped_* flags
-    record which ends were cut.
+    requested window when the segment protrudes; clipped_start records
+    whether the start was cut.
     """
 
     kind: str
@@ -84,7 +84,6 @@ class Segment:
     slope: float  # signed weight value, exact at label level
     label: tuple[str, int]
     clipped_start: bool = False
-    clipped_end: bool = False
 
     @property
     def geometric_slope(self) -> float:
@@ -92,15 +91,15 @@ class Segment:
 
 
 def _clip(x0, y0, x1, y1, lo, hi):
-    """Clip the chord from (x0,y0) to (x1,y1) to lo <= x <= hi."""
-    cs = ce = False
-    if x0 < lo:
+    """Clip the chord from (x0,y0) to (x1,y1) to lo <= x <= hi; flag a cut start."""
+    cs = x0 < lo
+    if cs:
         y0 = y0 + (y1 - y0) * (lo - x0) / (x1 - x0)
-        x0, cs = lo, True
+        x0 = lo
     if x1 > hi:
         y1 = y0 + (y1 - y0) * (hi - x0) / (x1 - x0)
-        x1, ce = hi, True
-    return x0, y0, x1, y1, cs, ce
+        x1 = hi
+    return x0, y0, x1, y1, cs
 
 
 def segments_in_window(g: RegularGraph, t_lo: int, t_hi: int) -> list[Segment]:
@@ -136,7 +135,7 @@ def segments_in_window(g: RegularGraph, t_lo: int, t_hi: int) -> list[Segment]:
                 # rounding of tau powers) carries no extent inside it
                 if not (x1 > w_lo * (1.0 + 1e-12) and x0 < w_hi * (1.0 - 1e-12)):
                     continue
-                cx0, cy0, cx1, cy1, cs, ce = _clip(x0, y0, x1, y1, w_lo, w_hi)
+                cx0, cy0, cx1, cy1, cs = _clip(x0, y0, x1, y1, w_lo, w_hi)
                 out.append(
                     Segment(
                         kind=kind,
@@ -147,7 +146,6 @@ def segments_in_window(g: RegularGraph, t_lo: int, t_hi: int) -> list[Segment]:
                         slope=slope,
                         label=label,
                         clipped_start=cs,
-                        clipped_end=ce,
                     )
                 )
     return out
@@ -210,7 +208,10 @@ def evaluate(g: RegularGraph, q: float) -> np.ndarray:
     x0 = np.where(lines.wrapped[j], tau ** (t - 1), tau**t) * lines.sigma[j]
     vals = x0 * lines.height[j] + lines.slope[j] * (x - x0)
     vals.sort()
-    return vals if a == b == 1.0 else vals * a * b
+    if a == b == 1.0:
+        return vals
+    with np.errstate(over="ignore"):  # a component beyond the float range is +-inf
+        return vals * a * b
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -81,23 +83,39 @@ def test_U_classical():
     w = rg.validate_weights(1, 1, (1.0,), (1.0,))
     sch = rg.ExpansionSchedule.from_factors([3.0])
     # (rho - 1) - (rho^2 - rho) = -(rho - 1)^2
-    assert rg.compute_U(w, sch, 0) == pytest.approx(-4.0, abs=1e-12)
-    assert rg.compute_V(w, sch, 0) == pytest.approx(4.0, abs=1e-12)
+    _, _, _, U, V = rg.growth_terms(w, sch)
+    assert U[0] == pytest.approx(-4.0, abs=1e-12)
+    assert V[0] == pytest.approx(4.0, abs=1e-12)
 
 
 def test_U_fig_value():
     w = rg.validate_weights(3, 2, (0.5, 1.0, 1.5), (2.0, 1.0))
     sch = rg.ExpansionSchedule.from_factors([rg.PowerForm(2.0, 1, 3)] * 6)
     expected = 0.5 - 1.0 * (2 ** (5 / 3) - 2.0)
-    assert rg.compute_U(w, sch, 0) == pytest.approx(expected, rel=1e-12)
+    assert rg.growth_terms(w, sch)[3][0] == pytest.approx(expected, rel=1e-12)
 
 
 def test_U_constant_under_full_symmetry():
     w = rg.validate_weights(2, 2, (1.5, 1.5), (1.5, 1.5))
     sch = rg.ExpansionSchedule.from_factors([1.3, 1.3])
-    us = {round(rg.compute_U(w, sch, r), 14) for r in range(2)}
-    vs = {round(rg.compute_V(w, sch, r), 14) for r in range(2)}
+    _, _, _, U, V = rg.growth_terms(w, sch)
+    us = {round(U[r], 14) for r in range(2)}
+    vs = {round(V[r], 14) for r in range(2)}
     assert len(us) == 1 and len(vs) == 1
+
+
+@pytest.mark.parametrize("l, m, alpha, beta, rho", [
+    (1, 1, (1.0,), (1.0,), [1e160]),  # tau^2 overflows
+    (2, 3, (1.0, 1.0), (2 / 3,) * 3, [1e34] * 6),  # tau * sigma_4 overflows
+])
+def test_overflowing_node_system_raises_construct_error(l, m, alpha, beta, rho):
+    w = rg.validate_weights(l, m, alpha, beta)
+    sch = rg.ExpansionSchedule.from_factors(rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for solve in (rg.build_graph, rg.solve_uv):
+            with pytest.raises(rg.ConstructError):
+                solve(w, sch)
 
 
 # ------------------------------------------------------------------ solves
@@ -119,10 +137,10 @@ def test_recurrence_residuals_fig(fig_instance):
     g = fig_instance
     w, sch = g.weights, g.schedule
     scale = max(1.0, np.abs(g.u).max(), np.abs(g.v).max())
+    _, _, chi, U, V = rg.growth_terms(w, sch)
     for r in range(w.k):
-        cr = rg.chi(w, sch, r)
-        ru = g.u[r] - cr * g.u[(r + w.n) % w.k] + rg.compute_U(w, sch, r)
-        rv = g.v[r] - cr * g.v[(r + w.n) % w.k] + rg.compute_V(w, sch, r)
+        ru = g.u[r] - chi[r] * g.u[(r + w.n) % w.k] + U[r]
+        rv = g.v[r] - chi[r] * g.v[(r + w.n) % w.k] + V[r]
         assert abs(ru) <= 1e-9 * scale
         assert abs(rv) <= 1e-9 * scale
 
@@ -133,10 +151,10 @@ def test_recurrence_residuals_randomized():
         g = random_instance(rng)
         w, sch = g.weights, g.schedule
         scale = max(1.0, np.abs(g.u).max(), np.abs(g.v).max())
+        _, _, chi, U, V = rg.growth_terms(w, sch)
         for r in range(w.k):
-            cr = rg.chi(w, sch, r)
-            ru = g.u[r] - cr * g.u[(r + w.n) % w.k] + rg.compute_U(w, sch, r)
-            rv = g.v[r] - cr * g.v[(r + w.n) % w.k] + rg.compute_V(w, sch, r)
+            ru = g.u[r] - chi[r] * g.u[(r + w.n) % w.k] + U[r]
+            rv = g.v[r] - chi[r] * g.v[(r + w.n) % w.k] + V[r]
             assert abs(ru) <= 1e-9 * scale
             assert abs(rv) <= 1e-9 * scale
 
