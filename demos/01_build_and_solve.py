@@ -37,8 +37,8 @@ print(f"\nrecurrence residual, worst over r: {worst:.3e}")
 # Lower nodes rise to upper nodes with slope alpha_{r+1}; upper nodes fall
 # back to lower nodes with slope -beta_{r+1}.  Check the first few chords.
 print("\nchord slopes out of the first period:")
+# Node r sits at x = sigma_r with heights x * u_r (lower) and x * v_r (upper).
 for r in range(w.k):
-    x0, y0 = rg.lower_node(g, r, 0)
-    x1, y1 = rg.upper_node(g, r + w.l, 0)
-    rise = (y1 - y0) / (x1 - x0)
+    x0, x1 = sch.sigma_at(r), sch.sigma_at(r + w.l)
+    rise = (x1 * g.v[(r + w.l) % w.k] - x0 * g.u[r]) / (x1 - x0)
     print(f"  r={r}: rising chord slope {rise:+.6f} (weight {w.alpha_at(r + 1)})")

@@ -19,10 +19,10 @@ g = rg.build_graph(
 w = g.weights
 print(f"l={w.l} m={w.m}: d={w.d} classes, each a graph on n'={w.n_prime} components")
 
-for sg in g.subgraphs:
-    labels = " ".join(f"{kind}{i}" for kind, i in sg.labels)
-    print(f"  class f={sg.f}: weights {labels}, drift rate gamma = {sg.gamma:+.3f}")
-print(f"  drift rates sum to {sum(sg.gamma for sg in g.subgraphs):+.1e}")
+for f in range(w.d):
+    labels = " ".join(f"{kind}{i}" for kind, i in w.class_labels(f))
+    print(f"  class f={f}: weights {labels}, drift rate gamma = {w.class_gamma(f):+.3f}")
+print(f"  drift rates sum to {sum(w.class_gamma(f) for f in range(w.d)):+.1e}")
 
 full = rg.component_functions(g, 0, 1)
 parts = [rg.component_functions(g, 0, 1, subgraph=f) for f in range(w.d)]
@@ -30,7 +30,7 @@ parts = [rg.component_functions(g, 0, 1, subgraph=f) for f in range(w.d)]
 q = 1.7
 for f, part in enumerate(parts):
     vals = part.values_at(q)
-    drift = g.subgraphs[f].gamma * q
+    drift = w.class_gamma(f) * q
     print(f"\nclass f={f} at q={q}: {np.round(vals, 6)}")
     print(f"  sum {vals.sum():+.6f} vs gamma*q {drift:+.6f}")
 

@@ -27,7 +27,6 @@ from .construct import (
     solve_uv,
     solve_uv_oracle,
     propagate_v_from_u,
-    Subgraph,
     RegularGraph,
     build_graph,
 )
@@ -35,10 +34,6 @@ from .graph import (
     NegativeAbscissa,
     NonFiniteAbscissa,
     EmptyWindow,
-    Segment,
-    lower_node,
-    upper_node,
-    segments_in_window,
     evaluate,
     Piece,
     PiecewiseLinearSystem,
@@ -72,11 +67,10 @@ __all__ = [
     "LengthMismatch", "IndexOutOfRange", "validate_weights",
     "ConstructError", "InvalidFactor", "ScheduleMismatch", "SingularSystem",
     "PowerForm", "ExpansionSchedule", "chi", "growth_terms",
-    "solve_uv", "solve_uv_oracle", "propagate_v_from_u", "Subgraph",
+    "solve_uv", "solve_uv_oracle", "propagate_v_from_u",
     "RegularGraph", "build_graph",
-    "NegativeAbscissa", "NonFiniteAbscissa", "EmptyWindow", "Segment",
-    "lower_node", "upper_node", "segments_in_window", "evaluate", "Piece",
-    "PiecewiseLinearSystem", "component_functions",
+    "NegativeAbscissa", "NonFiniteAbscissa", "EmptyWindow", "evaluate",
+    "Piece", "PiecewiseLinearSystem", "component_functions",
     "PASS", "FAIL", "NOT_SUFFICIENT", "NOT_APPLICABLE", "ERROR",
     "CheckResult", "CheckReport", "check_system", "check_regular",
     "check_proper_direct", "check_proper_nodes", "check_proper_sufficient",

@@ -318,20 +318,20 @@ def check_subgraphs(
     if w.d == 1:
         return CheckResult("subgraphs", NOT_APPLICABLE, tol, 0.0, None,
                            note="group sizes are coprime; single class")
-    gamma_sum = float(sum(sg.gamma for sg in g.subgraphs))
+    gamma_sum = float(sum(w.class_gamma(f) for f in range(w.d)))
     if abs(gamma_sum) > 1e-12:
         return CheckResult("subgraphs", FAIL, tol, gamma_sum, None,
                            note="class drifts do not cancel")
     worst = 0.0
     witness = None
-    for sg in g.subgraphs:
-        sub = component_functions(g, t_lo, t_hi, subgraph=sg.f)
+    for f in range(w.d):
+        sub = component_functions(g, t_lo, t_hi, subgraph=f)
         inner = check_system(sub, tol)
         if inner.status != PASS:
             return CheckResult("subgraphs", FAIL, tol, inner.margin,
-                               {"f": sg.f, **(inner.witness or {})}, note=inner.note)
+                               {"f": f, **(inner.witness or {})}, note=inner.note)
         if inner.margin > worst:
-            worst, witness = inner.margin, {"f": sg.f, **(inner.witness or {})}
+            worst, witness = inner.margin, {"f": f, **(inner.witness or {})}
     return CheckResult("subgraphs", PASS, tol, worst, witness)
 
 

@@ -196,7 +196,8 @@ def cmd_build(cfg: InstanceConfig, out=None) -> int:
         "v": [float(x) for x in g.v],
     }
     if g.weights.d > 1:
-        doc["subgraphs"] = [{"f": sg.f, "gamma": sg.gamma} for sg in g.subgraphs]
+        doc["subgraphs"] = [{"f": f, "gamma": g.weights.class_gamma(f)}
+                            for f in range(g.weights.d)]
     json.dump(doc, out, indent=2)
     out.write("\n")
     return 0

@@ -277,22 +277,6 @@ def propagate_v_from_u(
 
 
 @dataclass(frozen=True, eq=False)
-class Subgraph:
-    """One independent residue block of a composite graph.
-
-    Segments whose index is congruent to f modulo d form a closed
-    subsystem; its slope alphabet is the weights whose 1-based
-    subscript is congruent to f + 1, and gamma is their signed sum
-    (the block's net drift, zero only in aggregate over all blocks).
-    """
-
-    f: int
-    segment_indices: tuple[int, ...]
-    labels: tuple[tuple[str, int], ...]
-    gamma: float
-
-
-@dataclass(frozen=True, eq=False)
 class LineTable:
     """The n lines above every grid subinterval j of one period, row j each.
 
@@ -346,18 +330,18 @@ class RegularGraph:
     u[r] and v[r] are the second coordinates of the lower and upper
     node rays based at segment index r; the actual plane points carry
     the sigma_r scale and a tau^t period factor on top (see the graph
-    module).  subgraphs lists the d independent residue blocks (a
-    single block when l and m are coprime).  lines is the period line
-    table, derived from the other fields on construction (also by
-    dataclasses.replace); u and v are read-only copies so that it
-    cannot go stale.
+    module).  lines is the period line table, derived from the other
+    fields on construction (also by dataclasses.replace); u and v are
+    read-only copies so that it cannot go stale.  Residue class f of
+    the d subgraphs is component_functions(g, ..., subgraph=f), with
+    slope alphabet weights.class_labels(f) and drift
+    weights.class_gamma(f).
     """
 
     weights: Weights
     schedule: ExpansionSchedule
     u: np.ndarray
     v: np.ndarray
-    subgraphs: tuple[Subgraph, ...]
     lines: LineTable = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -376,23 +360,7 @@ class RegularGraph:
 def build_graph(weights: Weights, schedule: ExpansionSchedule) -> RegularGraph:
     """Solve the node system and bundle the result."""
     u, v = solve_uv(weights, schedule)
-    subgraphs = []
-    for f in range(weights.d):
-        subgraphs.append(
-            Subgraph(
-                f=f,
-                segment_indices=tuple(range(f, weights.k, weights.d)),
-                labels=weights.class_labels(f),
-                gamma=weights.class_gamma(f),
-            )
-        )
-    return RegularGraph(
-        weights=weights,
-        schedule=schedule,
-        u=u,
-        v=v,
-        subgraphs=tuple(subgraphs),
-    )
+    return RegularGraph(weights=weights, schedule=schedule, u=u, v=v)
 
 
 __all__ = [
@@ -407,7 +375,6 @@ __all__ = [
     "solve_uv_oracle",
     "solve_uv",
     "propagate_v_from_u",
-    "Subgraph",
     "LineTable",
     "RegularGraph",
     "build_graph",

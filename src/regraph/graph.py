@@ -1,4 +1,4 @@
-"""Geometric realization: segments, pointwise evaluation, sorted components.
+"""Geometric realization: pointwise evaluation and sorted components.
 
 The solved node heights define two families of points in the plane,
 lower points at (tau^t * sigma_r, tau^t * sigma_r * u_r) and upper
@@ -7,9 +7,9 @@ point l grid steps later; falling segments join an upper point to the
 lower point m steps later.  Above every abscissa q > 0 exactly n
 segments pass (l rising, m falling), and sorting their ordinates
 yields continuous piecewise-linear component functions P_1 <= ... <=
-P_n.  This module materializes segments over an integer period window,
-evaluates the component values at arbitrary q, and extracts the full
-sorted system as a piece table: P pieces between P + 1 breakpoints,
+P_n.  This module evaluates the component values at arbitrary q and
+extracts the full sorted system over an integer period window as a
+piece table: P pieces between P + 1 breakpoints,
 with (P, n) arrays of left-end values, slopes and slope-label codes.
 Its `pieces` attribute views the same rows as `Piece` objects, each
 built only when it is read.
@@ -33,7 +33,7 @@ from math import floor, isfinite, log
 
 import numpy as np
 
-from .construct import RegularGraph
+from .construct import ConstructError, RegularGraph
 
 CROSSING_REL_TOL = 1e-12
 BOUNDARY_SNAP_REL = 1e-12
@@ -51,104 +51,6 @@ class NonFiniteAbscissa(ValueError):
 
 class EmptyWindow(ValueError):
     """Period windows need t_lo <= t_hi."""
-
-
-def lower_node(g: RegularGraph, r: int, t: int) -> tuple[float, float]:
-    """Lower node point of segment index r in period t (any integers)."""
-    x = g.schedule.tau**t * g.schedule.sigma_at(r)
-    return (x, x * float(g.u[r % g.weights.k]))
-
-
-def upper_node(g: RegularGraph, r: int, t: int) -> tuple[float, float]:
-    """Upper node point of segment index r in period t."""
-    x = g.schedule.tau**t * g.schedule.sigma_at(r)
-    return (x, x * float(g.v[r % g.weights.k]))
-
-
-@dataclass(frozen=True)
-class Segment:
-    """One maximal straight piece of the graph.
-
-    kind "A" rises with slope alpha_{r+1} from a lower node across l
-    grid steps; kind "B" falls with slope -beta_{r+1} from an upper
-    node across m steps.  start/end are already clipped to the
-    requested window when the segment protrudes; clipped_start records
-    whether the start was cut.
-    """
-
-    kind: str
-    r: int
-    t: int
-    start: tuple[float, float]
-    end: tuple[float, float]
-    slope: float  # signed weight value, exact at label level
-    label: tuple[str, int]
-    clipped_start: bool = False
-
-    @property
-    def geometric_slope(self) -> float:
-        return (self.end[1] - self.start[1]) / (self.end[0] - self.start[0])
-
-
-def _clip(x0, y0, x1, y1, lo, hi):
-    """Clip the chord from (x0,y0) to (x1,y1) to lo <= x <= hi; flag a cut start."""
-    cs = x0 < lo
-    if cs:
-        y0 = y0 + (y1 - y0) * (lo - x0) / (x1 - x0)
-        x0 = lo
-    if x1 > hi:
-        y1 = y0 + (y1 - y0) * (hi - x0) / (x1 - x0)
-        x1 = hi
-    return x0, y0, x1, y1, cs
-
-
-def segments_in_window(g: RegularGraph, t_lo: int, t_hi: int) -> list[Segment]:
-    """All segments whose abscissa extent meets [tau^t_lo, tau^(t_hi+1)].
-
-    Each period t in [t_lo, t_hi] contributes k rising and k falling
-    segments based inside it; segments based in period t_lo - 1 that
-    protrude past tau^t_lo are included as well (a rising segment spans
-    l grid steps and may cross the period boundary).  Protruding ends
-    are clipped to the window.
-    """
-    if t_lo > t_hi:
-        raise EmptyWindow(f"t_lo={t_lo} exceeds t_hi={t_hi}")
-    w = g.weights
-    w_lo = g.schedule.tau**t_lo
-    w_hi = g.schedule.tau ** (t_hi + 1)
-    out: list[Segment] = []
-    for t in range(t_lo - 1, t_hi + 1):
-        for r in range(w.k):
-            for kind, span in (("A", w.l), ("B", w.m)):
-                if kind == "A":
-                    x0, y0 = lower_node(g, r, t)
-                    x1, y1 = upper_node(g, r + span, t)
-                    slope = w.alpha_at(r + 1)
-                    label = ("A", (r % w.l) + 1)
-                else:
-                    x0, y0 = upper_node(g, r, t)
-                    x1, y1 = lower_node(g, r + span, t)
-                    slope = -w.beta_at(r + 1)
-                    label = ("B", (r % w.m) + 1)
-                # strict overlap with a relative guard: a segment whose far
-                # end only touches the window boundary (exactly, up to
-                # rounding of tau powers) carries no extent inside it
-                if not (x1 > w_lo * (1.0 + 1e-12) and x0 < w_hi * (1.0 - 1e-12)):
-                    continue
-                cx0, cy0, cx1, cy1, cs = _clip(x0, y0, x1, y1, w_lo, w_hi)
-                out.append(
-                    Segment(
-                        kind=kind,
-                        r=r,
-                        t=t,
-                        start=(cx0, cy0),
-                        end=(cx1, cy1),
-                        slope=slope,
-                        label=label,
-                        clipped_start=cs,
-                    )
-                )
-    return out
 
 
 def _locate(g: RegularGraph, q: float) -> tuple[int, int]:
@@ -350,7 +252,8 @@ def component_functions(
 
     With subgraph=f only the lines of residue class f are used; the
     result then has n/d components whose slope sum is gamma_f instead
-    of zero.
+    of zero.  Raises ConstructError when the intercepts of the lines
+    in the window, or their differences, overflow a float.
     """
     if t_lo > t_hi:
         raise EmptyWindow(f"t_lo={t_lo} exceeds t_hi={t_hi}")
@@ -376,12 +279,16 @@ def component_functions(
         lo = tau**t * sig
         hi = np.append(lo[1:], tau ** (t + 1))
         x0 = np.where(wrapped, tau ** (t - 1), tau**t) * sig_r
-        y0 = x0 * height
-        c = y0 - slope * x0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            qx = (c[:, ib] - c[:, ia]) / ds
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            y0 = x0 * height
+            c = y0 - slope * x0
+            dc = c[:, ib] - c[:, ia]
+            qx = dc / ds
             tol = CROSSING_REL_TOL * np.abs(qx)
             inside = (ds != 0.0) & (lo[:, None] + tol < qx) & (qx < hi[:, None] - tol)
+        # every line is in some pair, so this also covers the intercepts c
+        if not np.isfinite(dc).all():
+            raise ConstructError(f"window: line intercepts in period {t} leave the float range")
         count = inside.sum(axis=1)
         qx = np.sort(np.where(inside, qx, np.inf), axis=1)[:, : count.max()]
         keep = _dedupe_crossings(qx, count)
@@ -432,10 +339,6 @@ __all__ = [
     "NegativeAbscissa",
     "NonFiniteAbscissa",
     "EmptyWindow",
-    "Segment",
-    "lower_node",
-    "upper_node",
-    "segments_in_window",
     "evaluate",
     "Piece",
     "PiecewiseLinearSystem",

@@ -266,7 +266,7 @@ def test_criterion_09_subgraph_partition(l2m2_instance, l4m2_instance, announce)
     for g in (l2m2_instance, l4m2_instance):
         w = g.weights
         assert w.d == 2
-        gammas = [sg.gamma for sg in g.subgraphs]
+        gammas = [w.class_gamma(f) for f in range(w.d)]
         assert abs(sum(gammas)) <= 1e-12
         full = rg.component_functions(g, 0, 2)
         parts = [rg.component_functions(g, 0, 2, subgraph=f) for f in range(w.d)]

@@ -264,9 +264,10 @@ def test_cmd_plot_svg_contract(tmp_path, capsys):
     assert root.tag.endswith("svg")
     cfg = rg.load_config(FIG)
     g = cfg.graph()
-    segs = rg.segments_in_window(g, cfg.t_min, cfg.t_max)
+    w = g.weights
     sys1 = rg.component_functions(g, cfg.t_min, cfg.t_max)
-    assert svg.count('class="seg seg-') == len(segs)
+    # 2k chords per period plus the n - 2 protruding from the period before
+    assert svg.count('class="seg seg-') == (cfg.t_max - cfg.t_min + 1) * 2 * w.k + (w.n - 2)
     assert svg.count('class="tick"') == len(sys1.grid)
     assert svg.count("node-a") >= g.weights.k
     assert svg.count("node-b") >= g.weights.k
@@ -409,6 +410,32 @@ def test_window_at_float_range_edges_accepted(window, tmp_path, capsys):
     doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [2], "window": window}
     assert main(["check", write_config(tmp_path, "edge.json", doc)]) == 0
     assert capsys.readouterr().out.endswith("all applicable checks passed\n")
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("weight", [1, 3, 4])
+@pytest.mark.parametrize("end", [1020, 1021, 1022, 1023])
+@pytest.mark.parametrize("command", ["check", "export", "plot"])
+def test_window_near_largest_float(weight, end, command, tmp_path, capsys):
+    # windows load_config accepts, whose graph values may still overflow a
+    # float: either a clean run with finite output or one error line (the
+    # graph is proper, so a failing check would be spurious)
+    doc = {"l": 1, "m": 1, "alpha": [weight], "beta": [weight], "rho": [2],
+           "window": {"t_min": end - 3, "t_max": end - 1}}
+    out = tmp_path / "g.out"
+    extra = [] if command == "check" else ["--out", str(out)]
+    code = main([command, write_config(tmp_path, "edge.json", doc), *extra])
+    err = capsys.readouterr().err
+    if weight == 1 or (weight == 4 and end <= 1021):
+        assert code == 0
+    if code == 2:
+        assert err.startswith("error: input: window:") and err.count("\n") == 1
+        return
+    assert code == 0 and err == ""
+    if command == "export":
+        assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
+    if command == "plot":
+        assert "nan" not in out.read_text()
 
 
 def _console_script(name):

@@ -251,19 +251,3 @@ def test_node_slope_conditions():
             fall = (sm * g.u[(r + w.m) % w.k] - sr * g.v[r]) / (sm - sr)
             assert rise == pytest.approx(w.alpha_at(r + 1), abs=1e-9)
             assert fall == pytest.approx(-w.beta_at(r + 1), abs=1e-9)
-
-
-def test_subgraph_records(l4m2_instance):
-    g = l4m2_instance
-    w = g.weights
-    assert len(g.subgraphs) == w.d == 2
-    for sg in g.subgraphs:
-        assert sg.segment_indices == tuple(range(sg.f, w.k, w.d))
-        assert sg.labels == w.class_labels(sg.f)
-        assert sg.gamma == pytest.approx(w.class_gamma(sg.f), abs=1e-14)
-    assert abs(sum(sg.gamma for sg in g.subgraphs)) < 1e-12
-
-
-def test_coprime_single_subgraph(fig_instance):
-    assert len(fig_instance.subgraphs) == 1
-    assert fig_instance.subgraphs[0].gamma == pytest.approx(0.0, abs=1e-12)

@@ -2,40 +2,58 @@ import numpy as np
 import pytest
 
 import regraph as rg
+from regraph.render import _chords
 
 from conftest import make_instance, random_instance
 
 
-# ------------------------------------------------------------------- nodes
+# ------------------------------------------------------------------ chords
+
+def chord_ids(g, t_lo, t_hi):
+    """(kind, r, t) of every chord meeting the window, in render's order:
+    period, r, rising before falling.  From period t_lo - 1 only those
+    reaching past tau^t_lo, i.e. with r + span > k."""
+    w = g.weights
+    return [(kind, r, t) for t in range(t_lo - 1, t_hi + 1) for r in range(w.k)
+            for kind, span in (("A", w.l), ("B", w.m)) if t >= t_lo or r + span > w.k]
+
+
+def chords(g, t_lo, t_hi):
+    """{(kind, r, t): (start, end)} of the chords render_svg draws."""
+    t, falls, x0, y0, x1, y1 = _chords(g, t_lo, t_hi)
+    ids = chord_ids(g, t_lo, t_hi)
+    assert [(kind, tt) for kind, _, tt in ids] == list(zip(np.where(falls, "B", "A"), t))
+    return {i: ((a, b), (c, d)) for i, a, b, c, d in zip(ids, x0, y0, x1, y1)}
+
 
 def test_node_points(fig_instance):
     g = fig_instance
-    x, y = rg.lower_node(g, 0, 0)
-    assert (x, y) == (1.0, g.u[0])
-    x, y = rg.upper_node(g, 0, 0)
-    assert (x, y) == (1.0, g.v[0])
-    x2, y2 = rg.upper_node(g, 0, 2)
+    segs = chords(g, 0, 2)
+    assert segs[("A", 0, 0)][0] == (1.0, g.u[0])
+    assert segs[("B", 0, 0)][0] == (1.0, g.v[0])
+    x2, y2 = segs[("B", 0, 2)][0]
     assert x2 == pytest.approx(16.0, rel=1e-12)
     assert y2 == pytest.approx(16.0 * g.v[0], rel=1e-12)
 
 
 def test_node_period_wrap(fig_instance):
     g = fig_instance
+    w = g.weights
     # index k in period t is the same point as index 0 in period t+1
-    assert rg.lower_node(g, 6, 0) == pytest.approx(rg.lower_node(g, 0, 1), rel=1e-12)
+    segs = chords(g, 0, 1)
+    assert segs[("B", w.k - w.m, 0)][1] == pytest.approx(segs[("A", 0, 1)][0], rel=1e-12)
 
-
-# ---------------------------------------------------------------- segments
 
 def test_segment_counts(fig_instance):
-    segs = rg.segments_in_window(fig_instance, 0, 0)
-    assert len(segs) == 15  # 6 rising + 6 falling + 3 clipped protruders
-    assert sum(1 for s in segs if s.t == 0) == 12
-    prot = [s for s in segs if s.t == -1]
-    assert len(prot) == 3
-    assert all(s.clipped_start for s in prot)
-    assert sum(1 for s in prot if s.kind == "A") == 2
-    assert sum(1 for s in prot if s.kind == "B") == 1
+    g = fig_instance
+    t, falls, x0, *_ = _chords(g, 0, 0)
+    assert len(t) == 15  # 6 rising + 6 falling + 3 clipped protruders
+    assert (t == 0).sum() == 12
+    prot = t == -1
+    assert prot.sum() == 3
+    assert (x0[prot] == 1.0).all()  # start clipped to tau^0
+    assert (~falls[prot]).sum() == 2
+    assert falls[prot].sum() == 1
 
 
 def test_segment_count_formula():
@@ -45,7 +63,7 @@ def test_segment_count_formula():
         w = g.weights
         t_lo = int(rng.integers(-2, 2))
         t_hi = t_lo + int(rng.integers(0, 3))
-        segs = rg.segments_in_window(g, t_lo, t_hi)
+        segs = chords(g, t_lo, t_hi)
         assert len(segs) == (t_hi - t_lo + 1) * 2 * w.k + (w.n - 2)
 
 
@@ -53,24 +71,22 @@ def test_segment_slopes_match_labels():
     rng = np.random.default_rng(4041)
     for _ in range(15):
         g = random_instance(rng)
-        for s in rg.segments_in_window(g, 0, 1):
-            assert s.geometric_slope == pytest.approx(s.slope, abs=1e-9)
-            kind, i = s.label
-            want = g.weights.alpha[i - 1] if kind == "A" else -g.weights.beta[i - 1]
-            assert s.slope == want
+        w = g.weights
+        for (kind, r, _), ((x0, y0), (x1, y1)) in chords(g, 0, 1).items():
+            want = w.alpha_at(r + 1) if kind == "A" else -w.beta_at(r + 1)
+            assert (y1 - y0) / (x1 - x0) == pytest.approx(want, abs=1e-9)
 
 
 def test_segment_scaling(fig_instance):
     g = fig_instance
     tau = g.schedule.tau
-    s0 = rg.segments_in_window(g, 0, 0)
-    s1 = rg.segments_in_window(g, 1, 1)
+    s0 = chords(g, 0, 0)
+    s1 = chords(g, 1, 1)
     assert len(s0) == len(s1)
-    key = lambda s: (s.t, s.r, s.kind)
-    for a, b in zip(sorted(s0, key=key), sorted(s1, key=key)):
-        assert (b.t, b.r, b.kind) == (a.t + 1, a.r, a.kind)
-        assert np.allclose(np.array(b.start), tau * np.array(a.start), rtol=1e-12)
-        assert np.allclose(np.array(b.end), tau * np.array(a.end), rtol=1e-12)
+    for (kind, r, t), (start, end) in s0.items():
+        b_start, b_end = s1[(kind, r, t + 1)]
+        assert np.allclose(np.array(b_start), tau * np.array(start), rtol=1e-12)
+        assert np.allclose(np.array(b_end), tau * np.array(end), rtol=1e-12)
 
 
 def test_segment_joints(fig_instance):
@@ -78,22 +94,22 @@ def test_segment_joints(fig_instance):
     # starting there, and vice versa
     g = fig_instance
     w = g.weights
-    segs = {(s.kind, s.r, s.t): s for s in rg.segments_in_window(g, 0, 1)}
+    segs = chords(g, 0, 1)
     for r in range(w.k):
         a = segs[("A", r, 0)]
         rr, tt = (r + w.l) % w.k, (r + w.l) // w.k
         b = segs[("B", rr, tt)]
-        assert a.end == pytest.approx(b.start, rel=1e-9)
+        assert a[1] == pytest.approx(b[0], rel=1e-9)
     for r in range(w.k):
         b = segs[("B", r, 0)]
         rr, tt = (r + w.m) % w.k, (r + w.m) // w.k
         a = segs[("A", rr, tt)]
-        assert b.end == pytest.approx(a.start, rel=1e-9)
+        assert b[1] == pytest.approx(a[0], rel=1e-9)
 
 
 def test_empty_window_rejected(fig_instance):
     with pytest.raises(rg.EmptyWindow):
-        rg.segments_in_window(fig_instance, 2, 1)
+        rg.render_svg(fig_instance, 2, 1)
     with pytest.raises(rg.EmptyWindow):
         rg.component_functions(fig_instance, 1, 0)
 
@@ -289,16 +305,17 @@ def test_subgraph_extraction(l4m2_instance):
     g = l4m2_instance
     w = g.weights
     rng = np.random.default_rng(5)
-    for sg in g.subgraphs:
-        sub = rg.component_functions(g, 0, 1, subgraph=sg.f)
+    for f in range(w.d):
+        labels, gamma = w.class_labels(f), w.class_gamma(f)
+        sub = rg.component_functions(g, 0, 1, subgraph=f)
         assert sub.n == w.n_prime
-        assert sub.alphabet == sg.labels
-        assert sub.gamma == pytest.approx(sg.gamma, abs=1e-14)
+        assert sub.alphabet == labels
+        assert sub.gamma == pytest.approx(gamma, abs=1e-14)
         for piece in sub.pieces:
-            assert sorted(piece.labels) == sorted(sg.labels)
+            assert sorted(piece.labels) == sorted(labels)
         for q in rng.uniform(sub.q_lo, sub.q_hi, size=12):
             vals = sub.values_at(float(q))
-            assert abs(vals.sum() - sg.gamma * q) <= 1e-9 * max(1.0, abs(sg.gamma * q))
+            assert abs(vals.sum() - gamma * q) <= 1e-9 * max(1.0, abs(gamma * q))
 
 
 def test_subgraphs_partition_full_system(l2m2_instance):

@@ -40,11 +40,12 @@ def reference_active_lines(g, t, j):
         for c in range(count):
             r0 = j - c
             tt, r = (t, r0) if r0 >= 0 else (t - 1, r0 + w.k)
+            x0 = g.schedule.tau**tt * g.schedule.sigma_at(r)
             if kind == "A":
-                x0, y0 = rg.lower_node(g, r, tt)
+                y0 = x0 * float(g.u[r])
                 slope, label = w.alpha_at(r + 1), ("A", (r % w.l) + 1)
             else:
-                x0, y0 = rg.upper_node(g, r, tt)
+                y0 = x0 * float(g.v[r])
                 slope, label = -w.beta_at(r + 1), ("B", (r % w.m) + 1)
             lines.append((kind, r, tt, x0, y0, slope, label))
     return lines

@@ -124,6 +124,7 @@ def test_class_labels_and_gamma():
 
 def test_class_gammas_cancel():
     rng = np.random.default_rng(515)
+    seen_d = set()
     for _ in range(40):
         l, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
         a = rng.uniform(0.2, 3.0, l)
@@ -134,3 +135,6 @@ def test_class_gammas_cancel():
         assert abs(total) <= 1e-12
         labels = [lab for f in range(w.d) for lab in w.class_labels(f)]
         assert sorted(labels) == sorted(w.slope_labels)
+        seen_d.add(w.d)
+    # coprime sizes: the single class carries the whole alphabet and sums to 0
+    assert 1 in seen_d and max(seen_d) > 1
