@@ -53,8 +53,8 @@ class InstanceConfig:
     rho: tuple[FactorLike, ...]
     t_min: int
     t_max: int
-    tolerance: float = 1e-9
-    samples_per_piece: int = 8
+    tolerance: float
+    samples_per_piece: int
 
     def weights(self) -> Weights:
         return validate_weights(self.l, self.m, self.alpha, self.beta)
@@ -68,12 +68,12 @@ class InstanceConfig:
 
 def _require(raw: dict, field: str, kinds, path: str):
     if field not in raw:
-        raise ValidationError(f"{path or field}: missing required field")
+        raise ValidationError(f"{path}: missing required field")
     value = raw[field]
-    if kinds is not None and not isinstance(value, kinds):
-        raise ValidationError(f"{path or field}: wrong type {type(value).__name__}")
+    if not isinstance(value, kinds):
+        raise ValidationError(f"{path}: wrong type {type(value).__name__}")
     if isinstance(value, bool):  # bool is an int subclass; never wanted here
-        raise ValidationError(f"{path or field}: wrong type bool")
+        raise ValidationError(f"{path}: wrong type bool")
     return value
 
 
@@ -185,8 +185,7 @@ def load_config(source: Union[str, Path, dict]) -> InstanceConfig:
     )
 
 
-def cmd_build(cfg: InstanceConfig, out=None) -> int:
-    out = out if out is not None else _sys.stdout
+def cmd_build(cfg: InstanceConfig) -> int:
     g = cfg.graph()
     doc = {
         "k": g.weights.k,
@@ -198,26 +197,23 @@ def cmd_build(cfg: InstanceConfig, out=None) -> int:
     if g.weights.d > 1:
         doc["subgraphs"] = [{"f": f, "gamma": g.weights.class_gamma(f)}
                             for f in range(g.weights.d)]
-    json.dump(doc, out, indent=2)
-    out.write("\n")
+    print(json.dumps(doc, indent=2))
     return 0
 
 
-def cmd_check(cfg: InstanceConfig, tolerance: Optional[float], out=None) -> int:
-    out = out if out is not None else _sys.stdout
+def cmd_check(cfg: InstanceConfig, tolerance: Optional[float]) -> int:
     g = cfg.graph()
     tol = tolerance if tolerance is not None else cfg.tolerance
     report = run_all_checks(g, tol=tol, t_base=cfg.t_min)
     for line in report.lines():
-        out.write(line + "\n")
-    out.write(("all applicable checks passed\n") if report.ok else ("CHECK FAILURES\n"))
+        print(line)
+    print("all applicable checks passed" if report.ok else "CHECK FAILURES")
     return 0 if report.ok else 1
 
 
-def cmd_eval(cfg: InstanceConfig, q: float, out=None) -> int:
-    out = out if out is not None else _sys.stdout
+def cmd_eval(cfg: InstanceConfig, q: float) -> int:
     values = evaluate(cfg.graph(), q)
-    out.write(" ".join(f"{v:.12g}" for v in values) + "\n")
+    print(" ".join(f"{v:.12g}" for v in values))
     return 0
 
 
@@ -233,17 +229,22 @@ def cmd_export(cfg: InstanceConfig, out_path: str) -> int:
     # per piece: its left breakpoint (s = 0), then samples_per_piece interior samples
     spp = cfg.samples_per_piece
     lo, hi = sys_.breakpoints[:-1, None], sys_.breakpoints[1:, None]
-    s = np.arange(spp + 1)
-    with np.errstate(over="ignore"):
-        offset = (hi - lo) * s / (spp + 1)
-    # (hi - lo) * s overflows near the largest float: divide first only there,
-    # as dividing first elsewhere moves some printed digits
-    offset = np.where(np.isinf(offset), (hi - lo) / (spp + 1) * s, offset)
-    qs = np.append(lo + offset, sys_.q_hi)
+    try:
+        s = np.arange(spp + 1)
+        with np.errstate(over="ignore"):
+            offset = (hi - lo) * s / (spp + 1)
+        # (hi - lo) * s overflows near the largest float: divide first only there,
+        # as dividing first elsewhere moves some printed digits
+        offset = np.where(np.isinf(offset), (hi - lo) / (spp + 1) * s, offset)
+        qs = np.append(lo + offset, sys_.q_hi)
+        table = np.column_stack([qs, sys_.values_at(qs)])
+    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
+        print(f"error: input: samples_per_piece: {spp} samples per piece do not fit"
+              f" in memory ({exc})", file=_sys.stderr)
+        return 2
     header = "q," + ",".join(f"P_{i + 1}" for i in range(sys_.n))
     with open(out_path, "w", newline="\n") as fh:
-        np.savetxt(fh, np.column_stack([qs, sys_.values_at(qs)]), fmt="%.12g",
-                   delimiter=",", header=header, comments="")
+        np.savetxt(fh, table, fmt="%.12g", delimiter=",", header=header, comments="")
     print(f"wrote {out_path}")
     return 0
 

@@ -282,19 +282,19 @@ class LineTable:
 
     Columns 0..l-1 are the rising lines, based at segment indices j,
     j-1, ..., j-l+1; columns l..n-1 the falling lines, based at j, ...,
-    j-m+1.  An index below zero wraps into the period before.  There is
-    exactly one line per slope label.  Per line: segment index r (mod
-    k), whether it wrapped, whether it falls, sigma_r, slope, node
-    height (u_r rising, v_r falling) and label, an index into
-    weights.slope_labels.  In
-    period t a line passes through x0 = tau^t sigma_r (tau^(t-1) if
-    wrapped) at height x0 * height.  None of it depends on the period.
-    All arrays are (k, n) and read-only.
+    j-m+1.  An index below zero wraps into the period before.  Each kind
+    is stored in ascending order of its segment index r (mod k), the
+    identity order the extraction ranks ties by.  There is exactly one
+    line per slope label.  Per line: r, whether it wrapped (r > j),
+    sigma_r, slope, node height (u_r rising, v_r falling) and label, an
+    index into weights.slope_labels.  In period t a line passes through
+    x0 = tau^t sigma_r (tau^(t-1) if wrapped) at height x0 * height.
+    None of it depends on the period.  All arrays are (k, n) and
+    read-only.
     """
 
     r: np.ndarray
     wrapped: np.ndarray
-    falls: np.ndarray
     sigma: np.ndarray
     slope: np.ndarray
     height: np.ndarray
@@ -304,14 +304,12 @@ class LineTable:
     def build(cls, weights: Weights, schedule: ExpansionSchedule,
               u: np.ndarray, v: np.ndarray) -> "LineTable":
         l, m, k = weights.l, weights.m, weights.k
-        r = np.arange(k)[:, None] - np.concatenate([np.arange(l), np.arange(m)])
-        wrapped = r < 0
-        r %= k
-        falls = np.broadcast_to(np.arange(weights.n) >= l, r.shape)
+        j = np.arange(k)[:, None]
+        r = np.concatenate([np.sort((j - np.arange(c)) % k, axis=1) for c in (l, m)], axis=1)
+        falls = np.arange(weights.n) >= l
         table = cls(
             r=r,
-            wrapped=wrapped,
-            falls=falls,
+            wrapped=r > j,
             sigma=np.asarray(schedule.sigmas)[r],
             slope=np.where(falls, -np.asarray(weights.beta)[r % m],
                            np.asarray(weights.alpha)[r % l]),

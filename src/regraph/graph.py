@@ -184,7 +184,6 @@ class PiecewiseLinearSystem:
     labels: np.ndarray
     gamma: float
     alphabet: tuple[tuple[str, int], ...]
-    subgraph: int | None = None
 
     @property
     def pieces(self) -> Sequence[Piece]:
@@ -204,20 +203,19 @@ class PiecewiseLinearSystem:
 def _line_table(g: RegularGraph, subgraph: int | None, alphabet) -> tuple[np.ndarray, ...]:
     """The columns of g.lines used by the extraction, row j per subinterval.
 
-    Keeps the lines in the residue class, in identity order (kind, r):
-    sigma_r, whether the line is based in the period before, slope, node
-    height and label code into alphabet.
+    Keeps the lines in the residue class (exactly n/d per row), in the
+    table's identity order (kind, r): sigma_r, whether the line is based
+    in the period before, slope, node height and label code into alphabet.
     """
     w, lines = g.weights, g.lines
-    key = lines.falls * w.k + lines.r
-    if subgraph is not None:
-        key = np.where(lines.r % w.d == subgraph, key, 2 * w.k)
-    cols = np.argsort(key, axis=1)[:, : len(alphabet)]
     code_of = {lab: c for c, lab in enumerate(alphabet)}
     code = np.array([code_of.get(lab, -1) for lab in w.slope_labels])[lines.label].astype(
         np.min_scalar_type(-len(alphabet)))
-    return tuple(np.take_along_axis(a, cols, 1)
-                 for a in (lines.sigma, lines.wrapped, lines.slope, lines.height, code))
+    cols = (lines.sigma, lines.wrapped, lines.slope, lines.height, code)
+    if subgraph is None:
+        return cols
+    keep = lines.r % w.d == subgraph
+    return tuple(a[keep].reshape(w.k, len(alphabet)) for a in cols)
 
 
 def _dedupe_crossings(qx: np.ndarray, count: np.ndarray) -> np.ndarray:
@@ -331,7 +329,6 @@ def component_functions(
         labels=labels,
         gamma=gamma,
         alphabet=alphabet,
-        subgraph=subgraph,
     )
 
 

@@ -10,7 +10,7 @@ period, so the two groups only realign after lcm(l, m) steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
+from math import gcd, isfinite, lcm
 from typing import Sequence
 
 import numpy as np
@@ -108,13 +108,13 @@ def validate_weights(
     m: int,
     alpha: Sequence[float],
     beta: Sequence[float],
-    tol: float = DEFAULT_BALANCE_TOL,
 ) -> Weights:
     """Validate raw weight input and populate all derived constants.
 
-    Rejects negative entries, the all-zero system, mismatched lengths and
-    unbalanced sums (|sum(alpha) - sum(beta)| > tol).  Zero entries are
-    allowed as long as not everything vanishes.
+    Rejects non-finite and negative entries, the all-zero system,
+    mismatched lengths and unbalanced sums (|sum(alpha) - sum(beta)| >
+    DEFAULT_BALANCE_TOL).  Zero entries are allowed as long as not
+    everything vanishes.
     """
     if l < 1 or m < 1:
         raise LengthMismatch(f"group sizes must be positive, got l={l}, m={m}")
@@ -126,14 +126,17 @@ def validate_weights(
         raise LengthMismatch(f"expected {m} beta entries, got {len(beta)}")
     for name, values in (("alpha", alpha), ("beta", beta)):
         for i, value in enumerate(values):
+            if not isfinite(value):
+                raise WeightError(f"{name}[{i}] = {value} is not finite")
             if value < 0:
                 raise NegativeWeight(f"{name}[{i}] = {value} is negative")
     if max(alpha) == 0 and max(beta) == 0:
         raise AllZero("all weights are zero")
     imbalance = abs(sum(alpha) - sum(beta))
-    if imbalance > tol:
+    if not imbalance <= DEFAULT_BALANCE_TOL:
         raise BalanceViolated(
-            f"weight sums differ: |{sum(alpha)} - {sum(beta)}| = {imbalance} > {tol}"
+            f"weight sums differ: |{sum(alpha)} - {sum(beta)}| = {imbalance}"
+            f" > {DEFAULT_BALANCE_TOL}"
         )
     d = gcd(l, m)
     k = lcm(l, m)

@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 
 import regraph as rg
+from regraph.construct import RegularGraph
 
 
-def make_instance(l, m, alpha, beta, rho) -> rg.RegularGraph:
+def make_instance(l, m, alpha, beta, rho) -> RegularGraph:
     w = rg.validate_weights(l, m, alpha, beta)
     sch = rg.ExpansionSchedule.from_factors(rho)
     return rg.build_graph(w, sch)

@@ -12,7 +12,17 @@ import numpy as np
 import pytest
 
 import regraph as rg
+from regraph.analyze import (
+    NOT_SUFFICIENT,
+    PASS,
+    check_proper_direct,
+    check_proper_m1,
+    check_proper_nodes,
+    check_proper_sufficient,
+    check_regular,
+)
 from regraph.cli import main
+from regraph.construct import chi
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 FIG_CONFIG = str(CONFIG_DIR / "l3m2_cuberoot.json")
@@ -70,7 +80,7 @@ def test_criterion_01_reference_instance(fig_instance, announce):
     ok_tau = abs(g.tau - 4.0) <= 1e-12
     ok_order = bool(np.all(g.v > g.u))
     sys_ = rg.component_functions(g, 0, 2)
-    ok_direct = rg.check_proper_direct(sys_).status == rg.PASS
+    ok_direct = check_proper_direct(sys_).status == PASS
     ok_cli = main(["check", FIG_CONFIG]) == 0
     ok = ok_tau and ok_order and ok_direct and ok_cli
     announce(
@@ -135,8 +145,8 @@ def test_criterion_04_regularity(all_fixture_instances, announce):
     bad = []
     for i, g in enumerate(graphs):
         sys_ = rg.component_functions(g, 0, 2)
-        result = rg.check_regular(g, sys_, tol=1e-9)
-        if result.status != rg.PASS:
+        result = check_regular(g, sys_, tol=1e-9)
+        if result.status != PASS:
             bad.append((i, result.status, result.note))
     status = "PASS" if not bad else "FAIL"
     announce(
@@ -153,7 +163,7 @@ def test_criterion_05_product_identity(all_fixture_instances, announce):
     worst = 0.0
     for g in cases:
         w, sch = g.weights, g.schedule
-        chis = np.array([rg.chi(w, sch, r) for r in range(w.k)])
+        chis = np.array([chi(w, sch, r) for r in range(w.k)])
         full = float(np.prod(chis))
         worst = max(worst, abs(full - sch.tau**w.n) / sch.tau**w.n)
         for f in range(w.d):
@@ -185,7 +195,7 @@ def test_criterion_06_sufficiency_implies_properness(announce):
         factors = rng.uniform(1.05, 3.0, size=w.k)
         sch = rg.ExpansionSchedule.from_factors(factors)
         for _ in range(40):
-            if rg.check_proper_sufficient(w, sch).status == rg.PASS:
+            if check_proper_sufficient(w, sch).status == PASS:
                 break
             factors = 1.0 + (factors - 1.0) * 1.5
             sch = rg.ExpansionSchedule.from_factors(factors)
@@ -193,9 +203,9 @@ def test_criterion_06_sufficiency_implies_properness(announce):
             escalation_failures += 1
             continue
         g = rg.build_graph(w, sch)
-        nodes_ok = rg.check_proper_nodes(g).status == rg.PASS
+        nodes_ok = check_proper_nodes(g).status == PASS
         direct_ok = (
-            rg.check_proper_direct(rg.component_functions(g, 0, 2)).status == rg.PASS
+            check_proper_direct(rg.component_functions(g, 0, 2)).status == PASS
         )
         if not (nodes_ok and direct_ok):
             counterexamples += 1
@@ -210,7 +220,7 @@ def test_criterion_06_sufficiency_implies_properness(announce):
 
 def test_criterion_07_sharpness_split(fig_instance, announce):
     g = fig_instance
-    result = rg.check_proper_sufficient(g.weights, g.schedule)
+    result = check_proper_sufficient(g.weights, g.schedule)
     lhs_expected = (2.0 ** (5.0 / 3.0) + 1.0) / (2.0 + 2.0 ** (2.0 / 3.0))
     rhs_expected = 7.0 / 3.0
     lhs = result.witness["lhs"]
@@ -219,9 +229,9 @@ def test_criterion_07_sharpness_split(fig_instance, announce):
         abs(lhs - lhs_expected) <= 1e-12 * lhs_expected
         and abs(rhs - rhs_expected) <= 1e-12 * rhs_expected
     )
-    ok_status = result.status == rg.NOT_SUFFICIENT
-    direct = rg.check_proper_direct(rg.component_functions(g, 0, 2))
-    ok = ok_values and ok_status and direct.status == rg.PASS
+    ok_status = result.status == NOT_SUFFICIENT
+    direct = check_proper_direct(rg.component_functions(g, 0, 2))
+    ok = ok_values and ok_status and direct.status == PASS
     announce(
         f"criterion 07: {'PASS' if ok else 'FAIL'} - one-sided ratio test "
         f"inconclusive (lhs {lhs:.6g} < bound {rhs:.6g}) while direct check passes"
@@ -247,10 +257,10 @@ def test_criterion_08_schedule_designer(announce):
                 factors.append(max(bound * (1.0 + delta), 1.0 + 1e-6))
             sch = rg.ExpansionSchedule.from_factors(factors)
             g = rg.build_graph(w, sch)
-            m1 = rg.check_proper_m1(w, sch)
-            nodes = rg.check_proper_nodes(g)
+            m1 = check_proper_m1(w, sch)
+            nodes = check_proper_nodes(g)
             trials += 1
-            if m1.status != rg.PASS or nodes.status != rg.PASS:
+            if m1.status != PASS or nodes.status != PASS:
                 failures.append((delta, alpha, m1.status, nodes.status))
     ok = not failures
     announce(

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import regraph as rg
-from regraph.cli import main
+from regraph.cli import ParseError, ValidationError, load_config, main
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 FIG = str(CONFIG_DIR / "l3m2_cuberoot.json")
@@ -35,7 +35,7 @@ IMPROPER_DOC = {
 # ------------------------------------------------------------- load_config
 
 def test_load_fig_config():
-    cfg = rg.load_config(FIG)
+    cfg = load_config(FIG)
     assert (cfg.l, cfg.m) == (3, 2)
     assert cfg.schedule().tau == 4.0
     assert cfg.tolerance == 1e-9
@@ -47,7 +47,7 @@ def test_load_config_from_text_and_dict():
     doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [2.5],
            "window": {"t_min": 0, "t_max": 1}}
     for source in (json.dumps(doc), doc):
-        cfg = rg.load_config(source)
+        cfg = load_config(source)
         assert cfg.rho == (2.5,)
         assert cfg.tolerance == 1e-9  # default applied
 
@@ -56,17 +56,17 @@ def test_load_config_power_object():
     doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1],
            "rho": [{"base": 2, "num": 1, "den": 3}],
            "window": {"t_min": 0, "t_max": 0}}
-    cfg = rg.load_config(json.dumps(doc))
+    cfg = load_config(json.dumps(doc))
     assert abs(cfg.schedule().factors[0] - 2 ** (1 / 3)) < 1e-15
 
 
 def test_load_config_parse_error():
-    with pytest.raises(rg.ParseError):
-        rg.load_config("{not json")
-    with pytest.raises(rg.ParseError):
-        rg.load_config("/nonexistent/path/config.json")
-    with pytest.raises(rg.ParseError):
-        rg.load_config("[1, 2]")
+    with pytest.raises(ParseError):
+        load_config("{not json")
+    with pytest.raises(ParseError):
+        load_config("/nonexistent/path/config.json")
+    with pytest.raises(ParseError):
+        load_config("[1, 2]")
 
 
 def test_load_config_field_errors(tmp_path):
@@ -74,36 +74,36 @@ def test_load_config_field_errors(tmp_path):
             "rho": [1.5, 1.5], "window": {"t_min": 0, "t_max": 1}}
 
     doc = dict(base); doc["rho"] = [1.5]
-    with pytest.raises(rg.ValidationError, match="rho"):
-        rg.load_config(json.dumps(doc))
+    with pytest.raises(ValidationError, match="rho"):
+        load_config(json.dumps(doc))
 
     doc = dict(base); doc["rho"] = [1.5, {"base": 2, "num": 1}]
-    with pytest.raises(rg.ValidationError, match=r"rho\[1\]\.den"):
-        rg.load_config(json.dumps(doc))
+    with pytest.raises(ValidationError, match=r"rho\[1\]\.den"):
+        load_config(json.dumps(doc))
 
     doc = dict(base); doc["rho"] = [1.5, 0.99]
-    with pytest.raises(rg.ValidationError, match=r"rho\[1\]"):
-        rg.load_config(json.dumps(doc))
+    with pytest.raises(ValidationError, match=r"rho\[1\]"):
+        load_config(json.dumps(doc))
 
     doc = dict(base); doc["beta"] = [2.0]
-    with pytest.raises(rg.ValidationError, match="alpha/beta"):
-        rg.load_config(json.dumps(doc))
+    with pytest.raises(ValidationError, match="alpha/beta"):
+        load_config(json.dumps(doc))
 
     doc = dict(base); del doc["window"]
-    with pytest.raises(rg.ValidationError, match="window"):
-        rg.load_config(json.dumps(doc))
+    with pytest.raises(ValidationError, match="window"):
+        load_config(json.dumps(doc))
 
     doc = dict(base); doc["window"] = {"t_min": 2, "t_max": 0}
-    with pytest.raises(rg.ValidationError, match="window"):
-        rg.load_config(json.dumps(doc))
+    with pytest.raises(ValidationError, match="window"):
+        load_config(json.dumps(doc))
 
     doc = dict(base); doc["tolerance"] = -1e-9
-    with pytest.raises(rg.ValidationError, match="tolerance"):
-        rg.load_config(json.dumps(doc))
+    with pytest.raises(ValidationError, match="tolerance"):
+        load_config(json.dumps(doc))
 
     doc = dict(base); doc["l"] = "2"
-    with pytest.raises(rg.ValidationError, match="l"):
-        rg.load_config(json.dumps(doc))
+    with pytest.raises(ValidationError, match="l"):
+        load_config(json.dumps(doc))
 
 
 # ------------------------------------------------------------------- build
@@ -164,8 +164,8 @@ def test_bad_config_tolerance_exits_two(text, tmp_path, capsys):
     doc["tolerance"] = "TOL"
     cfg = tmp_path / "tol.json"
     cfg.write_text(json.dumps(doc).replace('"TOL"', text))
-    with pytest.raises(rg.ValidationError, match="tolerance"):
-        rg.load_config(str(cfg))
+    with pytest.raises(ValidationError, match="tolerance"):
+        load_config(str(cfg))
     assert main(["check", str(cfg)]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -183,7 +183,7 @@ def test_main_calls_share_no_arguments(capsys):
     for q in (1.0, 2.7):
         assert main(["eval", FIG, "--q", str(q)]) == 0
         values.append(capsys.readouterr().out)
-    g = rg.load_config(FIG).graph()
+    g = load_config(FIG).graph()
     assert values == [" ".join(f"{v:.12g}" for v in rg.evaluate(g, q)) + "\n"
                       for q in (1.0, 2.7)]
 
@@ -262,7 +262,7 @@ def test_cmd_plot_svg_contract(tmp_path, capsys):
     svg = out.read_text()
     root = ET.fromstring(svg)  # well-formed XML
     assert root.tag.endswith("svg")
-    cfg = rg.load_config(FIG)
+    cfg = load_config(FIG)
     g = cfg.graph()
     w = g.weights
     sys1 = rg.component_functions(g, cfg.t_min, cfg.t_max)
@@ -283,7 +283,7 @@ def test_cmd_export_csv_contract(tmp_path, capsys):
     assert "\r" not in raw
     lines = raw.strip().split("\n")
     assert lines[0] == "q,P_1,P_2,P_3,P_4,P_5"
-    cfg = rg.load_config(FIG)
+    cfg = load_config(FIG)
     g = cfg.graph()
     sys1 = rg.component_functions(g, cfg.t_min, cfg.t_max)
     assert len(lines) == 1 + len(sys1.pieces) * (1 + cfg.samples_per_piece) + 1
@@ -317,7 +317,7 @@ def test_cmd_export_multiplies_before_dividing(tmp_path):
     cfg = write_config(tmp_path, "digits.json", doc)
     out = tmp_path / "digits.csv"
     assert main(["export", cfg, "--out", str(out)]) == 0
-    c = rg.load_config(cfg)
+    c = load_config(cfg)
     sys1 = rg.component_functions(c.graph(), c.t_min, c.t_max)
     lo, hi = sys1.breakpoints[:-1, None], sys1.breakpoints[1:, None]
     s = np.arange(c.samples_per_piece + 1)
@@ -366,6 +366,41 @@ def test_invalid_weights_exit_two(tmp_path, capsys):
     assert "error: input:" in err and "alpha/beta" in err
 
 
+# JSON text of one weight on l = m = 1; Python's json reads NaN and Infinity,
+# and 1e400 as inf
+@pytest.mark.parametrize("text", ["NaN", "Infinity", "-Infinity", "1e400"])
+@pytest.mark.parametrize("group", ["alpha", "beta"])
+@pytest.mark.parametrize("command", ["build", "check"])
+def test_non_finite_weights_exit_two(text, group, command, tmp_path, capsys):
+    doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [2],
+           "window": {"t_min": 0, "t_max": 0}}
+    doc[group] = ["W"]
+    cfg = tmp_path / "weights.json"
+    cfg.write_text(json.dumps(doc).replace('"W"', text))
+    assert main([command, str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: input: alpha/beta: {group}[0] = ")
+    assert captured.err.endswith(" is not finite\n")
+    assert captured.err.count("\n") == 1
+
+
+# numpy refuses both up front (7 PiB, and past its maximum array size),
+# so the test allocates nothing
+@pytest.mark.parametrize("spp", [10**15, 10**30])
+def test_export_samples_beyond_memory_exit_two(spp, tmp_path, capsys):
+    doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [2],
+           "window": {"t_min": 0, "t_max": 0}, "samples_per_piece": spp}
+    cfg = write_config(tmp_path, "huge.json", doc)
+    out = tmp_path / "huge.csv"
+    assert main(["export", cfg, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input: samples_per_piece: ")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("l, m, rho", [
     (1, 1, [1e160]),          # sigma_r overflows inside the node system
     (2, 1, [1e200, 1e200]),   # tau itself is not a finite float
@@ -399,8 +434,8 @@ def test_out_of_range_window_exits_two(window, command, tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: input: window:")
-    with pytest.raises(rg.ValidationError, match="^window:"):
-        rg.load_config(doc)
+    with pytest.raises(ValidationError, match="^window:"):
+        load_config(doc)
 
 
 @pytest.mark.parametrize("window", [{"t_min": -1022, "t_max": -1022},

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 import regraph as rg
+from regraph import construct
+from regraph.construct import InvalidFactor, ScheduleMismatch
 
 from conftest import make_instance, random_instance
 
@@ -48,19 +50,19 @@ def test_sigma_strictly_increasing():
 
 
 def test_invalid_factors():
-    with pytest.raises(rg.InvalidFactor):
+    with pytest.raises(InvalidFactor):
         rg.ExpansionSchedule.from_factors([1.2, 1.0])
-    with pytest.raises(rg.InvalidFactor):
+    with pytest.raises(InvalidFactor):
         rg.ExpansionSchedule.from_factors([0.9])
-    with pytest.raises(rg.InvalidFactor):
+    with pytest.raises(InvalidFactor):
         rg.ExpansionSchedule.from_factors([])
-    with pytest.raises(rg.InvalidFactor):
+    with pytest.raises(InvalidFactor):
         rg.ExpansionSchedule.from_factors([rg.PowerForm(2.0, -1, 3)])
-    with pytest.raises(rg.InvalidFactor):
+    with pytest.raises(InvalidFactor):
         rg.PowerForm(2.0, 1, 0)
-    with pytest.raises(rg.InvalidFactor):  # tau = inf
+    with pytest.raises(InvalidFactor):  # tau = inf
         rg.ExpansionSchedule.from_factors([1e200, 1e200])
-    with pytest.raises(rg.InvalidFactor):  # the factor itself overflows
+    with pytest.raises(InvalidFactor):  # the factor itself overflows
         rg.ExpansionSchedule.from_factors([rg.PowerForm(1e200, 3, 1)])
 
 
@@ -71,9 +73,9 @@ def test_power_form_value():
 def test_schedule_length_checked():
     w = rg.validate_weights(3, 2, (0.5, 1.0, 1.5), (2.0, 1.0))
     sch = rg.ExpansionSchedule.from_factors([1.5, 1.5])
-    with pytest.raises(rg.ScheduleMismatch):
+    with pytest.raises(ScheduleMismatch):
         rg.solve_uv(w, sch)
-    with pytest.raises(rg.ScheduleMismatch):
+    with pytest.raises(ScheduleMismatch):
         rg.solve_uv_oracle(w, sch)
 
 
@@ -216,7 +218,7 @@ def test_product_identity():
         for r in range(w.k):
             prod = 1.0
             for j in range(w.k):
-                prod *= rg.chi(w, sch, (r + j * w.n) % w.k)
+                prod *= construct.chi(w, sch, (r + j * w.n) % w.k)
             assert prod == pytest.approx(sch.tau**w.n, rel=1e-12)
 
 
@@ -232,7 +234,7 @@ def test_product_identity_per_class():
                 prod = 1.0
                 for j in range(w.k_prime):
                     hh = (h + j * w.n_prime) % w.k_prime
-                    prod *= rg.chi(w, sch, f + w.d * hh)
+                    prod *= construct.chi(w, sch, f + w.d * hh)
                 assert prod == pytest.approx(sch.tau**w.n_prime, rel=1e-12)
 
 

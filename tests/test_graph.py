@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import regraph as rg
+from regraph.graph import EmptyWindow, NegativeAbscissa, NonFiniteAbscissa
 from regraph.render import _chords
 
 from conftest import make_instance, random_instance
@@ -108,9 +109,9 @@ def test_segment_joints(fig_instance):
 
 
 def test_empty_window_rejected(fig_instance):
-    with pytest.raises(rg.EmptyWindow):
+    with pytest.raises(EmptyWindow):
         rg.render_svg(fig_instance, 2, 1)
-    with pytest.raises(rg.EmptyWindow):
+    with pytest.raises(EmptyWindow):
         rg.component_functions(fig_instance, 1, 0)
 
 
@@ -121,15 +122,15 @@ def test_evaluate_origin(fig_instance):
 
 
 def test_evaluate_negative_rejected(fig_instance):
-    with pytest.raises(rg.NegativeAbscissa):
+    with pytest.raises(NegativeAbscissa):
         rg.evaluate(fig_instance, -0.5)
 
 
 @pytest.mark.parametrize("q", [float("nan"), float("inf"), float("-inf")])
 def test_evaluate_non_finite_rejected(fig_instance, q):
-    with pytest.raises(rg.NonFiniteAbscissa):
+    with pytest.raises(NonFiniteAbscissa):
         rg.evaluate(fig_instance, q)
-    assert issubclass(rg.NonFiniteAbscissa, ValueError)
+    assert issubclass(NonFiniteAbscissa, ValueError)
 
 
 @pytest.mark.parametrize("q", [5e-324, 1e-310, 1e-305, 1e-300, 1e300, 1.7e308,

@@ -33,7 +33,7 @@ def reference_V(w, sch, r):
 def reference_solve_uv(w, sch):
     U = [reference_U(w, sch, r) for r in range(w.k)]
     V = [reference_V(w, sch, r) for r in range(w.k)]
-    mult = [rg.chi(w, sch, r) for r in range(w.k)]
+    mult = [construct.chi(w, sch, r) for r in range(w.k)]
     u, v = np.empty(w.k), np.empty(w.k)
     for f in range(w.d):
         idx = [f + w.d * ((j * w.n_prime) % w.k_prime) for j in range(w.k_prime)]
@@ -47,7 +47,7 @@ def reference_oracle(w, sch):
     M = np.eye(w.k)
     rhs_u, rhs_v = np.empty(w.k), np.empty(w.k)
     for r in range(w.k):
-        M[r, (r + w.n) % w.k] -= rg.chi(w, sch, r)
+        M[r, (r + w.n) % w.k] -= construct.chi(w, sch, r)
         rhs_u[r] = -reference_U(w, sch, r)
         rhs_v[r] = -reference_V(w, sch, r)
     return np.linalg.solve(M, rhs_u), np.linalg.solve(M, rhs_v)
@@ -163,7 +163,7 @@ def test_growth_terms_match_scalar_formulas(pairs):
         r = range(w.k)
         assert bits(pl) == bits([sch.psi(i, w.l) for i in r])
         assert bits(pm) == bits([sch.psi(i, w.m) for i in r])
-        assert bits(chi) == bits([rg.chi(w, sch, i) for i in r])
+        assert bits(chi) == bits([construct.chi(w, sch, i) for i in r])
         assert bits(U) == bits([reference_U(w, sch, i) for i in r])
         assert bits(V) == bits([reference_V(w, sch, i) for i in r])
 
@@ -182,9 +182,9 @@ def test_solves_match_loop_set_up(pairs):
 def test_one_sided_checks_match_loops(pairs):
     statuses = set()
     for _, w, sch in pairs:
-        for check, reference in ((rg.check_proper_sufficient, reference_sufficient),
-                                 (rg.check_proper_termwise, reference_termwise),
-                                 (rg.check_proper_m1, reference_m1)):
+        for check, reference in ((analyze.check_proper_sufficient, reference_sufficient),
+                                 (analyze.check_proper_termwise, reference_termwise),
+                                 (analyze.check_proper_m1, reference_m1)):
             res = check(w, sch)
             assert res == reference(w, sch)
             statuses.add((res.name, res.status))

@@ -23,7 +23,7 @@ import pytest
 
 import regraph as rg
 from regraph import analyze, graph
-from regraph.cli import main
+from regraph.cli import load_config, main
 
 from conftest import make_instance
 
@@ -233,7 +233,7 @@ def random_doc(i):
 def instances():
     out = []
     for i in range(N_INSTANCES):
-        cfg = rg.load_config(random_doc(i))
+        cfg = load_config(random_doc(i))
         g = cfg.graph()
         out.append((cfg, g, rg.component_functions(g, cfg.t_min, cfg.t_min + 2)))
     return out
@@ -327,7 +327,7 @@ def test_extraction_matches_loop(all_fixture_instances):
     cases = [(g, 0, 2) for g in all_fixture_instances.values()]
     cases += [(make_instance(*args), -1, 1) for args in DEGENERATE]
     for i in range(N_EXTRACT):
-        cfg = rg.load_config(extract_doc(i))
+        cfg = load_config(extract_doc(i))
         cases.append((cfg.graph(), cfg.t_min, cfg.t_max))
     checked = set()
     for g, t_lo, t_hi in cases:
@@ -361,7 +361,7 @@ def system_cases(fig_instance, l2m2_instance):
     """(name, system): extracted tables, and perturbed ones that reach each FAIL."""
     cases = []
     for i in range(N_EXTRACT):
-        cfg = rg.load_config(extract_doc(i))
+        cfg = load_config(extract_doc(i))
         g = cfg.graph()
         cases.append((f"random{i}", rg.component_functions(g, cfg.t_min, cfg.t_max)))
         for f in range(g.weights.d):
@@ -503,8 +503,8 @@ def evaluate_points(g, rng, n_log):
 def test_evaluate_matches_rebuilt_lines():
     rng = np.random.default_rng(11)
     configs = Path(__file__).resolve().parent.parent / "configs"
-    cases = [(rg.load_config(path).graph(), 400) for path in sorted(configs.glob("*.json"))]
-    cases += [(rg.load_config(extract_doc(i)).graph(), 60) for i in range(20)]
+    cases = [(load_config(path).graph(), 400) for path in sorted(configs.glob("*.json"))]
+    cases += [(load_config(extract_doc(i)).graph(), 60) for i in range(20)]
     alpha = rng.uniform(0.05, 3.0, 13)
     beta = rng.uniform(0.05, 3.0, 11)
     cases.append((make_instance(13, 11, alpha, beta * alpha.sum() / beta.sum(),
@@ -535,3 +535,21 @@ def test_line_table_follows_replaced_heights(l4m2_instance):
         assert same_bits(sys2.values, values)
         assert same_bits(sys2.slopes, slopes)
         assert [tuple(sys2.alphabet[c] for c in row) for row in sys2.labels] == labels
+
+
+def test_line_table_order():
+    # each kind's lines sit in ascending segment index, the order the
+    # extraction ranks ties by, and a line wrapped exactly when r > j
+    cases = [load_config(extract_doc(i)).graph() for i in range(20)]
+    cases += [make_instance(l, m, [1.0] * l, [l / m] * m, [1.5] * lcm(l, m))
+              for l, m in ((1, 1), (4, 2), (2, 4), (3, 3), (6, 4), (5, 1))]
+    for g in cases:
+        w, lines = g.weights, g.lines
+        for j in range(w.k):
+            ref = reference_active_lines(g, 0, j)
+            ref = sorted(ref[: w.l], key=lambda a: a[1]) + sorted(ref[w.l:], key=lambda a: a[1])
+            assert lines.r[j].tolist() == [a[1] for a in ref]
+            assert lines.wrapped[j].tolist() == [a[2] == -1 for a in ref]
+            assert lines.wrapped[j].tolist() == (lines.r[j] > j).tolist()
+            assert [w.slope_labels[c] for c in lines.label[j]] == [a[6] for a in ref]
+            assert lines.slope[j].tolist() == [a[5] for a in ref]

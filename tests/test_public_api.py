@@ -1,0 +1,67 @@
+"""The package's top-level names, and the README's library sketch.
+
+`regraph` exports the pipeline weights -> schedule -> solve ->
+extract/evaluate -> check/render and nothing else; the typed errors,
+the individual checks and the piece and config records are imported
+from their submodules.
+"""
+
+import importlib
+import re
+from pathlib import Path
+
+import pytest
+
+import regraph
+
+PUBLIC = {
+    "validate_weights",
+    "PowerForm", "ExpansionSchedule", "growth_terms",
+    "solve_uv", "solve_uv_oracle", "propagate_v_from_u",
+    "build_graph", "ConstructError",
+    "evaluate", "component_functions",
+    "run_all_checks",
+    "render_svg",
+    "__version__",
+}
+
+HOME = {
+    "weights": ("Weights", "WeightError", "NegativeWeight", "AllZero", "BalanceViolated",
+                "LengthMismatch", "IndexOutOfRange"),
+    "construct": ("InvalidFactor", "ScheduleMismatch", "SingularSystem", "chi", "RegularGraph"),
+    "graph": ("NegativeAbscissa", "NonFiniteAbscissa", "EmptyWindow", "Piece",
+              "PiecewiseLinearSystem"),
+    "analyze": ("PASS", "FAIL", "NOT_SUFFICIENT", "NOT_APPLICABLE", "ERROR", "CheckResult",
+                "CheckReport", "check_system", "check_regular", "check_proper_direct",
+                "check_proper_nodes", "check_proper_sufficient", "check_proper_termwise",
+                "check_proper_m1", "check_subgraphs"),
+    "cli": ("InstanceConfig", "ParseError", "ValidationError", "load_config"),
+}
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_all_is_exactly_the_pipeline():
+    assert len(regraph.__all__) == len(set(regraph.__all__))
+    assert set(regraph.__all__) == PUBLIC
+    assert sum(map(len, HOME.values())) == 36
+    for name in PUBLIC:
+        assert hasattr(regraph, name), name
+
+
+@pytest.mark.parametrize("module", sorted(HOME))
+def test_other_names_live_in_their_module(module):
+    home = importlib.import_module(f"regraph.{module}")
+    for name in HOME[module]:
+        assert not hasattr(regraph, name), name
+        assert hasattr(home, name), name
+
+
+def test_readme_library_block_runs():
+    text = README.read_text()
+    match = re.search(r"^## Library at a glance\n.*?^```python\n(.*?)^```", text,
+                      re.MULTILINE | re.DOTALL)
+    assert match, "README has no 'Library at a glance' python block"
+    block = match.group(1)
+    assert "import regraph as rg" in block
+    exec(compile(block, str(README), "exec"), {})

@@ -15,6 +15,8 @@ from pathlib import Path
 import numpy as np
 
 import regraph as rg
+from regraph.cli import load_config
+from regraph.graph import EmptyWindow
 from regraph.render import _STYLE, _chords
 
 from conftest import make_instance
@@ -47,7 +49,7 @@ def reference_clip(x0, y0, x1, y1, lo, hi):
 def reference_segments(g, t_lo, t_hi):
     """(kind, r, t, start, end) of every chord meeting the window, clipped to it."""
     if t_lo > t_hi:
-        raise rg.EmptyWindow(f"t_lo={t_lo} exceeds t_hi={t_hi}")
+        raise EmptyWindow(f"t_lo={t_lo} exceeds t_hi={t_hi}")
     w = g.weights
     w_lo = g.schedule.tau**t_lo
     w_hi = g.schedule.tau ** (t_hi + 1)
@@ -154,7 +156,7 @@ def random_case(i):
 def render_cases():
     cases = []
     for path in sorted(CONFIG_DIR.glob("*.json")):
-        g = rg.load_config(json.loads(path.read_text())).graph()
+        g = load_config(json.loads(path.read_text())).graph()
         cases += [(g, t, t + 2) for t in range(-3, 4)]
     cases += [(make_instance(1, 1, [1.0], [1.0], [3.0]), t, t) for t in (-2, 0, 3)]
     cases += [(make_instance(*args), -1, 1) for args in DEGENERATE]

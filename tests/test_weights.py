@@ -2,6 +2,14 @@ import numpy as np
 import pytest
 
 import regraph as rg
+from regraph.weights import (
+    AllZero,
+    BalanceViolated,
+    IndexOutOfRange,
+    LengthMismatch,
+    NegativeWeight,
+    WeightError,
+)
 
 
 def test_fig_constants():
@@ -32,17 +40,32 @@ def test_kd_product():
 
 
 def test_balance_violated():
-    with pytest.raises(rg.BalanceViolated):
+    with pytest.raises(BalanceViolated):
         rg.validate_weights(2, 2, (1.0, 2.0), (2.0, 2.0))
 
 
 def test_negative_weight():
-    with pytest.raises(rg.NegativeWeight):
+    with pytest.raises(NegativeWeight):
         rg.validate_weights(2, 1, (2.0, -1.0), (1.0,))
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+@pytest.mark.parametrize("group", ["alpha", "beta"])
+def test_non_finite_weight(value, group):
+    # a NaN or infinite imbalance compares false against the tolerance
+    alpha, beta = [1.0, 1.0], [2.0]
+    if group == "alpha":
+        alpha[1] = value
+    else:
+        beta[0] = value
+    with pytest.raises(WeightError, match=rf"{group}\[[01]\] = .* is not finite"):
+        rg.validate_weights(2, 1, alpha, beta)
+    with pytest.raises(WeightError, match="is not finite"):
+        rg.validate_weights(1, 1, [value], [value])
+
+
 def test_all_zero():
-    with pytest.raises(rg.AllZero):
+    with pytest.raises(AllZero):
         rg.validate_weights(2, 2, (0.0, 0.0), (0.0, 0.0))
 
 
@@ -53,15 +76,15 @@ def test_zero_entries_allowed():
 
 
 def test_length_mismatch():
-    with pytest.raises(rg.LengthMismatch):
+    with pytest.raises(LengthMismatch):
         rg.validate_weights(3, 1, (1.0, 2.0), (3.0,))
-    with pytest.raises(rg.LengthMismatch):
+    with pytest.raises(LengthMismatch):
         rg.validate_weights(0, 1, (), (0.0,))
 
 
 def test_balance_tolerance_boundary():
     rg.validate_weights(1, 1, (1.0,), (1.0 + 5e-13,))
-    with pytest.raises(rg.BalanceViolated):
+    with pytest.raises(BalanceViolated):
         rg.validate_weights(1, 1, (1.0,), (1.0 + 5e-12,))
 
 
@@ -87,9 +110,9 @@ def test_cyclic_periodicity():
 
 def test_subscripts_one_based():
     w = rg.validate_weights(2, 2, (1.0, 2.0), (2.0, 1.0))
-    with pytest.raises(rg.IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange):
         w.alpha_at(0)
-    with pytest.raises(rg.IndexOutOfRange):
+    with pytest.raises(IndexOutOfRange):
         w.beta_at(-3)
 
 
