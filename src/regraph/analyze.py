@@ -9,7 +9,6 @@ witness locating the worst spot.  Statuses:
     not-sufficient  a one-sided sufficient condition does not hold;
                     says nothing negative about the graph itself
     not-applicable  hypothesis of the check not met by this instance
-    error           check could not run (e.g. window too small)
 
 The distinction between fail and not-sufficient matters for exit
 codes: the ratio test and the per-factor bound for a single falling
@@ -32,7 +31,6 @@ PASS = "pass"
 FAIL = "fail"
 NOT_SUFFICIENT = "not-sufficient"
 NOT_APPLICABLE = "not-applicable"
-ERROR = "error"
 
 #: statuses that do not flag a broken instance
 _BENIGN = frozenset({PASS, NOT_SUFFICIENT, NOT_APPLICABLE})
@@ -54,7 +52,7 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class CheckReport:
-    """Bundle of check results; ok iff nothing failed or errored."""
+    """Bundle of check results; ok iff nothing failed."""
 
     results: tuple[CheckResult, ...]
 
@@ -94,6 +92,12 @@ def _non_finite(name: str, sys: PiecewiseLinearSystem, tol: float) -> Optional[C
                        note="non-finite value in the piece table")
 
 
+def _rel(x, q, w):
+    """x / (w q), the margin of a test x > tol * w * q; 0 where x is 0."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(x == 0.0, 0.0, x / q / w)
+
+
 def check_system(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckResult:
     """Structural validity of an extracted component system.
 
@@ -102,16 +106,19 @@ def check_system(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckResult:
     components are sorted; the component sum stays on gamma * q; then
     components are continuous across breakpoints; and the first-period
     values are consistent with all components vanishing at the origin
-    (|P_i(q_lo)| bounded by the largest slope times q_lo).  A failure
-    reports the first violated test in that order; a pass reports the
-    largest sum residual or jump.  Any non-finite entry fails.
+    (|P_i(q_lo)| <= W q_lo).  A deviation x at abscissa q fails above
+    tol * W * q, W the largest |slope| in the table, and its margin is
+    x / (W q), so neither depends on the window.  A failure reports the
+    first violated test in that order; a pass reports the largest sum
+    residual or jump margin.  Any non-finite entry fails.
     """
     failed = _non_finite("system", sys, tol)
     if failed is not None:
         return failed
     vals, slopes = sys.values, sys.slopes
     lo, hi = sys.breakpoints[:-1], sys.breakpoints[1:]
-    scale_tol = lambda v: tol * np.maximum(1.0, np.abs(v))
+    w_max = float(np.max(np.abs(slopes)))
+    bound = tol * w_max
 
     gaps = np.diff(vals, axis=1)
     qs = np.stack([lo, 0.5 * (lo + hi), hi], axis=1)  # left end, midpoint, right end
@@ -119,8 +126,8 @@ def check_system(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckResult:
     resid = np.abs(sums - sys.gamma * qs)
     bad = np.column_stack([
         np.any(np.sort(sys.labels, axis=1) != np.arange(len(sys.alphabet)), axis=1),
-        np.any(gaps < -scale_tol(lo)[:, None], axis=1),
-        resid > scale_tol(sys.gamma * qs),
+        np.any(-gaps > bound * lo[:, None], axis=1),
+        resid > bound * qs,
     ])
     if bad.any():
         p, test = divmod(int(np.argmax(bad)), bad.shape[1])
@@ -128,31 +135,31 @@ def check_system(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckResult:
             return CheckResult("system", FAIL, tol, -1.0, {"piece": p, "q": float(lo[p])},
                                note="slope labels are not a permutation of the alphabet")
         if test == 1:
-            return CheckResult("system", FAIL, tol, float(gaps[p].min()),
+            return CheckResult("system", FAIL, tol, float(_rel(gaps[p].min(), lo[p], w_max)),
                                {"piece": p, "q": float(lo[p])}, note="components out of order")
-        return CheckResult("system", FAIL, tol, float(resid[p, test - 2]),
-                           {"q": float(qs[p, test - 2])},
-                           note="component sum off the expected line")
+        q = qs[p, test - 2]
+        return CheckResult("system", FAIL, tol, float(_rel(resid[p, test - 2], q, w_max)),
+                           {"q": float(q)}, note="component sum off the expected line")
 
     # row b compares the right end of piece b with the left end of piece b + 1
     jump = np.abs(vals[:-1] + slopes[:-1] * (hi[:-1] - lo[:-1])[:, None] - vals[1:])
     j, i = jump.max(axis=1), jump.argmax(axis=1) + 1
-    bad = j > scale_tol(lo[1:])
+    bad = j > bound * lo[1:]
     if bad.any():
         b = int(np.argmax(bad))
-        return CheckResult("system", FAIL, tol, float(j[b]),
+        return CheckResult("system", FAIL, tol, float(_rel(j[b], lo[b + 1], w_max)),
                            {"q": float(lo[b + 1]), "i": int(i[b])},
                            note="component discontinuous across breakpoint")
 
-    w_max = float(np.max(np.abs(slopes[0])))
-    # every component must vanish at 0, so |P_i(q)| <= max|slope| * q
+    # every component must vanish at 0, so |P_i(q)| <= W * q
     over = float(np.max(np.abs(vals[0]))) - w_max * sys.q_lo
-    if over > scale_tol(w_max * sys.q_lo):
-        return CheckResult("system", FAIL, tol, over, {"q": sys.q_lo},
+    if over > bound * sys.q_lo:
+        return CheckResult("system", FAIL, tol, float(_rel(over, sys.q_lo, w_max)),
+                           {"q": sys.q_lo},
                            note="first-period values inconsistent with vanishing at 0")
 
     # the first largest of the sum residuals (piece by piece) and then the jumps
-    seen = np.concatenate([resid.ravel(), j])
+    seen = np.concatenate([_rel(resid, qs, w_max).ravel(), _rel(j, lo[1:], w_max)])
     p = int(np.argmax(seen))
     if not seen[p] > 0.0:
         return CheckResult("system", PASS, tol, 0.0, None)
@@ -164,49 +171,30 @@ def check_system(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckResult:
     return CheckResult("system", PASS, tol, float(seen[p]), witness)
 
 
-def check_regular(
-    g: RegularGraph, sys: PiecewiseLinearSystem, tol: float = 1e-9
-) -> CheckResult:
-    """Scale invariance: consecutive periods match under scaling by tau.
+def check_regular(g: RegularGraph, tol: float = 1e-9) -> CheckResult:
+    """Self-similarity at its source: the heights solve the node system.
 
-    Needs a window of at least two periods; compares both the crossing
-    pattern (breakpoints, relatively) and the component values at
-    breakpoints and piece midpoints.
-    """
-    if sys.t_hi - sys.t_lo < 1:
-        return CheckResult("regular", ERROR, tol, 0.0, None,
-                           note="InsufficientWindow: need at least two periods")
-    failed = _non_finite("regular", sys, tol)
-    if failed is not None:
-        return failed
-    tau = g.schedule.tau
-    bp = sys.breakpoints
-    worst = 0.0
-    witness = None
-    for t in range(sys.t_lo, sys.t_hi):
-        lo, hi = tau**t, tau ** (t + 1)
-        cur = bp[(bp >= lo * (1 - 1e-12)) & (bp < hi * (1 - 1e-12))]
-        nxt = bp[(bp >= hi * (1 - 1e-12)) & (bp < hi * tau * (1 - 1e-12))]
-        if len(cur) != len(nxt):
-            return CheckResult("regular", FAIL, tol, float(len(nxt) - len(cur)),
-                               {"t": t}, note="breakpoint count differs between periods")
-        rel_bp = float(np.max(np.abs(nxt / (tau * cur) - 1.0))) if len(cur) else 0.0
-        if rel_bp > worst:
-            worst, witness = rel_bp, {"t": t, "kind": "breakpoint"}
-        if rel_bp > tol:
-            return CheckResult("regular", FAIL, tol, rel_bp, {"t": t},
-                               note="breakpoints do not scale by tau")
-        probes = np.concatenate([cur, 0.5 * (cur[:-1] + cur[1:])])
-        a, b = np.split(sys.values_at(np.concatenate([probes, probes * tau])), 2)
-        a = a * tau
-        rel = np.max(np.abs(b - a) / np.maximum(1.0, np.abs(a)), axis=1)
-        i = int(np.argmax(rel > tol))  # the first failing probe, if any
-        if rel[i] > tol:
-            return CheckResult("regular", FAIL, tol, float(rel[i]), {"q": float(probes[i])},
-                               note="values do not scale by tau")
-        i = int(np.argmax(rel))
-        if rel[i] > worst:
-            worst, witness = float(rel[i]), {"q": float(probes[i]), "t": t}
+    Windows are tau^t tiles of period 0, so P(tau q) = tau P(q) holds by
+    construction; this tests the period-0 data.  For (h, H) = (u, U) and
+    (v, V), at the worst r, the residual |h_r - chi_r h_{(r+n) mod k} + H_r|
+    relative to the largest of its three terms (0 when exactly 0) must
+    not exceed tol; a non-finite term fails."""
+    w = g.weights
+    _, _, chi, U, V = growth_terms(w, g.schedule)
+    h, H = np.stack([g.u, g.v]), np.stack([U, V])
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        step = chi * h[:, (np.arange(w.k) + w.n) % w.k]
+        terms = np.abs([h, step, H])
+        resid = np.abs(h - step + H)
+        rel = np.where(resid == 0.0, 0.0, resid / terms.max(axis=0))
+    rel[~np.isfinite(terms).all(axis=0)] = np.inf
+    kind, r = np.unravel_index(np.argmax(rel), rel.shape)
+    worst = float(rel[kind, r])
+    witness = {"r": int(r), "kind": "uv"[kind]} if worst > 0.0 else None
+    if worst > tol:
+        note = ("node heights off the node system" if worst < np.inf
+                else "non-finite node height or term")
+        return CheckResult("regular", FAIL, tol, worst, witness, note=note)
     return CheckResult("regular", PASS, tol, worst, witness)
 
 
@@ -214,21 +202,22 @@ def check_proper_direct(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckR
     """The definitional properness test on the extracted system.
 
     At every interior breakpoint q and every index i where the gap
-    P_{i+1}(q) - P_i(q) is genuinely open (beyond a relative
-    threshold), the slope-sum of the bottom i components just left of
-    q must not exceed the one just right.  Margin is the minimal
-    right-minus-left slack over all tested (q, i).
+    P_{i+1}(q) - P_i(q) is open (above tol * W * q, W the largest
+    |slope| in the table), the slope-sum of the bottom i components
+    just left of q must not exceed the one just right.  Margin is the
+    minimal right-minus-left slack over all tested (q, i).
     """
     failed = _non_finite("proper-direct", sys, tol)
     if failed is not None:
         return failed
     # row b - 1 is interior breakpoint b, where P = the right piece's left values
     vals = sys.values[1:]
+    w_max = float(np.max(np.abs(sys.slopes)))
     csum = np.cumsum(sys.slopes, axis=1)
     slack = csum[1:, :-1] - csum[:-1, :-1]
     gap = vals[:, 1:] - vals[:, :-1]
     # components tied at q are exempt; a NaN gap is not tied, so it counts
-    open_gap = ~(gap <= tol * np.maximum(1.0, np.abs(vals[:, 1:])))
+    open_gap = ~(gap <= tol * w_max * sys.breakpoints[1:-1, None])
     if open_gap.any():
         b, i = np.unravel_index(np.argmin(np.where(open_gap, slack, np.inf)), slack.shape)
         best, witness = float(slack[b, i]), {"q": float(sys.breakpoints[b + 1]), "i": int(i) + 1}
@@ -340,7 +329,7 @@ def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> Check
     sys3 = component_functions(g, t_base, t_base + 2)
     results = [
         check_system(sys3, tol),
-        check_regular(g, sys3, tol),
+        check_regular(g, tol),
         check_proper_direct(sys3, tol),
         check_proper_nodes(g),
         check_proper_sufficient(g.weights, g.schedule),
@@ -353,7 +342,7 @@ def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> Check
 
 
 __all__ = [
-    "PASS", "FAIL", "NOT_SUFFICIENT", "NOT_APPLICABLE", "ERROR",
+    "PASS", "FAIL", "NOT_SUFFICIENT", "NOT_APPLICABLE",
     "CheckResult", "CheckReport",
     "check_system", "check_regular", "check_proper_direct",
     "check_proper_nodes", "check_proper_sufficient", "check_proper_termwise",

@@ -11,8 +11,9 @@ P_n.  This module evaluates the component values at arbitrary q and
 extracts the full sorted system over an integer period window as a
 piece table: P pieces between P + 1 breakpoints,
 with (P, n) arrays of left-end values, slopes and slope-label codes.
-Its `pieces` attribute views the same rows as `Piece` objects, each
-built only when it is read.
+Only period 0 is extracted; since P(tau q) = tau P(q), every window
+is tiled from it.  The table's `pieces` attribute views the same rows
+as `Piece` objects, each built only when it is read.
 
 Both evaluation and extraction read the lines above each subinterval
 from the period line table the graph carries (`RegularGraph.lines`,
@@ -173,8 +174,6 @@ class PiecewiseLinearSystem:
     """
 
     n: int
-    t_lo: int
-    t_hi: int
     q_lo: float
     q_hi: float
     grid: np.ndarray
@@ -238,20 +237,21 @@ def component_functions(
 ) -> PiecewiseLinearSystem:
     """Extract P_1 <= ... <= P_n over the window as a piece table.
 
-    Within each grid subinterval the active lines are intersected
-    pairwise; every interior crossing becomes a breakpoint, and on each
-    resulting piece the lines are ranked by their value at the piece
-    midpoint.  Ranking by midpoint value realizes the continuous
-    assignment through each crossing (immediately left of a crossing
-    the steeper line ranks lower, immediately right the shallower
-    one).  Lines that coincide over a whole piece are kept as distinct
-    components in a stable order given by segment identity.  All k
-    subintervals of a period are handled together as arrays.
+    Period 0 is extracted: within each grid subinterval the active
+    lines are intersected pairwise; every interior crossing becomes a
+    breakpoint, and on each resulting piece the lines are ranked by
+    their value at the piece midpoint.  Ranking by midpoint value
+    realizes the continuous assignment through each crossing
+    (immediately left of a crossing the steeper line ranks lower,
+    immediately right the shallower one).  Lines that coincide over a
+    whole piece are kept as distinct components in a stable order given
+    by segment identity.  Period t is its tau^t tile: grid, breakpoints
+    and values scaled, slopes and labels repeated.
 
     With subgraph=f only the lines of residue class f are used; the
     result then has n/d components whose slope sum is gamma_f instead
-    of zero.  Raises ConstructError when the intercepts of the lines
-    in the window, or their differences, overflow a float.
+    of zero.  Raises ConstructError when a tiled value or breakpoint is
+    not a finite float.
     """
     if t_lo > t_hi:
         raise EmptyWindow(f"t_lo={t_lo} exceeds t_hi={t_hi}")
@@ -270,56 +270,44 @@ def component_functions(
     sig = np.asarray(g.schedule.sigmas)
     ia, ib = np.triu_indices(n, 1)
     ds = slope[:, ia] - slope[:, ib]
-    ends = np.ones((w.k, 1), dtype=bool)
 
-    grid, periods = [], []
-    for t in range(t_lo, t_hi + 1):
-        lo = tau**t * sig
-        hi = np.append(lo[1:], tau ** (t + 1))
-        x0 = np.where(wrapped, tau ** (t - 1), tau**t) * sig_r
-        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-            y0 = x0 * height
-            c = y0 - slope * x0
-            dc = c[:, ib] - c[:, ia]
-            qx = dc / ds
-            tol = CROSSING_REL_TOL * np.abs(qx)
-            inside = (ds != 0.0) & (lo[:, None] + tol < qx) & (qx < hi[:, None] - tol)
-        # every line is in some pair, so this also covers the intercepts c
-        if not np.isfinite(dc).all():
-            raise ConstructError(f"window: line intercepts in period {t} leave the float range")
-        count = inside.sum(axis=1)
-        qx = np.sort(np.where(inside, qx, np.inf), axis=1)[:, : count.max()]
-        keep = _dedupe_crossings(qx, count)
-        p_lo = np.concatenate([lo[:, None], qx], axis=1)[np.concatenate([ends, keep], axis=1)]
-        p_hi = np.concatenate([qx, hi[:, None]], axis=1)[np.concatenate([keep, ends], axis=1)]
-        cell = np.repeat(np.arange(w.k), 1 + keep.sum(axis=1))
-        grid.append(lo)
-        periods.append((x0, y0, p_lo, p_hi, cell))
-    grid.append([tau ** (t_hi + 1)])
-    grid = np.concatenate(grid)
-    breakpoints = np.concatenate([grid[:1], *(p_hi for *_, p_hi, _ in periods)])
+    # period 0
+    hi = np.append(sig[1:], tau)
+    x0 = np.where(wrapped, tau**-1, 1.0) * sig_r
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        y0 = x0 * height
+        c = y0 - slope * x0
+        qx = (c[:, ib] - c[:, ia]) / ds
+        tol = CROSSING_REL_TOL * np.abs(qx)
+        inside = (ds != 0.0) & (sig[:, None] + tol < qx) & (qx < hi[:, None] - tol)
+    count = inside.sum(axis=1)
+    qx = np.sort(np.where(inside, qx, np.inf), axis=1)[:, : count.max()]
+    keep = _dedupe_crossings(qx, count)
+    p_lo = np.column_stack([sig, qx])[np.column_stack([np.ones(w.k, dtype=bool), keep])]
+    cell = np.repeat(np.arange(w.k), 1 + keep.sum(axis=1))
+    mid = 0.5 * (p_lo + np.append(p_lo[1:], tau))[:, None]
+    order = np.argsort(y0[cell] + slope[cell] * (mid - x0[cell]), axis=1, kind="stable")
+    line = (cell[:, None], order)
+    slopes = slope[line]
 
-    # rank each piece's lines, filling the table one period at a time
-    values = np.empty((len(breakpoints) - 1, n))
-    slopes = np.empty_like(values)
-    labels = np.empty(values.shape, dtype=code.dtype)
-    start = 0
-    for x0, y0, p_lo, p_hi, cell in periods:
-        rows = slice(start, start + len(cell))
-        start = rows.stop
-        mid = 0.5 * (p_lo + p_hi)[:, None]
-        order = np.argsort(y0[cell] + slope[cell] * (mid - x0[cell]), axis=1, kind="stable")
-        line = (cell[:, None], order)
-        slopes[rows] = slope[line]
-        values[rows] = y0[line] + slopes[rows] * (p_lo[:, None] - x0[line])
-        labels[rows] = code[line]
+    # the window: one tile of period 0 per period
+    scale = np.array([tau**t for t in range(t_lo, t_hi + 1)])
+    q_hi = tau ** (t_hi + 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.append(np.multiply.outer(scale, sig), q_hi)
+        breakpoints = np.append(np.multiply.outer(scale, p_lo), q_hi)
+        values = np.multiply.outer(scale, y0[line] + slopes * (p_lo[:, None] - x0[line]))
+        values = values.reshape(-1, n)
+    if not (np.isfinite(breakpoints).all() and np.isfinite(values).all()):
+        raise ConstructError(
+            f"window: component values over tau^{t_lo} .. tau^{t_hi + 1} leave the float range")
+    slopes = np.tile(slopes, (len(scale), 1))
+    labels = np.tile(code[line], (len(scale), 1))
     for a in (grid, breakpoints, values, slopes, labels):
         a.flags.writeable = False
 
     return PiecewiseLinearSystem(
         n=n,
-        t_lo=t_lo,
-        t_hi=t_hi,
         q_lo=float(grid[0]),
         q_hi=float(grid[-1]),
         grid=grid,

@@ -112,9 +112,9 @@ def validate_weights(
     """Validate raw weight input and populate all derived constants.
 
     Rejects non-finite and negative entries, the all-zero system,
-    mismatched lengths and unbalanced sums (|sum(alpha) - sum(beta)| >
-    DEFAULT_BALANCE_TOL).  Zero entries are allowed as long as not
-    everything vanishes.
+    mismatched lengths, sums that overflow a float and unbalanced sums
+    (|sum(alpha) - sum(beta)| > DEFAULT_BALANCE_TOL).  Zero entries are
+    allowed as long as not everything vanishes.
     """
     if l < 1 or m < 1:
         raise LengthMismatch(f"group sizes must be positive, got l={l}, m={m}")
@@ -132,10 +132,13 @@ def validate_weights(
                 raise NegativeWeight(f"{name}[{i}] = {value} is negative")
     if max(alpha) == 0 and max(beta) == 0:
         raise AllZero("all weights are zero")
-    imbalance = abs(sum(alpha) - sum(beta))
+    total_alpha, total_beta = sum(alpha), sum(beta)
+    if not (isfinite(total_alpha) and isfinite(total_beta)):
+        raise WeightError(f"weight sums overflow a float: {total_alpha}, {total_beta}")
+    imbalance = abs(total_alpha - total_beta)
     if not imbalance <= DEFAULT_BALANCE_TOL:
         raise BalanceViolated(
-            f"weight sums differ: |{sum(alpha)} - {sum(beta)}| = {imbalance}"
+            f"weight sums differ: |{total_alpha} - {total_beta}| = {imbalance}"
             f" > {DEFAULT_BALANCE_TOL}"
         )
     d = gcd(l, m)

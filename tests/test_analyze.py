@@ -1,12 +1,16 @@
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import regraph as rg
 from regraph import analyze
+from regraph.cli import load_config
 
 from conftest import make_instance, random_instance
+
+CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
 
 def test_fig_report(fig_instance):
@@ -77,12 +81,22 @@ def test_check_system_detects_wrong_label(fig_instance):
 
 
 def test_check_regular_detects_perturbation(fig_instance):
+    res = analyze.check_regular(fig_instance)
+    assert res.status == "pass" and 0.0 < res.margin < 1e-15
+    for height in ("u", "v"):
+        h = getattr(fig_instance, height).copy()
+        h[2] += 1e-6
+        res = analyze.check_regular(dataclasses.replace(fig_instance, **{height: h}))
+        assert res.status == "fail" and res.margin > 1e-7
+        assert res.witness["kind"] == height
+        assert res.note == "node heights off the node system"
+    # a table that does not scale by tau is broken structurally as well
     sys1 = rg.component_functions(fig_instance, 0, 1)
     idx = len(sys1.pieces) // 2
     values = sys1.values.copy()
     values[idx, 0] -= 1e-3
     broken = dataclasses.replace(sys1, values=values)
-    assert analyze.check_regular(fig_instance, broken).status == "fail"
+    assert analyze.check_system(broken).status == "fail"
 
 
 @pytest.fixture(scope="module")
@@ -113,11 +127,14 @@ def test_check_system_fails_on_non_finite(fig_table, field, bad):
     assert "non-finite" in res.note
 
 
-@pytest.mark.parametrize("field,bad", NON_FINITE)
-def test_check_regular_fails_on_non_finite(fig_instance, fig_table, field, bad):
-    broken, p = with_non_finite(fig_table, field, bad)
-    res = analyze.check_regular(fig_instance, broken)
-    assert res.status == "fail" and res.witness["piece"] == p
+@pytest.mark.parametrize("height", ["u", "v"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_check_regular_fails_on_non_finite(fig_instance, height, bad):
+    h = getattr(fig_instance, height).copy()
+    h[3] = bad
+    res = analyze.check_regular(dataclasses.replace(fig_instance, **{height: h}))
+    assert res.status == "fail" and res.margin == np.inf
+    assert res.witness == {"r": 3, "kind": height}
     assert "non-finite" in res.note
 
 
@@ -129,20 +146,21 @@ def test_check_proper_direct_fails_on_non_finite(fig_table, field, bad):
     assert "non-finite" in res.note
 
 
-def test_check_regular_window_too_small(fig_instance):
-    sys1 = rg.component_functions(fig_instance, 0, 0)
-    res = analyze.check_regular(fig_instance, sys1)
-    assert res.status == "error"
-    assert "InsufficientWindow" in res.note
-
-
 def test_direct_check_window_translation_invariance(improper_instance, fig_instance):
-    for g in (improper_instance, fig_instance):
-        verdicts = set()
-        for t0 in (-1, 0, 1, 3):
-            sys1 = rg.component_functions(g, t0, t0 + 2)
-            verdicts.add(analyze.check_proper_direct(sys1).status)
-        assert len(verdicts) == 1
+    # P(tau q) = tau P(q): every verdict and normalised margin is the same
+    # wherever the three periods of run_all_checks start
+    graphs = [load_config(path).graph() for path in sorted(CONFIG_DIR.glob("*.json"))]
+    graphs += [fig_instance, improper_instance,
+               make_instance(2, 2, [1.0, 0.0], [1.0, 0.0], [1.5, 1.7])]  # class 1 all zero
+    statuses = set()
+    for g in graphs:
+        reports = [rg.run_all_checks(g, t_base=t) for t in (-20, -1, 0, 3, 10, 15)]
+        for results in zip(*(rep.results for rep in reports)):
+            assert len({r.status for r in results}) == 1, results
+            margins = [r.margin for r in results]
+            assert max(margins) - min(margins) <= 1e-12, results
+            statuses.add((results[0].name, results[0].status))
+    assert {("system", "pass"), ("subgraphs", "pass"), ("proper-direct", "fail")} <= statuses
 
 
 def test_m1_condition_pass_equal_weights():

@@ -64,6 +64,17 @@ def test_non_finite_weight(value, group):
         rg.validate_weights(1, 1, [value], [value])
 
 
+def test_overflowing_weight_sum():
+    # finite entries whose sum overflows: |inf - inf| is NaN, not an imbalance
+    big = [1e308, 1e308]
+    for alpha, beta in ((big, big), (big, [1e308, 1.0]), ([1e308, 1.0], big)):
+        with pytest.raises(WeightError, match=r"^weight sums overflow a float: ") as info:
+            rg.validate_weights(2, 2, alpha, beta)
+        assert not isinstance(info.value, BalanceViolated)
+    # sums just below the largest float are still accepted
+    assert rg.validate_weights(2, 2, [1e308, 7e307], [1e308, 7e307]).k == 2
+
+
 def test_all_zero():
     with pytest.raises(AllZero):
         rg.validate_weights(2, 2, (0.0, 0.0), (0.0, 0.0))
