@@ -127,15 +127,38 @@ def test_check_system_fails_on_non_finite(fig_table, field, bad):
     assert "non-finite" in res.note
 
 
-@pytest.mark.parametrize("height", ["u", "v"])
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_check_regular_fails_on_non_finite(fig_instance, height, bad):
-    h = getattr(fig_instance, height).copy()
-    h[3] = bad
-    res = analyze.check_regular(dataclasses.replace(fig_instance, **{height: h}))
-    assert res.status == "fail" and res.margin == np.inf
-    assert res.witness == {"r": 3, "kind": height}
-    assert "non-finite" in res.note
+def with_non_finite_source(g, field, bad):
+    """The graphs with one entry of the node-system data behind a table field
+    set to bad: the sigma_r scale of the node abscissae for breakpoints, the
+    node heights u and v for values, a weight alpha_i for slopes."""
+    if field == "breakpoints":
+        sigmas = list(g.schedule.sigmas)
+        sigmas[3] = bad
+        return [dataclasses.replace(
+            g, schedule=dataclasses.replace(g.schedule, sigmas=tuple(sigmas)))]
+    if field == "slopes":
+        alpha = list(g.weights.alpha)
+        alpha[1] = bad
+        return [dataclasses.replace(
+            g, weights=dataclasses.replace(g.weights, alpha=tuple(alpha)))]
+    graphs = []
+    for height in ("u", "v"):
+        h = getattr(g, height).copy()
+        h[3] = bad
+        graphs.append(dataclasses.replace(g, **{height: h}))
+    return graphs
+
+
+@pytest.mark.parametrize("field,bad", NON_FINITE)
+def test_check_regular_fails_on_non_finite(fig_instance, field, bad):
+    for broken in with_non_finite_source(fig_instance, field, bad):
+        res = analyze.check_regular(broken)
+        assert res.status == "fail" and res.margin == np.inf
+        assert "non-finite" in res.note
+    if field == "values":
+        assert [analyze.check_regular(b).witness for b in
+                with_non_finite_source(fig_instance, field, bad)] == [
+            {"r": 3, "kind": "u"}, {"r": 3, "kind": "v"}]
 
 
 @pytest.mark.parametrize("field,bad", NON_FINITE)
