@@ -250,8 +250,8 @@ def component_functions(
 
     With subgraph=f only the lines of residue class f are used; the
     result then has n/d components whose slope sum is gamma_f instead
-    of zero.  Raises ConstructError when a tiled value or breakpoint is
-    not a finite float.
+    of zero.  Raises ConstructError when a line intercept of period 0,
+    or a tiled value or breakpoint, is not a finite float.
     """
     if t_lo > t_hi:
         raise EmptyWindow(f"t_lo={t_lo} exceeds t_hi={t_hi}")
@@ -277,9 +277,13 @@ def component_functions(
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         y0 = x0 * height
         c = y0 - slope * x0
-        qx = (c[:, ib] - c[:, ia]) / ds
+        dc = c[:, ib] - c[:, ia]
+        qx = dc / ds
         tol = CROSSING_REL_TOL * np.abs(qx)
         inside = (ds != 0.0) & (sig[:, None] + tol < qx) & (qx < hi[:, None] - tol)
+    # every line is in some pair, so this also covers the intercepts c
+    if not np.isfinite(dc).all():
+        raise ConstructError("window: line intercepts in period 0 leave the float range")
     count = inside.sum(axis=1)
     qx = np.sort(np.where(inside, qx, np.inf), axis=1)[:, : count.max()]
     keep = _dedupe_crossings(qx, count)

@@ -135,6 +135,17 @@ def test_cmd_check_fig_exits_zero(capsys):
     assert "all applicable checks passed" in out
 
 
+@pytest.mark.parametrize("t_min", [-20, 10, 15])
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.json")))
+def test_cmd_check_shifted_window_exits_zero(name, t_min, capsys):
+    # P(tau q) = tau P(q): each config passes wherever its window starts;
+    # the config goes in as JSON text
+    doc = json.loads((CONFIG_DIR / name).read_text())
+    w = doc["window"]
+    doc["window"] = {"t_min": t_min, "t_max": t_min + w["t_max"] - w["t_min"]}
+    assert main(["check", json.dumps(doc)]) == 0, capsys.readouterr().out
+
+
 def test_cmd_check_improper_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, "improper.json", IMPROPER_DOC)
     assert main(["check", cfg]) == 1
@@ -467,14 +478,15 @@ def test_window_near_largest_float(weight, end, command, tmp_path, capsys):
     # float: either a clean run with finite output or one error line (the
     # graph is proper, so a failing check would be spurious).  check and
     # export read the same piece table, so they accept the same windows;
-    # up to end = 1022 all three subcommands do.
+    # up to end = 1022 all three subcommands do, and with weight 1 also
+    # at end = 1023.
     doc = {"l": 1, "m": 1, "alpha": [weight], "beta": [weight], "rho": [2],
            "window": {"t_min": end - 3, "t_max": end - 1}}
     out = tmp_path / "g.out"
     extra = [] if command == "check" else ["--out", str(out)]
     code = main([command, write_config(tmp_path, "edge.json", doc), *extra])
     err = capsys.readouterr().err
-    if end <= 1022 or command != "plot":
+    if end <= 1022 or command != "plot" or weight == 1:
         assert code == 0, err
     if code == 2:
         assert err.startswith("error: input: window:") and err.count("\n") == 1
@@ -484,6 +496,23 @@ def test_window_near_largest_float(weight, end, command, tmp_path, capsys):
         assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
     if command == "plot":
         assert "nan" not in out.read_text()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["check", "export"])
+def test_weights_near_largest_float_exit_two(command, tmp_path, capsys):
+    # the values of periods -3 .. -1 fit a float, but the line intercepts
+    # of period 0, from which every window is tiled, do not: an error,
+    # not a table missing a crossing
+    doc = {"l": 1, "m": 1, "alpha": [8e307], "beta": [8e307], "rho": [2],
+           "window": {"t_min": -3, "t_max": -1}}
+    extra = [] if command == "check" else ["--out", str(tmp_path / "g.csv")]
+    assert main([command, write_config(tmp_path, "huge.json", doc), *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input: window:") and captured.err.count("\n") == 1
+    with pytest.raises(rg.ConstructError, match="^window: line intercepts in period 0"):
+        rg.component_functions(load_config(doc).graph(), -3, -1)
 
 
 def _console_script(name):
