@@ -18,12 +18,12 @@ not flag an otherwise healthy instance.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .construct import ExpansionSchedule, RegularGraph, growth_terms
+from .construct import ConstructError, ExpansionSchedule, RegularGraph, growth_terms
 from .graph import PiecewiseLinearSystem, component_functions
 from .weights import Weights
 
@@ -98,12 +98,24 @@ def _rel(x, q, w):
         return np.where(x == 0.0, 0.0, x / q / w)
 
 
+def _worst_residual(name: str, rel: np.ndarray, tol: float, witness_at, notes) -> CheckResult:
+    """PASS or FAIL on the first largest relative residual in rel, inf where a
+    term is non-finite; witness_at maps its index to the witness, and notes
+    says why a finite and a non-finite residual fail."""
+    at = tuple(int(i) for i in np.unravel_index(np.argmax(rel), rel.shape))
+    worst = float(rel[at])
+    witness = witness_at(*at) if worst > 0.0 else None
+    if worst > tol:
+        return CheckResult(name, FAIL, tol, worst, witness, note=notes[worst == np.inf])
+    return CheckResult(name, PASS, tol, worst, witness)
+
+
 def check_system(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckResult:
     """Structural validity of an extracted component system.
 
     Verifies, piece by piece: the slope labels form exactly the
     expected alphabet (as a multiset, label-level equality); the
-    components are sorted; the component sum stays on gamma * q; then
+    components are sorted; the component sum vanishes; then
     components are continuous across breakpoints; and the first-period
     values are consistent with all components vanishing at the origin
     (|P_i(q_lo)| <= W q_lo).  A deviation x at abscissa q fails above
@@ -123,7 +135,7 @@ def check_system(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckResult:
     gaps = np.diff(vals, axis=1)
     qs = np.stack([lo, 0.5 * (lo + hi), hi], axis=1)  # left end, midpoint, right end
     sums = (vals[:, None, :] + slopes[:, None, :] * (qs - lo[:, None])[..., None]).sum(axis=2)
-    resid = np.abs(sums - sys.gamma * qs)
+    resid = np.abs(sums)
     bad = np.column_stack([
         np.any(np.sort(sys.labels, axis=1) != np.arange(len(sys.alphabet)), axis=1),
         np.any(-gaps > bound * lo[:, None], axis=1),
@@ -188,14 +200,8 @@ def check_regular(g: RegularGraph, tol: float = 1e-9) -> CheckResult:
         resid = np.abs(h - step + H)
         rel = np.where(resid == 0.0, 0.0, resid / terms.max(axis=0))
     rel[~np.isfinite(terms).all(axis=0)] = np.inf
-    kind, r = np.unravel_index(np.argmax(rel), rel.shape)
-    worst = float(rel[kind, r])
-    witness = {"r": int(r), "kind": "uv"[kind]} if worst > 0.0 else None
-    if worst > tol:
-        note = ("node heights off the node system" if worst < np.inf
-                else "non-finite node height or term")
-        return CheckResult("regular", FAIL, tol, worst, witness, note=note)
-    return CheckResult("regular", PASS, tol, worst, witness)
+    return _worst_residual("regular", rel, tol, lambda kind, r: {"r": r, "kind": "uv"[kind]},
+                           ("node heights off the node system", "non-finite node height or term"))
 
 
 def check_proper_direct(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckResult:
@@ -294,50 +300,65 @@ def _one_sided(name: str, margin: float, witness: dict) -> CheckResult:
     return CheckResult(name, status, 0.0, float(margin), witness)
 
 
-def check_subgraphs(
-    g: RegularGraph, t_lo: int = 0, t_hi: int = 2, tol: float = 1e-9
-) -> CheckResult:
+def check_subgraphs(g: RegularGraph, tol: float = 1e-9) -> CheckResult:
     """Residue-class decomposition consistency for non-coprime sizes.
 
-    Each class must extract to a valid component system of n/d
-    functions whose slope labels are the class alphabet and whose sum
-    runs along gamma_f * q; the gamma_f themselves must cancel.
+    The class drifts gamma_f must cancel, and above every subinterval j of
+    the line table the lines of class f (r = f mod d) must sum to
+    gamma_f * x at both ends x.  A residual fails above tol * W * x, W the
+    largest |slope|, with margin residual / (W x); a non-finite term fails.
     """
-    w = g.weights
+    w, lines, tau = g.weights, g.lines, g.schedule.tau
     if w.d == 1:
         return CheckResult("subgraphs", NOT_APPLICABLE, tol, 0.0, None,
                            note="group sizes are coprime; single class")
-    gamma_sum = float(sum(w.class_gamma(f) for f in range(w.d)))
+    gamma = np.array([w.class_gamma(f) for f in range(w.d)])
+    gamma_sum = float(sum(gamma))
     if abs(gamma_sum) > 1e-12:
         return CheckResult("subgraphs", FAIL, tol, gamma_sum, None,
                            note="class drifts do not cancel")
-    worst = 0.0
-    witness = None
-    for f in range(w.d):
-        sub = component_functions(g, t_lo, t_hi, subgraph=f)
-        inner = check_system(sub, tol)
-        if inner.status != PASS:
-            return CheckResult("subgraphs", FAIL, tol, inner.margin,
-                               {"f": f, **(inner.witness or {})}, note=inner.note)
-        if inner.margin > worst:
-            worst, witness = inner.margin, {"f": f, **(inner.witness or {})}
-    return CheckResult("subgraphs", PASS, tol, worst, witness)
+    sig = np.asarray(g.schedule.sigmas)
+    x = np.stack([sig, np.append(sig[1:], tau)])[:, None, :]  # (end, 1, j)
+    x0 = np.where(lines.wrapped, tau**-1, 1.0) * lines.sigma
+    in_class = lines.r % w.d == np.arange(w.d)[:, None, None]  # (f, j, line)
+    with np.errstate(over="ignore", invalid="ignore"):
+        terms = np.where(in_class, x0 * lines.height + lines.slope * (x[..., None] - x0), 0.0)
+        resid = np.abs(terms.sum(axis=-1) - gamma[:, None] * x)
+    rel = _rel(resid, x, np.max(np.abs(lines.slope)))
+    rel[~np.isfinite(terms).all(axis=-1)] = np.inf
+    return _worst_residual("subgraphs", rel, tol, lambda _, f, j: {"f": f, "j": j},
+                           ("class lines off the class drift", "non-finite class line value"))
+
+
+def _close_period(sys: PiecewiseLinearSystem, tau: float) -> PiecewiseLinearSystem:
+    """The table with the next period's first piece appended: row 0 times tau,
+    as P(tau q) = tau P(q), so the period's end is an interior breakpoint.
+    Raises ConstructError when that piece leaves the float range."""
+    with np.errstate(over="ignore"):
+        end, values = tau * sys.breakpoints[1], tau * sys.values[0]
+    if not np.isfinite([end, *values]).all():
+        raise ConstructError(f"window: the piece after q = {sys.q_hi:g} leaves the float range")
+    return replace(
+        sys, q_hi=float(end), breakpoints=np.append(sys.breakpoints, end),
+        values=np.vstack([sys.values, values]), slopes=np.vstack([sys.slopes, sys.slopes[:1]]),
+        labels=np.vstack([sys.labels, sys.labels[:1]]))
 
 
 def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> CheckReport:
-    """Run the full verification suite over a three-period window."""
-    sys3 = component_functions(g, t_base, t_base + 2)
+    """Run the full verification suite.  The table checks read period t_base
+    closed by the next period's first piece; t_base only places witnesses."""
+    sys1 = _close_period(component_functions(g, t_base, t_base), g.schedule.tau)
     results = [
-        check_system(sys3, tol),
+        check_system(sys1, tol),
         check_regular(g, tol),
-        check_proper_direct(sys3, tol),
+        check_proper_direct(sys1, tol),
         check_proper_nodes(g),
         check_proper_sufficient(g.weights, g.schedule),
         check_proper_termwise(g.weights, g.schedule),
         check_proper_m1(g.weights, g.schedule),
     ]
     if g.weights.d > 1:
-        results.append(check_subgraphs(g, t_base, t_base + 2, tol))
+        results.append(check_subgraphs(g, tol))
     return CheckReport(results=tuple(results))
 
 

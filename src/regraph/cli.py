@@ -159,15 +159,13 @@ def load_config(source: Union[str, Path, dict]) -> InstanceConfig:
     t_max = _require(window, "t_max", int, "window.t_max")
     if t_min > t_max:
         raise ValidationError(f"window: t_min={t_min} exceeds t_max={t_max}")
-    # check reads three periods from t_min whatever t_max is
-    t_end = max(t_max, t_min + 2) + 1
     try:
-        in_range = tau**t_min >= _sys.float_info.min and np.isfinite(tau**t_end)
+        in_range = tau**t_min >= _sys.float_info.min and np.isfinite(tau ** (t_max + 1))
     except OverflowError:
         in_range = False
     if not in_range:
         raise ValidationError(
-            f"window: tau^{t_min} .. tau^{t_end} leave the float range (tau={tau:g})")
+            f"window: tau^{t_min} .. tau^{t_max + 1} leave the float range (tau={tau:g})")
 
     tolerance = raw.get("tolerance", 1e-9)
     # the chained comparison is false for NaN, and bounds integers too

@@ -331,7 +331,7 @@ class RegularGraph:
     module).  lines is the period line table, derived from the other
     fields on construction (also by dataclasses.replace); u and v are
     read-only copies so that it cannot go stale.  Residue class f of
-    the d subgraphs is component_functions(g, ..., subgraph=f), with
+    the d subgraphs is the lines of that table with r = f (mod d), with
     slope alphabet weights.class_labels(f) and drift
     weights.class_gamma(f).
     """

@@ -8,12 +8,12 @@ lower point m steps later.  Above every abscissa q > 0 exactly n
 segments pass (l rising, m falling), and sorting their ordinates
 yields continuous piecewise-linear component functions P_1 <= ... <=
 P_n.  This module evaluates the component values at arbitrary q and
-extracts the full sorted system over an integer period window as a
-piece table: P pieces between P + 1 breakpoints,
-with (P, n) arrays of left-end values, slopes and slope-label codes.
-Only period 0 is extracted; since P(tau q) = tau P(q), every window
-is tiled from it.  The table's `pieces` attribute views the same rows
-as `Piece` objects, each built only when it is read.
+extracts the sorted system over an integer period window as a piece
+table: P pieces between P + 1 breakpoints, with (P, n) arrays of
+left-end values, slopes and slope-label codes.  Only period 0 is
+extracted; since P(tau q) = tau P(q), every window is tiled from it.
+The table's `pieces` attribute views the same rows as `Piece` objects,
+each built only when it is read.  Residue classes are not extracted.
 
 Both evaluation and extraction read the lines above each subinterval
 from the period line table the graph carries (`RegularGraph.lines`,
@@ -169,8 +169,6 @@ class PiecewiseLinearSystem:
     crossing abscissa.  Row i of the (P, n) arrays is the piece from
     breakpoints[i] to breakpoints[i+1]: values are the components at its
     left end, slopes their slopes and labels integer codes into alphabet.
-    gamma is the expected slope-sum on every piece (zero for the full
-    graph, the class drift for a residue subgraph).
     """
 
     n: int
@@ -181,7 +179,6 @@ class PiecewiseLinearSystem:
     values: np.ndarray
     slopes: np.ndarray
     labels: np.ndarray
-    gamma: float
     alphabet: tuple[tuple[str, int], ...]
 
     @property
@@ -199,24 +196,6 @@ class PiecewiseLinearSystem:
             np.asarray(q) - self.breakpoints[idx])[..., None]
 
 
-def _line_table(g: RegularGraph, subgraph: int | None, alphabet) -> tuple[np.ndarray, ...]:
-    """The columns of g.lines used by the extraction, row j per subinterval.
-
-    Keeps the lines in the residue class (exactly n/d per row), in the
-    table's identity order (kind, r): sigma_r, whether the line is based
-    in the period before, slope, node height and label code into alphabet.
-    """
-    w, lines = g.weights, g.lines
-    code_of = {lab: c for c, lab in enumerate(alphabet)}
-    code = np.array([code_of.get(lab, -1) for lab in w.slope_labels])[lines.label].astype(
-        np.min_scalar_type(-len(alphabet)))
-    cols = (lines.sigma, lines.wrapped, lines.slope, lines.height, code)
-    if subgraph is None:
-        return cols
-    keep = lines.r % w.d == subgraph
-    return tuple(a[keep].reshape(w.k, len(alphabet)) for a in cols)
-
-
 def _dedupe_crossings(qx: np.ndarray, count: np.ndarray) -> np.ndarray:
     """Which of each row's sorted crossings qx[:, :count] are kept.
 
@@ -232,9 +211,16 @@ def _dedupe_crossings(qx: np.ndarray, count: np.ndarray) -> np.ndarray:
     return keep
 
 
-def component_functions(
-    g: RegularGraph, t_lo: int, t_hi: int, subgraph: int | None = None
-) -> PiecewiseLinearSystem:
+def _tau_powers(tau: float, t_lo: int, t_hi: int) -> np.ndarray:
+    """tau^t for t = t_lo .. t_hi; ConstructError when one overflows a float."""
+    try:
+        return np.array([tau**t for t in range(t_lo, t_hi + 1)])
+    except OverflowError:
+        raise ConstructError(
+            f"window: tau^{t_lo} .. tau^{t_hi} leave the float range (tau={tau:g})") from None
+
+
+def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinearSystem:
     """Extract P_1 <= ... <= P_n over the window as a piece table.
 
     Period 0 is extracted: within each grid subinterval the active
@@ -248,32 +234,24 @@ def component_functions(
     by segment identity.  Period t is its tau^t tile: grid, breakpoints
     and values scaled, slopes and labels repeated.
 
-    With subgraph=f only the lines of residue class f are used; the
-    result then has n/d components whose slope sum is gamma_f instead
-    of zero.  Raises ConstructError when a line intercept of period 0,
-    or a tiled value or breakpoint, is not a finite float.
+    Raises ConstructError when a power of tau bounding the window, a
+    line intercept of period 0, or a tiled value or breakpoint is not a
+    finite float.
     """
     if t_lo > t_hi:
         raise EmptyWindow(f"t_lo={t_lo} exceeds t_hi={t_hi}")
-    w = g.weights
-    tau = g.schedule.tau
-    if subgraph is not None:
-        subgraph %= w.d
-        n = w.n_prime
-        gamma = w.class_gamma(subgraph)
-        alphabet = w.class_labels(subgraph)
-    else:
-        n = w.n
-        gamma = 0.0
-        alphabet = w.slope_labels
-    sig_r, wrapped, slope, height, code = _line_table(g, subgraph, alphabet)
+    w, lines = g.weights, g.lines
+    tau, n = g.schedule.tau, w.n
+    power = _tau_powers(tau, t_lo, t_hi + 1)
+    slope, height = lines.slope, lines.height
+    code = lines.label.astype(np.min_scalar_type(-n))
     sig = np.asarray(g.schedule.sigmas)
     ia, ib = np.triu_indices(n, 1)
     ds = slope[:, ia] - slope[:, ib]
 
     # period 0
     hi = np.append(sig[1:], tau)
-    x0 = np.where(wrapped, tau**-1, 1.0) * sig_r
+    x0 = np.where(lines.wrapped, tau**-1, 1.0) * lines.sigma
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         y0 = x0 * height
         c = y0 - slope * x0
@@ -295,8 +273,7 @@ def component_functions(
     slopes = slope[line]
 
     # the window: one tile of period 0 per period
-    scale = np.array([tau**t for t in range(t_lo, t_hi + 1)])
-    q_hi = tau ** (t_hi + 1)
+    scale, q_hi = power[:-1], power[-1]
     with np.errstate(over="ignore", invalid="ignore"):
         grid = np.append(np.multiply.outer(scale, sig), q_hi)
         breakpoints = np.append(np.multiply.outer(scale, p_lo), q_hi)
@@ -319,8 +296,7 @@ def component_functions(
         values=values,
         slopes=slopes,
         labels=labels,
-        gamma=gamma,
-        alphabet=alphabet,
+        alphabet=w.slope_labels,
     )
 
 

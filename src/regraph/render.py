@@ -17,7 +17,7 @@ from math import isfinite
 import numpy as np
 
 from .construct import ConstructError, RegularGraph
-from .graph import EmptyWindow
+from .graph import EmptyWindow, _tau_powers
 
 _STYLE = """
   .seg { stroke-width: 2; fill: none; stroke-linecap: round; }
@@ -48,11 +48,12 @@ def _chords(g: RegularGraph, t_lo: int, t_hi: int) -> tuple[np.ndarray, ...]:
     sig = np.array(g.schedule.sigmas)
     sig = np.concatenate([sig, tau * sig])  # sigma_r for 0 <= r < 2k
     periods = range(t_lo - 1, t_hi + 1)
-    power = np.array([tau**t for t in periods])[:, None, None]
+    power = _tau_powers(tau, t_lo - 1, t_hi + 1)
+    lo, hi = power[1], power[-1]
+    power = power[:-1, None, None]
     start = np.repeat(np.arange(w.k)[:, None], 2, axis=1)  # columns: rising, falling
     end = start + [w.l, w.m]
     height = np.column_stack([g.u, g.v])
-    lo, hi = tau**t_lo, tau ** (t_hi + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         x0, x1 = power * sig[start], power * sig[end]
         y0, y1 = x0 * height, x1 * height[end % w.k, [1, 0]]
@@ -81,7 +82,8 @@ def render_svg(
 ) -> str:
     """Render the window [tau^t_lo, tau^(t_hi+1)] as an SVG document.
 
-    Raises ConstructError when an ordinate to draw overflows a float.
+    Raises ConstructError when a power of tau bounding the window or an
+    ordinate to draw overflows a float.
     """
     periods, falls, x0, y0, x1, y1 = _chords(g, t_lo, t_hi)
     tau = g.schedule.tau

@@ -171,7 +171,7 @@ def test_check_proper_direct_fails_on_non_finite(fig_table, field, bad):
 
 def test_direct_check_window_translation_invariance(improper_instance, fig_instance):
     # P(tau q) = tau P(q): every verdict and normalised margin is the same
-    # wherever the three periods of run_all_checks start
+    # wherever the period run_all_checks reads starts
     graphs = [load_config(path).graph() for path in sorted(CONFIG_DIR.glob("*.json"))]
     graphs += [fig_instance, improper_instance,
                make_instance(2, 2, [1.0, 0.0], [1.0, 0.0], [1.5, 1.7])]  # class 1 all zero
@@ -275,6 +275,63 @@ def test_subgraph_check(l2m2_instance, l4m2_instance, fig_instance):
     assert analyze.check_subgraphs(l2m2_instance).status == "pass"
     assert analyze.check_subgraphs(l4m2_instance).status == "pass"
     assert analyze.check_subgraphs(fig_instance).status == "not-applicable"
+
+
+def test_subgraph_check_detects_perturbed_height(l4m2_instance):
+    # one u_r off moves only the lines of class r mod d
+    graphs = [l4m2_instance, make_instance(3, 6, [1.0, 1.5, 0.5], [0.5] * 6,
+                                           [1.3, 1.5, 1.2, 1.4, 1.25, 1.35])]
+    for g in graphs:
+        assert g.weights.d > 1
+        assert analyze.check_subgraphs(g).status == "pass"
+        for r in range(g.weights.k):
+            u = g.u.copy()
+            u[r] += 1e-6
+            res = analyze.check_subgraphs(dataclasses.replace(g, u=u))
+            assert res.status == "fail" and 1e-9 < res.margin < np.inf
+            assert res.witness["f"] == r % g.weights.d
+            assert res.note == "class lines off the class drift"
+
+
+@pytest.mark.parametrize("height", ["u", "v"])
+def test_subgraph_check_fails_on_nan_height(l4m2_instance, height):
+    g = l4m2_instance
+    for r in range(g.weights.k):
+        h = getattr(g, height).copy()
+        h[r] = np.nan
+        res = analyze.check_subgraphs(dataclasses.replace(g, **{height: h}))
+        assert res.status == "fail" and res.margin == np.inf
+        assert res.witness["f"] == r % g.weights.d
+        assert res.note == "non-finite class line value"
+
+
+@pytest.mark.parametrize("t_base", [-20, 0, 10])
+def test_closing_piece_tests_period_end(l4m2_instance, t_base):
+    # bend the period's last piece so that it still starts where it did but
+    # ends off the next period's first piece: the one jump sits at
+    # tau^(t_base+1), seen only once the period is closed
+    g = l4m2_instance
+    period = rg.component_functions(g, t_base, t_base)
+    slopes = period.slopes.copy()
+    slopes[-1, 0] -= 1e-4
+    slopes[-1, -1] += 1e-4
+    bent = dataclasses.replace(period, slopes=slopes)
+    assert analyze.check_system(bent).status == "pass"
+    closed = analyze._close_period(bent, g.schedule.tau)
+    assert len(closed.values) == len(period.values) + 1
+    res = analyze.check_system(closed)
+    assert res.status == "fail" and res.note == "component discontinuous across breakpoint"
+    assert res.witness["q"] == period.q_hi
+    assert analyze.check_system(analyze._close_period(period, g.schedule.tau)).status == "pass"
+
+
+def test_run_all_checks_extracts_once(l4m2_instance, monkeypatch):
+    calls = []
+    extract = analyze.component_functions
+    monkeypatch.setattr(analyze, "component_functions",
+                        lambda *args: calls.append(args) or extract(*args))
+    assert rg.run_all_checks(l4m2_instance, t_base=3).ok
+    assert calls == [(l4m2_instance, 3, 3)]
 
 
 def test_report_lines_and_entry(fig_instance):

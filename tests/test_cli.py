@@ -444,7 +444,7 @@ def test_unrepresentable_schedule_exits_two(tmp_path, capsys, l, m, rho):
     {"t_min": 2000, "t_max": 2000},
     {"t_min": -1200, "t_max": 0},  # tau^t_min vanishes
     {"t_min": -2000, "t_max": -1999},
-    {"t_min": 1021, "t_max": 1021},  # fits, but check's three periods do not
+    {"t_min": 1023, "t_max": 1023},  # tau^t_min fits, tau^(t_max + 1) = 2^1024 does not
 ])
 @pytest.mark.parametrize("command", ["build", "check", "eval", "plot", "export"])
 def test_out_of_range_window_exits_two(window, command, tmp_path, capsys):
@@ -467,6 +467,44 @@ def test_window_at_float_range_edges_accepted(window, tmp_path, capsys):
     doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [2], "window": window}
     assert main(["check", write_config(tmp_path, "edge.json", doc)]) == 0
     assert capsys.readouterr().out.endswith("all applicable checks passed\n")
+
+
+@pytest.mark.parametrize("command", ["build", "check", "eval", "plot", "export"])
+def test_last_period_below_largest_float_accepted(command, tmp_path, capsys):
+    # the window rule reads only [tau^t_min, tau^(t_max+1)]: one period
+    # ending at 2^1022 runs in every subcommand, check included
+    doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [2],
+           "window": {"t_min": 1021, "t_max": 1021}}
+    extra = {"eval": ["--q", "1"], "plot": ["--out", str(tmp_path / "g.svg")],
+             "export": ["--out", str(tmp_path / "g.csv")]}.get(command, [])
+    assert main([command, write_config(tmp_path, "top.json", doc), *extra]) == 0
+    assert capsys.readouterr().err == ""
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command, code", [
+    ("build", 0), ("check", 2), ("eval", 0), ("plot", 2), ("export", 0)])
+def test_check_closing_piece_past_largest_float(command, code, tmp_path, capsys):
+    # tau = 3: the period 3^645 .. 3^646 fits, but the piece after it, which
+    # check reads to close the period, ends at 2 * 3^646 and does not.  check
+    # exits 2 with one error line, never a failed check or a traceback; plot
+    # exits 2 because its padded ordinate range overflows
+    doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [3],
+           "window": {"t_min": 645, "t_max": 645}}
+    extra = {"eval": ["--q", "1"], "plot": ["--out", str(tmp_path / "g.svg")],
+             "export": ["--out", str(tmp_path / "g.csv")]}.get(command, [])
+    assert main([command, write_config(tmp_path, "top.json", doc), *extra]) == code
+    captured = capsys.readouterr()
+    if code == 2:
+        assert captured.out == ""
+        assert captured.err.startswith("error: input: window:")
+        assert captured.err.count("\n") == 1
+    else:
+        assert captured.err == ""
+    if command == "check":
+        doc["window"] = {"t_min": 644, "t_max": 644}
+        assert main(["check", write_config(tmp_path, "below.json", doc)]) == 0
+        assert capsys.readouterr().out.endswith("all applicable checks passed\n")
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

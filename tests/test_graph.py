@@ -6,6 +6,7 @@ from regraph.graph import EmptyWindow, NegativeAbscissa, NonFiniteAbscissa
 from regraph.render import _chords
 
 from conftest import make_instance, random_instance
+from reference_extraction import reference_extract, reference_table_values
 
 
 # ------------------------------------------------------------------ chords
@@ -302,20 +303,32 @@ def test_coincident_lines_survive_extraction():
         assert sorted(piece.labels) == alphabet
 
 
+@pytest.mark.parametrize("call", [
+    lambda g: rg.component_functions(g, 0, 2000),
+    lambda g: rg.render_svg(g, 0, 2000),
+    lambda g: rg.run_all_checks(g, t_base=2000),
+], ids=["component_functions", "render_svg", "run_all_checks"])
+def test_window_power_overflow_is_typed(call):
+    # tau = 2: tau^2000 is not a float
+    g = make_instance(1, 1, (1.0,), (1.0,), [2.0])
+    with pytest.raises(rg.ConstructError, match="^window: "):
+        call(g)
+
+
 def test_subgraph_extraction(l4m2_instance):
+    # the reference cell loop extracts each class as a system of its own
     g = l4m2_instance
     w = g.weights
     rng = np.random.default_rng(5)
     for f in range(w.d):
         labels, gamma = w.class_labels(f), w.class_gamma(f)
-        sub = rg.component_functions(g, 0, 1, subgraph=f)
-        assert sub.n == w.n_prime
-        assert sub.alphabet == labels
-        assert sub.gamma == pytest.approx(gamma, abs=1e-14)
-        for piece in sub.pieces:
-            assert sorted(piece.labels) == sorted(labels)
-        for q in rng.uniform(sub.q_lo, sub.q_hi, size=12):
-            vals = sub.values_at(float(q))
+        table = reference_extract(g, 0, 1, subgraph=f)
+        grid, bp, values, _, piece_labels = table
+        assert values.shape == (len(bp) - 1, w.n_prime)
+        for row in piece_labels:
+            assert sorted(row) == sorted(labels)
+        for q in rng.uniform(grid[0], grid[-1], size=12):
+            vals = reference_table_values(table, float(q))
             assert abs(vals.sum() - gamma * q) <= 1e-9 * max(1.0, abs(gamma * q))
 
 
@@ -323,7 +336,7 @@ def test_subgraphs_partition_full_system(l2m2_instance):
     g = l2m2_instance
     rng = np.random.default_rng(6)
     full = rg.component_functions(g, 0, 1)
-    subs = [rg.component_functions(g, 0, 1, subgraph=f) for f in range(g.weights.d)]
+    subs = [reference_extract(g, 0, 1, subgraph=f) for f in range(g.weights.d)]
     for q in rng.uniform(full.q_lo, full.q_hi, size=20):
-        merged = np.sort(np.concatenate([s.values_at(float(q)) for s in subs]))
+        merged = np.sort(np.concatenate([reference_table_values(s, float(q)) for s in subs]))
         assert np.allclose(merged, full.values_at(float(q)), rtol=1e-9, atol=1e-12)

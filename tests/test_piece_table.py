@@ -1,8 +1,8 @@
 """The array-backed piece table against the per-piece loops it replaces.
 
-The reference functions below are the loop forms that walked `Piece`
-objects one at a time: the per-subinterval extraction (`_Line` objects,
-all-pairs crossings, one sort per piece), `check_system`,
+The reference functions are the loop forms that walked `Piece` objects
+one at a time: the per-subinterval extraction (all-pairs crossings, one
+sort per piece, in `reference_extraction`), and below `check_system`,
 `check_proper_direct` and `cmd_export`.  Beside them is `evaluate` as
 it was before the graph carried its period line table: a linear scan
 over sigma and the active lines rebuilt on every call.  The array
@@ -17,7 +17,6 @@ stays its oracle up to rounding.
 import dataclasses
 import json
 import sys
-from itertools import combinations
 from math import floor, lcm, log
 from pathlib import Path
 
@@ -29,76 +28,10 @@ from regraph import analyze, graph
 from regraph.cli import load_config, main
 
 from conftest import make_instance
+from reference_extraction import reference_active_lines, reference_dedupe, reference_extract
 
 N_INSTANCES = 50
 N_EXTRACT = 60
-CROSSING_REL_TOL = 1e-12
-
-
-def reference_active_lines(g, t, j):
-    """(kind, r, t, x0, y0, slope, label) of the n lines above subinterval j of period t."""
-    w = g.weights
-    lines = []
-    for kind, count in (("A", w.l), ("B", w.m)):
-        for c in range(count):
-            r0 = j - c
-            tt, r = (t, r0) if r0 >= 0 else (t - 1, r0 + w.k)
-            x0 = g.schedule.tau**tt * g.schedule.sigma_at(r)
-            if kind == "A":
-                y0 = x0 * float(g.u[r])
-                slope, label = w.alpha_at(r + 1), ("A", (r % w.l) + 1)
-            else:
-                y0 = x0 * float(g.v[r])
-                slope, label = -w.beta_at(r + 1), ("B", (r % w.m) + 1)
-            lines.append((kind, r, tt, x0, y0, slope, label))
-    return lines
-
-
-def reference_crossings(lines, q_lo, q_hi):
-    found = []
-    for a, b in combinations(lines, 2):
-        ds = a[5] - b[5]
-        if ds == 0.0:
-            continue
-        qx = ((b[4] - b[5] * b[3]) - (a[4] - a[5] * a[3])) / ds
-        tol = CROSSING_REL_TOL * abs(qx)
-        if q_lo + tol < qx < q_hi - tol:
-            found.append(qx)
-    return reference_dedupe(sorted(found))
-
-
-def reference_dedupe(found):
-    out = []
-    for qx in found:
-        if not out or qx - out[-1] > CROSSING_REL_TOL * qx:
-            out.append(qx)
-    return out
-
-
-def reference_extract(g, t_lo, t_hi, subgraph=None):
-    """grid, breakpoints, values, slopes and label tuples from the cell loop."""
-    w, tau = g.weights, g.schedule.tau
-    value_at = lambda ln, q: ln[4] + ln[5] * (q - ln[3])
-    grid, cells = [], []
-    for t in range(t_lo, t_hi + 1):
-        for j in range(w.k):
-            grid.append(tau**t * g.schedule.sigmas[j])
-            cells.append((t, j))
-    grid.append(tau ** (t_hi + 1))
-    breakpoints, values, slopes, labels = [grid[0]], [], [], []
-    for idx, (t, j) in enumerate(cells):
-        lines = reference_active_lines(g, t, j)
-        if subgraph is not None:
-            lines = [ln for ln in lines if ln[1] % w.d == subgraph]
-        bounds = [grid[idx], *reference_crossings(lines, grid[idx], grid[idx + 1]), grid[idx + 1]]
-        for p_lo, p_hi in zip(bounds[:-1], bounds[1:]):
-            mid = 0.5 * (p_lo + p_hi)
-            order = sorted(lines, key=lambda ln: (value_at(ln, mid), ln[:3]))
-            values.append([value_at(ln, p_lo) for ln in order])
-            slopes.append([ln[5] for ln in order])
-            labels.append(tuple(ln[6] for ln in order))
-            breakpoints.append(p_hi)
-    return np.array(grid), np.array(breakpoints), np.array(values), np.array(slopes), labels
 
 
 def reference_rel(x, q, w):
@@ -126,7 +59,7 @@ def reference_check_system(sys, tol=1e-9):
                 "system", analyze.FAIL, tol, reference_rel(float(gaps.min()), piece.q_lo, w_max),
                 {"piece": pi, "q": piece.q_lo}, note="components out of order")
         for q in (piece.q_lo, 0.5 * (piece.q_lo + piece.q_hi), piece.q_hi):
-            resid = abs(float(np.sum(piece.values_at(q))) - sys.gamma * q)
+            resid = abs(float(np.sum(piece.values_at(q))))
             rel = reference_rel(resid, q, w_max)
             if rel > worst:
                 worst, witness = rel, {"q": q, "kind": "sum"}
@@ -303,18 +236,18 @@ def reference_tile(g, sys0, t_lo, t_hi):
     return np.array(grid), np.array(bp), np.array(values)
 
 
-def check_tiled_window(g, t_lo, t_hi, f):
+def check_tiled_window(g, t_lo, t_hi):
     """Period 0 is the cell loop's, bit for bit; the window is its tiles, bit
     for bit; and the cell loop over the window agrees up to rounding."""
-    sys0 = rg.component_functions(g, 0, 0, subgraph=f)
-    grid, bp, values, slopes, labels = reference_extract(g, 0, 0, f)
+    sys0 = rg.component_functions(g, 0, 0)
+    grid, bp, values, slopes, labels = reference_extract(g, 0, 0)
     assert same_bits(sys0.grid, grid)
     assert same_bits(sys0.breakpoints, bp)
     assert same_bits(sys0.values, values)
     assert same_bits(sys0.slopes, slopes)
     assert [tuple(sys0.alphabet[c] for c in row) for row in sys0.labels] == labels
 
-    sys = rg.component_functions(g, t_lo, t_hi, subgraph=f)
+    sys = rg.component_functions(g, t_lo, t_hi)
     periods = t_hi - t_lo + 1
     grid, bp, values = reference_tile(g, sys0, t_lo, t_hi)
     assert same_bits(sys.grid, grid)
@@ -324,7 +257,7 @@ def check_tiled_window(g, t_lo, t_hi, f):
     assert np.array_equal(sys.labels, np.tile(sys0.labels, (periods, 1)))
     assert (sys.q_lo, sys.q_hi) == (grid[0], grid[-1])
 
-    grid, bp, values, slopes, labels = reference_extract(g, t_lo, t_hi, f)
+    grid, bp, values, slopes, labels = reference_extract(g, t_lo, t_hi)
     assert same_bits(sys.grid, grid)
     assert len(sys.breakpoints) == len(bp)
     assert [tuple(sys.alphabet[c] for c in row) for row in sys.labels] == labels
@@ -340,12 +273,9 @@ def test_extraction_matches_loop(all_fixture_instances):
     for i in range(N_EXTRACT):
         cfg = load_config(extract_doc(i))
         cases.append((cfg.graph(), cfg.t_min, cfg.t_max))
-    checked = set()
     for g, t_lo, t_hi in cases:
-        for f in (None, *range(g.weights.d)):
-            check_tiled_window(g, t_lo, t_hi, f)
-            checked.add((g.weights.d, f is None))
-    assert {(1, True), (2, True), (2, False)} <= checked
+        check_tiled_window(g, t_lo, t_hi)
+    assert {g.weights.d for g, _, _ in cases} >= {1, 2}
 
 
 def test_pieces_are_row_views(fig_instance):
@@ -368,8 +298,6 @@ def system_cases(fig_instance, l2m2_instance):
         cfg = load_config(extract_doc(i))
         g = cfg.graph()
         cases.append((f"random{i}", rg.component_functions(g, cfg.t_min, cfg.t_max)))
-        for f in range(g.weights.d):
-            cases.append((f"random{i}/f{f}", rg.component_functions(g, cfg.t_min, cfg.t_max, f)))
     for g in (fig_instance, l2m2_instance):
         sys = rg.component_functions(g, 0, 1)
         p = len(sys.values) // 2
@@ -532,8 +460,7 @@ def test_line_table_follows_replaced_heights(l4m2_instance):
     for q in (0.37, 1.0, 1.3, 2.9, 41.0):
         assert same_bits(rg.evaluate(g2, q), reference_evaluate(g2, q))
         assert not np.array_equal(rg.evaluate(g2, q), rg.evaluate(g, q))
-    for f in (None, *range(g.weights.d)):
-        check_tiled_window(g2, -1, 1, f)
+    check_tiled_window(g2, -1, 1)
 
 
 def test_line_table_order():
