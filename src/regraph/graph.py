@@ -27,6 +27,7 @@ abscissae [tau^t_lo, tau^(t_hi+1)].
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -212,12 +213,17 @@ def _dedupe_crossings(qx: np.ndarray, count: np.ndarray) -> np.ndarray:
 
 
 def _tau_powers(tau: float, t_lo: int, t_hi: int) -> np.ndarray:
-    """tau^t for t = t_lo .. t_hi; ConstructError when one overflows a float."""
+    """tau^t for t = t_lo .. t_hi; ConstructError when one overflows a float or
+    falls below the smallest normal float, the window rule of `load_config`."""
     try:
-        return np.array([tau**t for t in range(t_lo, t_hi + 1)])
+        power = np.array([tau**t for t in range(t_lo, t_hi + 1)])
+        in_range = power[0] >= sys.float_info.min
     except OverflowError:
+        in_range = False
+    if not in_range:
         raise ConstructError(
-            f"window: tau^{t_lo} .. tau^{t_hi} leave the float range (tau={tau:g})") from None
+            f"window: tau^{t_lo} .. tau^{t_hi} leave the float range (tau={tau:g})")
+    return power
 
 
 def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinearSystem:
@@ -234,9 +240,9 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
     by segment identity.  Period t is its tau^t tile: grid, breakpoints
     and values scaled, slopes and labels repeated.
 
-    Raises ConstructError when a power of tau bounding the window, a
-    line intercept of period 0, or a tiled value or breakpoint is not a
-    finite float.
+    Raises ConstructError when a power of tau bounding the window is not
+    a finite normal float, or a line intercept of period 0 or a tiled
+    value or breakpoint is not a finite float.
     """
     if t_lo > t_hi:
         raise EmptyWindow(f"t_lo={t_lo} exceeds t_hi={t_hi}")

@@ -48,7 +48,9 @@ def _chords(g: RegularGraph, t_lo: int, t_hi: int) -> tuple[np.ndarray, ...]:
     sig = np.array(g.schedule.sigmas)
     sig = np.concatenate([sig, tau * sig])  # sigma_r for 0 <= r < 2k
     periods = range(t_lo - 1, t_hi + 1)
-    power = _tau_powers(tau, t_lo - 1, t_hi + 1)
+    # period t_lo - 1 only lends chords that reach into the window, so its power
+    # may be subnormal
+    power = np.insert(_tau_powers(tau, t_lo, t_hi + 1), 0, tau ** (t_lo - 1))
     lo, hi = power[1], power[-1]
     power = power[:-1, None, None]
     start = np.repeat(np.arange(w.k)[:, None], 2, axis=1)  # columns: rising, falling
@@ -82,8 +84,8 @@ def render_svg(
 ) -> str:
     """Render the window [tau^t_lo, tau^(t_hi+1)] as an SVG document.
 
-    Raises ConstructError when a power of tau bounding the window or an
-    ordinate to draw overflows a float.
+    Raises ConstructError when a power of tau bounding the window is not a
+    finite normal float, or an ordinate to draw overflows a float.
     """
     periods, falls, x0, y0, x1, y1 = _chords(g, t_lo, t_hi)
     tau = g.schedule.tau

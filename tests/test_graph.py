@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -313,6 +315,33 @@ def test_window_power_overflow_is_typed(call):
     g = make_instance(1, 1, (1.0,), (1.0,), [2.0])
     with pytest.raises(rg.ConstructError, match="^window: "):
         call(g)
+
+
+WINDOW_CALLS = {
+    "component_functions": lambda g, t: rg.component_functions(g, t, t),
+    "render_svg": lambda g, t: rg.render_svg(g, t, t),
+    "run_all_checks": lambda g, t: rg.run_all_checks(g, t_base=t),
+}
+
+
+# tau = 2: 2^-1022 is the smallest normal float, as in load_config's window rule
+@pytest.mark.parametrize("t", [-1023, -1074, -2000])
+@pytest.mark.parametrize("name", WINDOW_CALLS)
+def test_window_below_normal_floats_is_typed(name, t):
+    g = make_instance(1, 1, (1.0,), (1.0,), [2.0])
+    with pytest.raises(rg.ConstructError, match="^window: "):
+        WINDOW_CALLS[name](g, t)
+
+
+@pytest.mark.parametrize("name", WINDOW_CALLS)
+def test_window_at_smallest_normal_float_runs(name):
+    g = make_instance(1, 1, (1.0,), (1.0,), [2.0])
+    result = WINDOW_CALLS[name](g, -1022)
+    if name == "component_functions":
+        assert result.q_lo == sys.float_info.min
+        assert np.isfinite(result.values).all()
+    if name == "run_all_checks":
+        assert result.ok
 
 
 def test_subgraph_extraction(l4m2_instance):
