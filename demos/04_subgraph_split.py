@@ -29,12 +29,11 @@ for f in range(w.d):
 print(f"  drift rates sum to {sum(w.class_gamma(f) for f in range(w.d)):+.1e}")
 
 # q = 1.7 lies in period 0, [1, tau); row j of the line table holds the
-# n lines above it, each through (x0, x0 * height) with the given slope
+# n lines above it, each through its anchor (x0, y0) with the given slope
 q = 1.7
 lines = g.lines
 j = bisect_right(g.schedule.sigmas, q) - 1
-x0 = np.where(lines.wrapped[j], 1.0 / g.tau, 1.0) * lines.sigma[j]
-on_line = x0 * lines.height[j] + lines.slope[j] * (q - x0)
+on_line = lines.y0[j] + lines.slope[j] * (q - lines.x0[j])
 parts = []
 for f in range(w.d):
     vals = np.sort(on_line[lines.r[j] % w.d == f])

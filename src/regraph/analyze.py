@@ -319,10 +319,9 @@ def check_subgraphs(g: RegularGraph, tol: float = 1e-9) -> CheckResult:
                            note="class drifts do not cancel")
     sig = np.asarray(g.schedule.sigmas)
     x = np.stack([sig, np.append(sig[1:], tau)])[:, None, :]  # (end, 1, j)
-    x0 = np.where(lines.wrapped, tau**-1, 1.0) * lines.sigma
     in_class = lines.r % w.d == np.arange(w.d)[:, None, None]  # (f, j, line)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.where(in_class, x0 * lines.height + lines.slope * (x[..., None] - x0), 0.0)
+        terms = np.where(in_class, lines.y0 + lines.slope * (x[..., None] - lines.x0), 0.0)
         resid = np.abs(terms.sum(axis=-1) - gamma[:, None] * x)
     rel = _rel(resid, x, np.max(np.abs(lines.slope)))
     rel[~np.isfinite(terms).all(axis=-1)] = np.inf

@@ -28,7 +28,7 @@ from .construct import (
     RegularGraph,
     build_graph,
 )
-from .graph import component_functions, evaluate
+from .graph import _check_window, component_functions, evaluate
 from .render import render_svg
 from .weights import WeightError, Weights, validate_weights
 
@@ -160,12 +160,9 @@ def load_config(source: Union[str, Path, dict]) -> InstanceConfig:
     if t_min > t_max:
         raise ValidationError(f"window: t_min={t_min} exceeds t_max={t_max}")
     try:
-        in_range = tau**t_min >= _sys.float_info.min and np.isfinite(tau ** (t_max + 1))
-    except OverflowError:
-        in_range = False
-    if not in_range:
-        raise ValidationError(
-            f"window: tau^{t_min} .. tau^{t_max + 1} leave the float range (tau={tau:g})")
+        _check_window(tau, t_min, t_max + 1)
+    except ConstructError as exc:
+        raise ValidationError(str(exc)) from exc
 
     tolerance = raw.get("tolerance", 1e-9)
     # the chained comparison is false for NaN, and bounds integers too

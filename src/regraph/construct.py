@@ -285,19 +285,18 @@ class LineTable:
     j-m+1.  An index below zero wraps into the period before.  Each kind
     is stored in ascending order of its segment index r (mod k), the
     identity order the extraction ranks ties by.  There is exactly one
-    line per slope label.  Per line: r, whether it wrapped (r > j),
-    sigma_r, slope, node height (u_r rising, v_r falling) and label, an
-    index into weights.slope_labels.  In period t a line passes through
-    x0 = tau^t sigma_r (tau^(t-1) if wrapped) at height x0 * height.
-    None of it depends on the period.  All arrays are (k, n) and
-    read-only.
+    line per slope label.  Per line: r, its anchor in period 0, slope
+    and label, an index into weights.slope_labels.  The anchor is the
+    line's base node: x0 = sigma_r (tau^-1 sigma_r if r wrapped, r > j)
+    and y0 = x0 * height, the node height u_r rising or v_r falling (inf
+    where that overflows).  In period t the line passes through
+    (tau^t x0, tau^t y0).  All arrays are (k, n) and read-only.
     """
 
     r: np.ndarray
-    wrapped: np.ndarray
-    sigma: np.ndarray
+    x0: np.ndarray
+    y0: np.ndarray
     slope: np.ndarray
-    height: np.ndarray
     label: np.ndarray
 
     @classmethod
@@ -307,13 +306,15 @@ class LineTable:
         j = np.arange(k)[:, None]
         r = np.concatenate([np.sort((j - np.arange(c)) % k, axis=1) for c in (l, m)], axis=1)
         falls = np.arange(weights.n) >= l
+        x0 = np.where(r > j, schedule.tau**-1, 1.0) * np.asarray(schedule.sigmas)[r]
+        with np.errstate(over="ignore"):
+            y0 = x0 * np.where(falls, v[r], u[r])
         table = cls(
             r=r,
-            wrapped=r > j,
-            sigma=np.asarray(schedule.sigmas)[r],
+            x0=x0,
+            y0=y0,
             slope=np.where(falls, -np.asarray(weights.beta)[r % m],
                            np.asarray(weights.alpha)[r % l]),
-            height=np.where(falls, v[r], u[r]),
             label=np.where(falls, l + r % m, r % l),
         )
         for a in vars(table).values():

@@ -17,9 +17,11 @@ each built only when it is read.  Residue classes are not extracted.
 
 Both evaluation and extraction read the lines above each subinterval
 from the period line table the graph carries (`RegularGraph.lines`,
-built once with the graph).  `evaluate` finds the subinterval by
-bisection over sigma and builds no arrays from the graph's fields, so
-a call costs O(log k + n log n).
+built once with the graph), where each line is its slope and its
+anchor (x0, y0) in period 0.  `evaluate` is the same view of period 0:
+it maps q to x = q / tau^s in [1, tau), finds the subinterval by
+bisection over sigma and scales that row's values back by tau^s, so a
+call costs O(log k + n log n).
 
 Window convention: a window (t_lo, t_hi) of period indices covers
 abscissae [tau^t_lo, tau^(t_hi+1)].
@@ -38,9 +40,6 @@ import numpy as np
 from .construct import ConstructError, RegularGraph
 
 CROSSING_REL_TOL = 1e-12
-BOUNDARY_SNAP_REL = 1e-12
-# powers of tau with |log| below this are normal, finite floats
-_LOG_POWER_RANGE = 700.0
 
 
 class NegativeAbscissa(ValueError):
@@ -55,43 +54,17 @@ class EmptyWindow(ValueError):
     """Period windows need t_lo <= t_hi."""
 
 
-def _locate(g: RegularGraph, q: float) -> tuple[int, int]:
-    """Period index t and subinterval index j with tau^t sigma_j <= q.
-
-    Uses floor(log_tau q) with a relative snap guard so that abscissae
-    within 1e-12 of a grid value are classified onto it (evaluation is
-    continuous either way; the guard keeps piece identities stable).
-    """
-    tau = g.schedule.tau
-    t = floor(log(q) / log(tau))
-    # the log can land one off at boundaries; fix up, then snap
-    while tau ** (t + 1) <= q:
-        t += 1
-    while tau**t > q:
-        t -= 1
-    if q >= tau ** (t + 1) * (1.0 - BOUNDARY_SNAP_REL):
-        t += 1
-    x = q / tau**t
-    sig = g.schedule.sigmas
-    k = g.weights.k
-    # x can sit just below sigma_0 = 1 after the snap
-    j = max(bisect_right(sig, x) - 1, 0)
-    nxt = sig[j + 1] if j + 1 < k else tau
-    if x >= nxt * (1.0 - BOUNDARY_SNAP_REL):
-        j += 1
-        if j == k:
-            t, j = t + 1, 0
-    return t, j
-
-
 def evaluate(g: RegularGraph, q: float) -> np.ndarray:
     """Sorted ordinates of the n graph points above abscissa q.
 
     Defined for finite q >= 0; at q = 0 all components vanish, and up
     to the largest float they stay finite wherever they fit one.  Not
-    limited to any materialized window: the n lines above q are row j
-    of the graph's period line table, placed in whatever period q
-    falls in.  Costs O(log k + n log n) per call.
+    limited to any materialized window: as P(tau^s x) = tau^s P(x), the
+    n values are row j of the graph's period line table at x = q / tau^s
+    in period 0, scaled by tau^s = a * b in two halves that stay in the
+    float range.  An x that rounds just outside row j reads a neighbouring
+    row, which agrees at the shared grid abscissa.  Costs O(log k + n log
+    n) per call.
     """
     if not isfinite(q):
         raise NonFiniteAbscissa(f"q = {q}")
@@ -101,21 +74,16 @@ def evaluate(g: RegularGraph, q: float) -> np.ndarray:
         return np.zeros(g.weights.n)
     tau = g.schedule.tau
     s = floor(log(q) / log(tau))
-    a = b = 1.0
-    if (abs(s) + 2) * log(tau) >= _LOG_POWER_RANGE:
-        # _locate's tau^(s+2) would overflow or tau^(s-2) vanish: use
-        # P(q) = tau^s P(q / tau^s), with tau^s = a * b in two in-range halves
-        a, b = tau ** (s // 2), tau ** (s - s // 2)
+    a, b = tau ** (s // 2), tau ** (s - s // 2)
     x = q / a / b
-    t, j = _locate(g, x)
+    j = max(bisect_right(g.schedule.sigmas, x) - 1, 0)
     lines = g.lines
-    x0 = np.where(lines.wrapped[j], tau ** (t - 1), tau**t) * lines.sigma[j]
-    vals = x0 * lines.height[j] + lines.slope[j] * (x - x0)
-    vals.sort()
-    if a == b == 1.0:
-        return vals
     with np.errstate(over="ignore"):  # a component beyond the float range is +-inf
-        return vals * a * b
+        vals = lines.y0[j] + lines.slope[j] * (x - lines.x0[j])
+        vals.sort()
+        vals *= a
+        vals *= b
+    return vals
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,18 +180,22 @@ def _dedupe_crossings(qx: np.ndarray, count: np.ndarray) -> np.ndarray:
     return keep
 
 
-def _tau_powers(tau: float, t_lo: int, t_hi: int) -> np.ndarray:
-    """tau^t for t = t_lo .. t_hi; ConstructError when one overflows a float or
-    falls below the smallest normal float, the window rule of `load_config`."""
+def _check_window(tau: float, t_lo: int, t_hi: int) -> None:
+    """ConstructError unless tau^t_lo is at least the smallest normal float and
+    tau^t_hi is finite: the float range of a window's abscissae."""
     try:
-        power = np.array([tau**t for t in range(t_lo, t_hi + 1)])
-        in_range = power[0] >= sys.float_info.min
+        in_range = tau**t_lo >= sys.float_info.min and isfinite(tau**t_hi)
     except OverflowError:
         in_range = False
     if not in_range:
         raise ConstructError(
             f"window: tau^{t_lo} .. tau^{t_hi} leave the float range (tau={tau:g})")
-    return power
+
+
+def _tau_powers(tau: float, t_lo: int, t_hi: int) -> np.ndarray:
+    """tau^t for t = t_lo .. t_hi, after _check_window."""
+    _check_window(tau, t_lo, t_hi)
+    return np.array([tau**t for t in range(t_lo, t_hi + 1)])
 
 
 def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinearSystem:
@@ -249,7 +221,7 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
     w, lines = g.weights, g.lines
     tau, n = g.schedule.tau, w.n
     power = _tau_powers(tau, t_lo, t_hi + 1)
-    slope, height = lines.slope, lines.height
+    x0, y0, slope = lines.x0, lines.y0, lines.slope
     code = lines.label.astype(np.min_scalar_type(-n))
     sig = np.asarray(g.schedule.sigmas)
     ia, ib = np.triu_indices(n, 1)
@@ -257,9 +229,7 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
 
     # period 0
     hi = np.append(sig[1:], tau)
-    x0 = np.where(lines.wrapped, tau**-1, 1.0) * lines.sigma
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        y0 = x0 * height
         c = y0 - slope * x0
         dc = c[:, ib] - c[:, ia]
         qx = dc / ds

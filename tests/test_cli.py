@@ -248,21 +248,25 @@ def test_cmd_eval_largest_q(capsys):
 
 
 def test_cmd_eval_overflowing_component_is_quiet(tmp_path):
-    # 4 * 1.7e308 does not fit a float: the components print as -inf/inf,
-    # and numpy's overflow warning must not reach stderr
-    doc = {"l": 1, "m": 1, "alpha": [4], "beta": [4], "rho": [2],
-           "window": {"t_min": 0, "t_max": 1}}
+    # 4 * 1.7e308 does not fit a float, nor do the period-0 values of weights
+    # 8e307 at q = 1e300: the components print as -inf/inf, and numpy's
+    # overflow warning must not reach stderr
+    cases = [({"l": 1, "m": 1, "alpha": [4], "beta": [4], "rho": [2],
+               "window": {"t_min": 0, "t_max": 1}}, "1.7e308"),
+             ({"l": 1, "m": 1, "alpha": [8e307], "beta": [8e307], "rho": [2],
+               "window": {"t_min": 0, "t_max": 0}}, "1e300")]
     env = dict(os.environ)
     src = str(CONFIG_DIR.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "regraph", "eval", write_config(tmp_path, "big.json", doc),
-         "--q", "1.7e308"],
-        capture_output=True, text=True, env=env, cwd=tmp_path,
-    )
-    assert proc.returncode == 0
-    assert proc.stdout.split() == ["-inf", "inf"]
-    assert proc.stderr == ""
+    for i, (doc, q) in enumerate(cases):
+        proc = subprocess.run(
+            [sys.executable, "-m", "regraph", "eval",
+             write_config(tmp_path, f"big{i}.json", doc), "--q", q],
+            capture_output=True, text=True, env=env, cwd=tmp_path,
+        )
+        assert proc.returncode == 0, doc
+        assert proc.stdout.split() == ["-inf", "inf"], doc
+        assert proc.stderr == "", doc
 
 
 # -------------------------------------------------------------------- plot

@@ -3,20 +3,24 @@
 The reference functions are the loop forms that walked `Piece` objects
 one at a time: the per-subinterval extraction (all-pairs crossings, one
 sort per piece, in `reference_extraction`), and below `check_system`,
-`check_proper_direct` and `cmd_export`.  Beside them is `evaluate` as
-it was before the graph carried its period line table: a linear scan
-over sigma and the active lines rebuilt on every call.  The array
-forms do the same float operations in the same order, so results must
-agree exactly: bit-identical tables and values, the same status,
-margin and witness, and the same CSV bytes.  The one exception is a
-window other than period 0: it is the tau^t tile of period 0, pinned
-bit for bit to a loop that scales it, while the per-period extraction
-stays its oracle up to rounding.
+`check_proper_direct` and `cmd_export`.  Beside them is `evaluate`
+without the period line table: a linear scan over sigma and the
+active lines rebuilt on every call.  The array forms do the same float
+operations in the same order, so results must agree exactly:
+bit-identical tables and values, the same status, margin and witness,
+and the same CSV bytes.  The exceptions are a window other than period
+0, the tau^t tile of period 0, pinned bit for bit to a loop that
+scales it while the per-period extraction stays its oracle up to
+rounding; and `evaluate`, held within 1e-12 q W of the boundary-snap
+formula it replaced and within 1e-14 q W of exact rational evaluation.
 """
 
 import dataclasses
+import functools
 import json
 import sys
+from bisect import bisect_right
+from fractions import Fraction
 from math import floor, lcm, log
 from pathlib import Path
 
@@ -373,67 +377,88 @@ def reference_lines(g, j):
     return wrapped, np.asarray(g.schedule.sigmas)[r], slope, height
 
 
-def reference_locate(g, q):
-    tau = g.schedule.tau
-    t = floor(log(q) / log(tau))
-    while tau ** (t + 1) <= q:
-        t += 1
-    while tau**t > q:
-        t -= 1
-    if q >= tau ** (t + 1) * (1.0 - graph.BOUNDARY_SNAP_REL):
-        t += 1
-    x = q / tau**t
-    sig = g.schedule.sigmas
-    k = g.weights.k
-    j = k - 1
+def reference_evaluate(g, q):
+    """evaluate's rule on rebuilt lines: x = q / tau^s in period 0, the last
+    row j with sigma_j <= x by a linear scan, scaled back by tau^s in halves."""
+    if q == 0:
+        return np.zeros(g.weights.n)
+    tau, sig = g.schedule.tau, g.schedule.sigmas
+    s = floor(log(q) / log(tau))
+    a, b = tau ** (s // 2), tau ** (s - s // 2)
+    x = q / a / b
+    j = len(sig) - 1
     while j > 0 and sig[j] > x:
         j -= 1
-    nxt = sig[j + 1] if j + 1 < k else tau
-    if x >= nxt * (1.0 - graph.BOUNDARY_SNAP_REL):
+    wrapped, sig_r, slope, height = reference_lines(g, j)
+    x0 = np.where(wrapped, tau**-1, 1.0) * sig_r
+    vals = x0 * height + slope * (x - x0)
+    vals.sort()
+    return vals * a * b
+
+
+def snap_evaluate(g, q):
+    """evaluate as it was with a boundary snap: q placed in period t by
+    floor(log_tau q) corrected by exact power comparisons, then moved onto
+    the next grid abscissa when within 1e-12 of it; tau^s split in two halves
+    only where a power of tau near q leaves the float range."""
+    snap, log_range = 1e-12, 700.0
+    if q == 0:
+        return np.zeros(g.weights.n)
+    tau, sig, k = g.schedule.tau, g.schedule.sigmas, g.weights.k
+    s = floor(log(q) / log(tau))
+    a = b = 1.0
+    if (abs(s) + 2) * log(tau) >= log_range:
+        a, b = tau ** (s // 2), tau ** (s - s // 2)
+    x = q / a / b
+    t = floor(log(x) / log(tau))
+    while tau ** (t + 1) <= x:
+        t += 1
+    while tau**t > x:
+        t -= 1
+    if x >= tau ** (t + 1) * (1.0 - snap):
+        t += 1
+    xt = x / tau**t
+    j = k - 1
+    while j > 0 and sig[j] > xt:
+        j -= 1
+    if xt >= (sig[j + 1] if j + 1 < k else tau) * (1.0 - snap):
         j += 1
         if j == k:
             t, j = t + 1, 0
-    return t, j
-
-
-def reference_evaluate(g, q):
-    if q == 0:
-        return np.zeros(g.weights.n)
-    tau = g.schedule.tau
-    s = floor(log(q) / log(tau))
-    a = b = 1.0
-    if (abs(s) + 2) * log(tau) >= graph._LOG_POWER_RANGE:
-        a, b = tau ** (s // 2), tau ** (s - s // 2)
-    x = q / a / b
-    t, j = reference_locate(g, x)
     wrapped, sig_r, slope, height = reference_lines(g, j)
     x0 = np.where(wrapped, tau ** (t - 1), tau**t) * sig_r
     vals = x0 * height + slope * (x - x0)
     vals.sort()
-    return vals if a == b == 1.0 else vals * a * b
+    return vals * a * b
+
+
+def near_grid_points(g, rng, n):
+    """n grid abscissae tau^t sigma_j with t in -12..12, every grid abscissa
+    of periods -1..1, and points within 1e-13 and 2e-12 of each and one ulp
+    either side."""
+    tau, sig = g.schedule.tau, np.asarray(g.schedule.sigmas)
+    ts = rng.integers(-12, 13, size=n)
+    grid = np.concatenate([tau ** ts * sig[rng.integers(len(sig), size=len(ts))],
+                           *(tau**t * sig for t in (-1, 0, 1))])
+    return np.concatenate([grid, *(grid * (1 + e) for e in (-1e-13, 1e-13, -2e-12, 2e-12)),
+                           np.nextafter(grid, 0), np.nextafter(grid, np.inf)])
 
 
 def evaluate_points(g, rng, n_log):
-    """q log-uniform over tau^-12 .. tau^12, grid abscissae tau^t sigma_j
-    and points within 1e-13 of them (inside the snap) and 2e-12 (outside),
-    q below 1, and q past the split of evaluate's power range."""
-    tau, sig = g.schedule.tau, np.asarray(g.schedule.sigmas)
+    """q log-uniform over tau^-12 .. tau^12, the near_grid_points, q below 1,
+    and q past the periods whose powers of tau are within e^700."""
+    tau = g.schedule.tau
     span = 12 * log(tau)
-    qs = [np.exp(rng.uniform(-span, span, n_log))]
-    ts = rng.integers(-12, 13, size=n_log // 2)
-    grid = np.concatenate([tau ** ts * sig[rng.integers(len(sig), size=len(ts))],
-                           *(tau**t * sig for t in (-1, 0, 1))])
-    qs += [grid, *(grid * (1 + e) for e in (-1e-13, 1e-13, -2e-12, 2e-12)),
-           np.nextafter(grid, 0), np.nextafter(grid, np.inf)]
-    big = graph._LOG_POWER_RANGE / log(tau)
+    qs = [np.exp(rng.uniform(-span, span, n_log)), near_grid_points(g, rng, n_log // 2)]
+    big = 700.0 / log(tau)
     qs.append([0.0, 1e-3, 0.5, 1 - 1e-16, 1.0, 5e-324, 1e-300, sys.float_info.min,
                1e300, sys.float_info.max, tau ** -floor(big - 2), tau ** floor(big - 2)])
     qs.append(np.exp(rng.uniform(-700, 709, n_log // 4)))
     return np.concatenate([np.ravel(a) for a in qs])
 
 
-def test_evaluate_matches_rebuilt_lines():
-    rng = np.random.default_rng(11)
+def evaluate_cases(rng):
+    """(graph, n_log): the four configs, 20 seeded random instances and one (13,11)."""
     configs = Path(__file__).resolve().parent.parent / "configs"
     cases = [(load_config(path).graph(), 400) for path in sorted(configs.glob("*.json"))]
     cases += [(load_config(extract_doc(i)).graph(), 60) for i in range(20)]
@@ -441,10 +466,66 @@ def test_evaluate_matches_rebuilt_lines():
     beta = rng.uniform(0.05, 3.0, 11)
     cases.append((make_instance(13, 11, alpha, beta * alpha.sum() / beta.sum(),
                                 rng.uniform(1.05, 1.15, 143)), 400))
-    for g, n_log in cases:
-        with np.errstate(over="ignore"):
+    return cases
+
+
+def test_evaluate_matches_rebuilt_lines():
+    # bit for bit against the rebuilt lines; within 1e-12 q W (W the largest
+    # |slope|) of the snap formula, whose snap extrapolates a row by up to 1e-12 q
+    rng = np.random.default_rng(11)
+    for g, n_log in evaluate_cases(rng):
+        w = np.max(np.abs(g.lines.slope))
+        with np.errstate(over="ignore", invalid="ignore"):
             for q in evaluate_points(g, rng, n_log).tolist():
-                assert same_bits(rg.evaluate(g, q), reference_evaluate(g, q)), q
+                got = rg.evaluate(g, q)
+                assert same_bits(got, reference_evaluate(g, q)), q
+                old = snap_evaluate(g, q)
+                assert (np.where(got == old, 0.0, np.abs(got - old)) <= 1e-12 * q * w).all(), q
+
+
+class ExactLines:
+    """The values the float line data rebuilt from g's fields define, in exact
+    rationals: at q, period t and row j by exact comparison of q with
+    tau^t sigma_j, then every line x0 height + slope (x - x0) at x = q / tau^t,
+    times tau^t."""
+
+    def __init__(self, g):
+        self.g = g
+        self.tau = Fraction(g.schedule.tau)
+        self.sig = [Fraction(s) for s in g.schedule.sigmas]
+        self.power = functools.lru_cache(maxsize=None)(lambda t: self.tau**t)
+        self.row = functools.lru_cache(maxsize=None)(self._row)
+
+    def _row(self, j):
+        wrapped, sig_r, slope, height = reference_lines(self.g, j)
+        x0 = np.where(wrapped, self.g.schedule.tau**-1, 1.0) * sig_r
+        return [(Fraction(a), Fraction(a * h), Fraction(s))
+                for a, h, s in zip(x0.tolist(), height.tolist(), slope.tolist())]
+
+    def __call__(self, q):
+        q = Fraction(q)
+        t = floor(log(q) / log(self.g.schedule.tau))
+        while self.power(t + 1) <= q:
+            t += 1
+        while self.power(t) > q:
+            t -= 1
+        x = q / self.power(t)
+        j = bisect_right(self.sig, x) - 1
+        return sorted(self.power(t) * (y0 + s * (x - x0)) for x0, y0, s in self.row(j))
+
+
+def test_evaluate_exact_near_grid():
+    # an x that rounds across a grid abscissa reads the neighbouring row, which
+    # agrees there: the error stays at rounding level, not 1e-12 q extrapolation
+    rng = np.random.default_rng(13)
+    for g, n_log in evaluate_cases(rng):
+        exact = ExactLines(g)
+        w = float(np.max(np.abs(g.lines.slope)))
+        qs = near_grid_points(g, rng, n_log // 8)
+        for q in rng.choice(qs, min(len(qs), 700), replace=False).tolist():
+            got = rg.evaluate(g, q).tolist()
+            err = max(abs(Fraction(a) - b) for a, b in zip(got, exact(q)))
+            assert float(err) <= 1e-14 * q * w, q
 
 
 def test_line_table_follows_replaced_heights(l4m2_instance):
@@ -452,7 +533,7 @@ def test_line_table_follows_replaced_heights(l4m2_instance):
     with pytest.raises(ValueError):
         g.u[0] = 0.0
     with pytest.raises(ValueError):
-        g.lines.height[0, 0] = 0.0
+        g.lines.y0[0, 0] = 0.0
     u2 = g.u + np.linspace(0.01, 0.02, g.weights.k)
     g2 = dataclasses.replace(g, u=u2)
     u2[0] = 5.0  # the graph holds its own copy
@@ -465,7 +546,8 @@ def test_line_table_follows_replaced_heights(l4m2_instance):
 
 def test_line_table_order():
     # each kind's lines sit in ascending segment index, the order the
-    # extraction ranks ties by, and a line wrapped exactly when r > j
+    # extraction ranks ties by, and a line wrapped (r > j) is anchored at
+    # sigma_r / tau, below 1, the others at sigma_r
     cases = [load_config(extract_doc(i)).graph() for i in range(20)]
     cases += [make_instance(l, m, [1.0] * l, [l / m] * m, [1.5] * lcm(l, m))
               for l, m in ((1, 1), (4, 2), (2, 4), (3, 3), (6, 4), (5, 1))]
@@ -475,7 +557,9 @@ def test_line_table_order():
             ref = reference_active_lines(g, 0, j)
             ref = sorted(ref[: w.l], key=lambda a: a[1]) + sorted(ref[w.l:], key=lambda a: a[1])
             assert lines.r[j].tolist() == [a[1] for a in ref]
-            assert lines.wrapped[j].tolist() == [a[2] == -1 for a in ref]
-            assert lines.wrapped[j].tolist() == (lines.r[j] > j).tolist()
+            sig = [g.schedule.sigmas[a[1]] for a in ref]
+            assert same_bits(lines.x0[j], [s * g.tau**-1 if a[2] == -1 else s
+                                           for s, a in zip(sig, ref)])
+            assert (lines.x0[j] < 1.0).tolist() == (lines.r[j] > j).tolist()
             assert [w.slope_labels[c] for c in lines.label[j]] == [a[6] for a in ref]
             assert lines.slope[j].tolist() == [a[5] for a in ref]
