@@ -33,7 +33,7 @@ import sys
 from bisect import bisect_right
 from collections.abc import Sequence
 from dataclasses import dataclass
-from math import floor, isfinite, log
+from math import floor, inf, isfinite, log
 
 import numpy as np
 
@@ -63,8 +63,10 @@ def evaluate(g: RegularGraph, q: float) -> np.ndarray:
     n values are row j of the graph's period line table at x = q / tau^s
     in period 0, scaled by tau^s = a * b in two halves that stay in the
     float range.  An x that rounds just outside row j reads a neighbouring
-    row, which agrees at the shared grid abscissa.  Costs O(log k + n log
-    n) per call.
+    row, which agrees at the shared grid abscissa.  Where a period-0 anchor
+    y0 or value of row j does not fit a float, row j is read in period -1
+    from the node heights instead, whose terms are at most max|slope| and
+    so finite, and scaled by tau^(s+1).  Costs O(log k + n log n) per call.
     """
     if not isfinite(q):
         raise NonFiniteAbscissa(f"q = {q}")
@@ -78,9 +80,19 @@ def evaluate(g: RegularGraph, q: float) -> np.ndarray:
     x = q / a / b
     j = max(bisect_right(g.schedule.sigmas, x) - 1, 0)
     lines = g.lines
-    with np.errstate(over="ignore"):  # a component beyond the float range is +-inf
+    with np.errstate(over="ignore", invalid="ignore"):  # a component beyond the float range is +-inf
         vals = lines.y0[j] + lines.slope[j] * (x - lines.x0[j])
         vals.sort()
+        if not (-inf < vals[0] and vals[-1] < inf):
+            # a period-0 anchor or value overflowed: read row j one period lower,
+            # where each term is below max|slope|, and scale back by tau^(s+1)
+            r = lines.r[j]
+            height = np.where(np.arange(g.weights.n) < g.weights.l, g.u[r], g.v[r])
+            x0 = lines.x0[j] / tau
+            vals = x0 * height + lines.slope[j] * ((x - lines.x0[j]) / tau)
+            vals.sort()
+            s += 1
+            a, b = tau ** (s // 2), tau ** (s - s // 2)
         vals *= a
         vals *= b
     return vals

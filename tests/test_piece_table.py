@@ -475,11 +475,13 @@ def test_evaluate_matches_rebuilt_lines():
     rng = np.random.default_rng(11)
     for g, n_log in evaluate_cases(rng):
         w = np.max(np.abs(g.lines.slope))
-        with np.errstate(over="ignore", invalid="ignore"):
-            for q in evaluate_points(g, rng, n_log).tolist():
+        for q in evaluate_points(g, rng, n_log).tolist():
+            with np.errstate(over="ignore"):
                 got = rg.evaluate(g, q)
-                assert same_bits(got, reference_evaluate(g, q)), q
+                ref = reference_evaluate(g, q)
                 old = snap_evaluate(g, q)
+            assert same_bits(got, ref), q
+            with np.errstate(invalid="ignore"):  # inf - inf where both overflow
                 assert (np.where(got == old, 0.0, np.abs(got - old)) <= 1e-12 * q * w).all(), q
 
 
@@ -526,6 +528,28 @@ def test_evaluate_exact_near_grid():
             got = rg.evaluate(g, q).tolist()
             err = max(abs(Fraction(a) - b) for a, b in zip(got, exact(q)))
             assert float(err) <= 1e-14 * q * w, q
+
+
+def test_evaluate_overflowing_period_zero_anchor():
+    # weights near the float range: some anchors y0 and period-0 values do not
+    # fit a float, yet every value below period 0 does (|P(q)| <= q W); there
+    # evaluate reads the node heights one period lower and agrees with the
+    # snap formula, which placed the lines in q's own period
+    g = load_config({"l": 3, "m": 4, "alpha": [1e306] * 3, "beta": [7.5e305] * 4,
+                     "rho": [2] * 12, "window": {"t_min": 0, "t_max": 0}}).graph()
+    assert not np.isfinite(g.lines.y0).all()
+    w = float(np.max(np.abs(g.lines.slope)))
+    rng = np.random.default_rng(17)
+    for q in evaluate_points(g, rng, 400).tolist():
+        got = rg.evaluate(g, q)
+        assert not np.isnan(got).any(), q
+        assert (got[1:] >= got[:-1]).all(), q
+        if q < 1:
+            assert np.isfinite(got).all(), q
+        with np.errstate(over="ignore", invalid="ignore"):
+            old = snap_evaluate(g, q)
+        if np.isfinite(old).all():
+            assert (np.abs(got - old) <= 1e-12 * q * w).all(), q
 
 
 def test_line_table_follows_replaced_heights(l4m2_instance):
