@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import shutil
 import sys as _sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -28,7 +29,7 @@ from .construct import (
     RegularGraph,
     build_graph,
 )
-from .graph import _check_window, component_functions, evaluate
+from .graph import _check_window, _window, evaluate
 from .render import render_svg
 from .weights import WeightError, Weights, validate_weights
 
@@ -239,7 +240,7 @@ def cmd_plot(cfg: InstanceConfig, out_path: str) -> int:
 #   32-36: "e", exponent sign, 3 exponent digits   39: separator
 # Forms 0-15 are fixed notation with exponent e = form - 4 (%.12g's -4 <= e < 12),
 # 16 and 17 exponent notation with 2 and 3 exponent digits, 18 zero.
-_CSV_CHUNK = 8192  # values formatted at once; bounds the writer's memory
+_CSV_CHUNK = 8192  # values export formats at once; bounds its memory
 _TIE_GUARD = 5e-4  # above the 4e-4 error bound of m
 _ZERO_FORM = 18
 _E_MIN = -324  # floor(log10|x|) of the smallest subnormal
@@ -312,40 +313,52 @@ def _csv_text(x: np.ndarray, separators: np.ndarray) -> np.ndarray:
     return np.take(text, np.flatnonzero(keep))
 
 
-def _write_csv(fh, table: np.ndarray, header: str) -> None:
-    """Write header and the rows of table as %.12g CSV to the binary file fh,
-    about _CSV_CHUNK values at a time."""
-    fh.write(f"{header}\n".encode())
-    cols = table.shape[1]
-    rows = max(1, _CSV_CHUNK // cols)
-    separators = np.full(rows * cols, ord(","), dtype=np.uint8)
-    separators[cols - 1::cols] = ord("\n")
-    for i in range(0, len(table), rows):
-        chunk = table[i:i + rows].ravel()
-        fh.write(_csv_text(chunk, separators[:len(chunk)]))
-
-
 def cmd_export(cfg: InstanceConfig, out_path: str) -> int:
-    sys_ = component_functions(cfg.graph(), cfg.t_min, cfg.t_max)
-    # per piece: its left breakpoint (s = 0), then samples_per_piece interior samples
+    g = cfg.graph()
+    power, p_lo, values, slopes, _ = _window(g, cfg.t_min, cfg.t_max)
+    scale, n = power[:-1], g.weights.n
+    breakpoints = np.append(np.multiply.outer(scale, p_lo), power[-1])
+    with np.errstate(over="ignore", invalid="ignore"):  # the closing row, as written below
+        end = scale[-1] * values[-1] + slopes[-1] * (power[-1] - breakpoints[-2])
+    if not np.isfinite(end).all():
+        raise ConstructError(f"window: component values at tau^{cfg.t_max + 1} leave the float range")
+    # per piece: its left breakpoint (s = 0), then samples_per_piece interior
+    # samples; the final right endpoint closes the table
     spp = cfg.samples_per_piece
-    lo, hi = sys_.breakpoints[:-1, None], sys_.breakpoints[1:, None]
-    try:
-        s = np.arange(spp + 1)
-        with np.errstate(over="ignore"):
-            offset = (hi - lo) * s / (spp + 1)
-        # (hi - lo) * s overflows near the largest float: divide first only there,
-        # as dividing first elsewhere moves some printed digits
-        offset = np.where(np.isinf(offset), (hi - lo) / (spp + 1) * s, offset)
-        qs = np.append(lo + offset, sys_.q_hi)
-        table = np.column_stack([qs, sys_.values_at(qs)])
-    except (MemoryError, ValueError) as exc:  # ValueError: beyond numpy's size limit
-        print(f"error: input: samples_per_piece: {spp} samples per piece do not fit"
-              f" in memory ({exc})", file=_sys.stderr)
+    rows = (len(breakpoints) - 1) * (spp + 1) + 1
+    folder = Path(out_path).absolute().parent
+    need, free = 2 * rows * (n + 1), shutil.disk_usage(folder).free
+    if need > free:  # each value prints as at least one character and a separator
+        print(f"error: input: samples_per_piece: {spp} samples per piece need at least"
+              f" {need} bytes, more than the {free} free in {folder}", file=_sys.stderr)
         return 2
-    header = "q," + ",".join(f"P_{i + 1}" for i in range(sys_.n))
+    block = max(1, _CSV_CHUNK // (n + 1))  # rows formatted and written at once
+    table = np.empty((block, n + 1))
+    separators = np.full((block, n + 1), ord(","), dtype=np.uint8)
+    separators[:, -1] = ord("\n")
+    last = len(breakpoints) - 1
     with open(out_path, "wb") as fh:
-        _write_csv(fh, table, header)
+        fh.write(("q," + ",".join(f"P_{i + 1}" for i in range(n)) + "\n").encode())
+        for r in range(0, rows, block):
+            piece, s = np.divmod(np.arange(r, min(r + block, rows)), spp + 1)
+            lo = breakpoints[piece]
+            width = breakpoints[np.minimum(piece + 1, last)] - lo
+            with np.errstate(over="ignore"):
+                offset = width * s / (spp + 1)
+            inf = np.isinf(offset)
+            if inf.any():
+                # width * s overflows near the largest float: divide first only there,
+                # as dividing first elsewhere moves some printed digits
+                offset[inf] = width[inf] / (spp + 1) * s[inf]
+            q = lo + offset
+            # the piece holding q (q >= lo), which may be the next one where q rounds
+            # onto its end
+            i = np.minimum(np.searchsorted(breakpoints, q, side="right") - 1, last - 1)
+            t, p = np.divmod(i, len(p_lo))
+            rows_here = table[:len(q)]
+            rows_here[:, 0] = q
+            rows_here[:, 1:] = scale[t, None] * values[p] + slopes[p] * (q - breakpoints[i])[:, None]
+            fh.write(_csv_text(rows_here.ravel(), separators[:len(q)].ravel()))
     print(f"wrote {out_path}")
     return 0
 

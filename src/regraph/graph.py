@@ -11,7 +11,8 @@ P_n.  This module evaluates the component values at arbitrary q and
 extracts the sorted system over an integer period window as a piece
 table: P pieces between P + 1 breakpoints, with (P, n) arrays of
 left-end values, slopes and slope-label codes.  Only period 0 is
-extracted; since P(tau q) = tau P(q), every window is tiled from it.
+extracted; since P(tau q) = tau P(q), every window is tiled from it,
+and `export` streams its samples from period 0 without tiling.
 The table's `pieces` attribute views the same rows as `Piece` objects,
 each built only when it is read.  Residue classes are not extracted.
 
@@ -62,11 +63,13 @@ def evaluate(g: RegularGraph, q: float) -> np.ndarray:
     limited to any materialized window: as P(tau^s x) = tau^s P(x), the
     n values are row j of the graph's period line table at x = q / tau^s
     in period 0, scaled by tau^s = a * b in two halves that stay in the
-    float range.  An x that rounds just outside row j reads a neighbouring
-    row, which agrees at the shared grid abscissa.  Where a period-0 anchor
-    y0 or value of row j does not fit a float, row j is read in period -1
-    from the node heights instead, whose terms are at most max|slope| and
-    so finite, and scaled by tau^(s+1).  Costs O(log k + n log n) per call.
+    float range.  Where log q / log tau rounds across a power of tau, x
+    lands outside [1, tau) and s steps by one.  An x that rounds just
+    outside row j reads a neighbouring row, which agrees at the shared grid
+    abscissa.  Where a period-0 anchor y0 or value of row j does not fit a
+    float, row j is read in period -1 from the node heights instead, whose
+    terms are at most max|slope| and so finite, and scaled by tau^(s+1).
+    Costs O(log k + n log n) per call.
     """
     if not isfinite(q):
         raise NonFiniteAbscissa(f"q = {q}")
@@ -78,6 +81,10 @@ def evaluate(g: RegularGraph, q: float) -> np.ndarray:
     s = floor(log(q) / log(tau))
     a, b = tau ** (s // 2), tau ** (s - s // 2)
     x = q / a / b
+    if not 1 <= x < tau:  # log q / log tau rounded across a power of tau
+        s += 1 if x >= tau else -1
+        a, b = tau ** (s // 2), tau ** (s - s // 2)
+        x = q / a / b
     j = max(bisect_right(g.schedule.sigmas, x) - 1, 0)
     lines = g.lines
     with np.errstate(over="ignore", invalid="ignore"):  # a component beyond the float range is +-inf
@@ -210,23 +217,24 @@ def _tau_powers(tau: float, t_lo: int, t_hi: int) -> np.ndarray:
     return np.array([tau**t for t in range(t_lo, t_hi + 1)])
 
 
-def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinearSystem:
-    """Extract P_1 <= ... <= P_n over the window as a piece table.
+def _window(g: RegularGraph, t_lo: int, t_hi: int):
+    """The window's powers tau^t_lo .. tau^(t_hi+1) and period 0 of the sorted
+    components as (power, breakpoints, values, slopes, codes): P0 left
+    breakpoints in [1, tau) and (P0, n) left-end values, slopes and
+    slope-label codes, from which every period t is the tau^t tile.
 
-    Period 0 is extracted: within each grid subinterval the active
-    lines are intersected pairwise; every interior crossing becomes a
-    breakpoint, and on each resulting piece the lines are ranked by
-    their value at the piece midpoint.  Ranking by midpoint value
-    realizes the continuous assignment through each crossing
-    (immediately left of a crossing the steeper line ranks lower,
-    immediately right the shallower one).  Lines that coincide over a
-    whole piece are kept as distinct components in a stable order given
-    by segment identity.  Period t is its tau^t tile: grid, breakpoints
-    and values scaled, slopes and labels repeated.
+    Within each grid subinterval the active lines are intersected pairwise;
+    every interior crossing becomes a breakpoint, and on each resulting piece
+    the lines are ranked by their value at the piece midpoint.  Ranking by
+    midpoint value realizes the continuous assignment through each crossing
+    (immediately left of a crossing the steeper line ranks lower, immediately
+    right the shallower one).  Lines that coincide over a whole piece are kept
+    as distinct components in a stable order given by segment identity.
 
-    Raises ConstructError when a power of tau bounding the window is not
-    a finite normal float, or a line intercept of period 0 or a tiled
-    value or breakpoint is not a finite float.
+    Raises ConstructError when a power of tau bounding the window is not a
+    finite normal float, or a line intercept of period 0 or a tiled value or
+    breakpoint is not a finite float.  Only the last tile is tested: rounding
+    is monotone and tau^t grows with t, so it holds the largest of each.
     """
     if t_lo > t_hi:
         raise EmptyWindow(f"t_lo={t_lo} exceeds t_hi={t_hi}")
@@ -238,8 +246,6 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
     sig = np.asarray(g.schedule.sigmas)
     ia, ib = np.triu_indices(n, 1)
     ds = slope[:, ia] - slope[:, ib]
-
-    # period 0
     hi = np.append(sig[1:], tau)
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         c = y0 - slope * x0
@@ -259,24 +265,37 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
     order = np.argsort(y0[cell] + slope[cell] * (mid - x0[cell]), axis=1, kind="stable")
     line = (cell[:, None], order)
     slopes = slope[line]
-
-    # the window: one tile of period 0 per period
-    scale, q_hi = power[:-1], power[-1]
+    values = y0[line] + slopes * (p_lo[:, None] - x0[line])
     with np.errstate(over="ignore", invalid="ignore"):
-        grid = np.append(np.multiply.outer(scale, sig), q_hi)
-        breakpoints = np.append(np.multiply.outer(scale, p_lo), q_hi)
-        values = np.multiply.outer(scale, y0[line] + slopes * (p_lo[:, None] - x0[line]))
-        values = values.reshape(-1, n)
-    if not (np.isfinite(breakpoints).all() and np.isfinite(values).all()):
+        last_fits = np.isfinite(power[-2] * p_lo).all() and np.isfinite(power[-2] * values).all()
+    if not last_fits:
         raise ConstructError(
             f"window: component values over tau^{t_lo} .. tau^{t_hi + 1} leave the float range")
+    return power, p_lo, values, slopes, code[line]
+
+
+def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinearSystem:
+    """Extract P_1 <= ... <= P_n over the window as a piece table.
+
+    Period 0 is extracted (see _window); period t is its tau^t tile:
+    grid, breakpoints and values scaled, slopes and labels repeated.
+
+    Raises ConstructError when a power of tau bounding the window is not
+    a finite normal float, or a line intercept of period 0 or a tiled
+    value or breakpoint is not a finite float.
+    """
+    power, p_lo, values, slopes, codes = _window(g, t_lo, t_hi)
+    scale, q_hi = power[:-1], power[-1]
+    grid = np.append(np.multiply.outer(scale, g.schedule.sigmas), q_hi)
+    breakpoints = np.append(np.multiply.outer(scale, p_lo), q_hi)
+    values = np.multiply.outer(scale, values).reshape(-1, g.weights.n)
     slopes = np.tile(slopes, (len(scale), 1))
-    labels = np.tile(code[line], (len(scale), 1))
+    labels = np.tile(codes, (len(scale), 1))
     for a in (grid, breakpoints, values, slopes, labels):
         a.flags.writeable = False
 
     return PiecewiseLinearSystem(
-        n=n,
+        n=g.weights.n,
         q_lo=float(grid[0]),
         q_hi=float(grid[-1]),
         grid=grid,
@@ -284,7 +303,7 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
         values=values,
         slopes=slopes,
         labels=labels,
-        alphabet=w.slope_labels,
+        alphabet=g.weights.slope_labels,
     )
 
 

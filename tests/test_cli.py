@@ -411,8 +411,8 @@ def test_overflowing_weight_sums_exit_two(command, tmp_path, capsys):
     assert captured.err.count("\n") == 1
 
 
-# numpy refuses both up front (7 PiB, and past its maximum array size),
-# so the test allocates nothing
+# both CSVs need more bytes (petabytes and more) than the output's file
+# system holds, so export refuses them before it opens the file
 @pytest.mark.parametrize("spp", [10**15, 10**30])
 def test_export_samples_beyond_memory_exit_two(spp, tmp_path, capsys):
     doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [2],
@@ -532,6 +532,7 @@ def test_window_near_largest_float(weight, end, command, tmp_path, capsys):
         assert code == 0, err
     if code == 2:
         assert err.startswith("error: input: window:") and err.count("\n") == 1
+        assert not out.exists()
         return
     assert code == 0 and err == ""
     if command == "export":
@@ -548,13 +549,33 @@ def test_weights_near_largest_float_exit_two(command, tmp_path, capsys):
     # not a table missing a crossing
     doc = {"l": 1, "m": 1, "alpha": [8e307], "beta": [8e307], "rho": [2],
            "window": {"t_min": -3, "t_max": -1}}
-    extra = [] if command == "check" else ["--out", str(tmp_path / "g.csv")]
+    out = tmp_path / "g.csv"
+    extra = [] if command == "check" else ["--out", str(out)]
     assert main([command, write_config(tmp_path, "huge.json", doc), *extra]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: input: window:") and captured.err.count("\n") == 1
+    assert not out.exists()
     with pytest.raises(rg.ConstructError, match="^window: line intercepts in period 0"):
         rg.component_functions(load_config(doc).graph(), -3, -1)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("weight, end, message", [
+    (8, 1023, "values at tau^1023"),  # the closing row at 2^1023 overflows
+    (8e300, 1000, "values over tau^997 .. tau^1000"),  # the last tile overflows
+])
+def test_export_overflowing_window_writes_nothing(weight, end, message, tmp_path, capsys):
+    # every value of the window is checked before the output file is opened
+    doc = {"l": 1, "m": 1, "alpha": [weight], "beta": [weight], "rho": [2],
+           "window": {"t_min": end - 3, "t_max": end - 1}}
+    out = tmp_path / "g.csv"
+    assert main(["export", write_config(tmp_path, "edge.json", doc), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: input: window: component {message}")
+    assert captured.err.count("\n") == 1
+    assert not out.exists()
 
 
 def _console_script(name):

@@ -9,13 +9,15 @@ import io
 import json
 import math
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from regraph import cli
-from regraph.cli import main
+from regraph.cli import load_config, main
+from regraph.graph import component_functions
 
 ROOT = Path(__file__).resolve().parent.parent
 CONFIGS = sorted((ROOT / "configs").glob("*.json"))
@@ -27,9 +29,10 @@ def reference_csv(table, header):
 
 
 def written(table, header="h"):
-    buf = io.BytesIO()
-    cli._write_csv(buf, table, header)
-    return buf.getvalue()
+    """header and table as %.12g CSV, from the writer's one formatting call."""
+    separators = np.full(table.shape, ord(","), dtype=np.uint8)
+    separators[:, -1] = ord("\n")
+    return f"{header}\n".encode() + cli._csv_text(table.ravel(), separators.ravel()).tobytes()
 
 
 def decades(rng, per_decade=8):
@@ -87,7 +90,7 @@ def test_writer_matches_percent_g(cols):
                         -near_ties(rng), decades(rng), random_bits(rng)])
     rng.shuffle(x)
     x = np.append(x, np.zeros(-len(x) % cols))
-    # well over one chunk, which need not hold whole chunks of rows
+    # well over one export block
     table = x.reshape(-1, cols)
     assert table.size > 4 * cli._CSV_CHUNK
     got, want = written(table).split(b"\n"), reference_csv(table, "h").split(b"\n")
@@ -103,46 +106,56 @@ def test_writer_one_row_and_header():
 
 # ------------------------------------------------------ export, end to end
 
-def savetxt_writer(fh, table, header):
-    """export's CSV as np.savetxt formats it, the reference for the writer."""
+def reference_export(config):
+    """export's CSV built the whole-table way: the tiled piece table of the
+    window, every sample's values read from it by values_at, and the table
+    written by np.savetxt(fmt="%.12g")."""
+    cfg = load_config(config)
+    system = component_functions(cfg.graph(), cfg.t_min, cfg.t_max)
+    spp = cfg.samples_per_piece
+    lo, hi = system.breakpoints[:-1, None], system.breakpoints[1:, None]
+    s = np.arange(spp + 1)
+    with np.errstate(over="ignore"):
+        offset = (hi - lo) * s / (spp + 1)
+    offset = np.where(np.isinf(offset), (hi - lo) / (spp + 1) * s, offset)
+    qs = np.append(lo + offset, system.q_hi)
+    table = np.column_stack([qs, system.values_at(qs)])
+    header = "q," + ",".join(f"P_{i + 1}" for i in range(system.n))
     buf = io.StringIO()
     np.savetxt(buf, table, fmt="%.12g", delimiter=",", header=header, comments="")
-    fh.write(buf.getvalue().encode())
+    return buf.getvalue().encode()
 
 
-def export_and_reference(config, tmp_path, monkeypatch):
+def export_and_reference(config, tmp_path):
     out = tmp_path / "out.csv"
     assert main(["export", config, "--out", str(out)]) == 0
-    got = out.read_bytes()
-    monkeypatch.setattr(cli, "_write_csv", savetxt_writer)
-    assert main(["export", config, "--out", str(out)]) == 0
-    return got, out.read_bytes()
+    return out.read_bytes(), reference_export(config)
 
 
 @pytest.mark.parametrize("t_min", [-40, -3, 0, 3, 40])
 @pytest.mark.parametrize("config", CONFIGS, ids=[c.stem for c in CONFIGS])
-def test_export_equals_savetxt_on_configs(config, t_min, tmp_path, monkeypatch, capsys):
+def test_export_equals_savetxt_on_configs(config, t_min, tmp_path, capsys):
     doc = json.loads(config.read_text())
     span = doc["window"]["t_max"] - doc["window"]["t_min"]
     doc["window"] = {"t_min": t_min, "t_max": t_min + span}
-    got, want = export_and_reference(json.dumps(doc), tmp_path, monkeypatch)
+    got, want = export_and_reference(json.dumps(doc), tmp_path)
     assert got == want
 
 
 @pytest.mark.parametrize("window", [{"t_min": 1020, "t_max": 1022},  # ends at 2^1023
                                     {"t_min": -1022, "t_max": -1021}])  # starts at 2^-1022
-def test_export_equals_savetxt_at_float_range_edges(window, tmp_path, monkeypatch, capsys):
+def test_export_equals_savetxt_at_float_range_edges(window, tmp_path, capsys):
     doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [2], "window": window}
-    got, want = export_and_reference(json.dumps(doc), tmp_path, monkeypatch)
+    got, want = export_and_reference(json.dumps(doc), tmp_path)
     assert got == want
 
 
 @pytest.mark.parametrize("t_min", [30, -31])
-def test_export_equals_savetxt_in_exponent_notation(t_min, tmp_path, monkeypatch, capsys):
+def test_export_equals_savetxt_in_exponent_notation(t_min, tmp_path, capsys):
     # tau = 4: every value of these windows prints as d.ddde+XX
     doc = json.loads((ROOT / "configs" / "l3m2_cuberoot.json").read_text())
     doc["window"] = {"t_min": t_min, "t_max": t_min + 1}
-    got, want = export_and_reference(json.dumps(doc), tmp_path, monkeypatch)
+    got, want = export_and_reference(json.dumps(doc), tmp_path)
     assert got == want
     assert all(b"e" in field for field in got.split(b"\n", 1)[1].replace(b"\n", b",").split(b",")[:-1])
 
@@ -151,3 +164,69 @@ def test_export_reproduces_demo_csv(tmp_path, capsys):
     out = tmp_path / "components.csv"
     assert main(["export", str(ROOT / "configs" / "l3m2_cuberoot.json"), "--out", str(out)]) == 0
     assert out.read_bytes() == (ROOT / "demos" / "components.csv").read_bytes()
+
+
+# ------------------------------------------------- export streams in blocks
+
+def ladder_l13m11(periods):
+    """The benchmark ladder's (13,11) instance, drawn as the ladder draws it,
+    over periods 0 .. periods - 1."""
+    rng = np.random.default_rng(20081025)
+    for l, m in ((7, 5), (13, 11)):
+        alpha = rng.uniform(0.05, 3.0, size=l)
+        beta = rng.uniform(0.05, 3.0, size=m)
+        beta *= alpha.sum() / beta.sum()
+        rho = rng.uniform(1.05, 1.15, size=math.lcm(l, m))
+    return json.dumps({"l": 13, "m": 11, "alpha": alpha.tolist(), "beta": beta.tolist(),
+                       "rho": rho.tolist(), "window": {"t_min": 0, "t_max": periods - 1}})
+
+
+@pytest.mark.parametrize("periods", [1, 5])
+def test_export_streams_ladder_instance(periods, tmp_path, capsys):
+    got, want = export_and_reference(ladder_l13m11(periods), tmp_path)
+    assert got == want
+
+
+def test_export_piece_across_blocks(tmp_path, capsys):
+    # one piece holds several blocks of samples
+    spp = 2 * cli._CSV_CHUNK + 3
+    doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [2],
+           "window": {"t_min": -1, "t_max": 0}, "samples_per_piece": spp}
+    got, want = export_and_reference(json.dumps(doc), tmp_path)
+    assert got == want
+    assert got.count(b"\n") > 4 * cli._CSV_CHUNK
+
+
+def test_export_terminal_row_starts_a_block(tmp_path, capsys):
+    # spp + 1 rows a block: every piece fills one, and the closing row is the
+    # only row of the last block
+    doc = json.loads((ROOT / "configs" / "l3m2_cuberoot.json").read_text())
+    doc["window"] = {"t_min": 0, "t_max": 0}
+    doc["samples_per_piece"] = cli._CSV_CHUNK // (load_config(doc).graph().weights.n + 1) - 1
+    got, want = export_and_reference(json.dumps(doc), tmp_path)
+    assert got == want
+
+
+def test_export_memory_does_not_grow_with_window_or_samples(tmp_path, capsys):
+    # the tiled table and the sample table are never built: a 20-period window
+    # and 64 samples per piece peak within 1.5x of one period at 8
+    rng = np.random.default_rng(19)
+    alpha, beta = rng.uniform(0.05, 3.0, 7), rng.uniform(0.05, 3.0, 5)
+    doc = {"l": 7, "m": 5, "alpha": alpha.tolist(), "beta": (beta * alpha.sum() / beta.sum()).tolist(),
+           "rho": rng.uniform(1.05, 1.15, 35).tolist()}
+    out = str(tmp_path / "out.csv")
+
+    def peak(periods, spp):
+        text = json.dumps(dict(doc, window={"t_min": 0, "t_max": periods - 1},
+                               samples_per_piece=spp))
+        tracemalloc.start()
+        try:
+            assert main(["export", text, "--out", out]) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(1, 8)  # first-use caches and tables
+    base = peak(1, 8)
+    assert peak(20, 8) <= 1.5 * base
+    assert peak(1, 64) <= 1.5 * base

@@ -378,14 +378,19 @@ def reference_lines(g, j):
 
 
 def reference_evaluate(g, q):
-    """evaluate's rule on rebuilt lines: x = q / tau^s in period 0, the last
-    row j with sigma_j <= x by a linear scan, scaled back by tau^s in halves."""
+    """evaluate's rule on rebuilt lines: x = q / tau^s in period 0, s stepped
+    once where x falls outside [1, tau), the last row j with sigma_j <= x by a
+    linear scan, scaled back by tau^s in halves."""
     if q == 0:
         return np.zeros(g.weights.n)
     tau, sig = g.schedule.tau, g.schedule.sigmas
     s = floor(log(q) / log(tau))
     a, b = tau ** (s // 2), tau ** (s - s // 2)
     x = q / a / b
+    if x < 1 or x >= tau:  # one step of s where log q / log tau rounded across tau^s
+        s = s + 1 if x >= tau else s - 1
+        a, b = tau ** (s // 2), tau ** (s - s // 2)
+        x = q / a / b
     j = len(sig) - 1
     while j > 0 and sig[j] > x:
         j -= 1
@@ -441,6 +446,17 @@ def near_grid_points(g, rng, n):
     grid = np.concatenate([tau ** ts * sig[rng.integers(len(sig), size=len(ts))],
                            *(tau**t * sig for t in (-1, 0, 1))])
     return np.concatenate([grid, *(grid * (1 + e) for e in (-1e-13, 1e-13, -2e-12, 2e-12)),
+                           np.nextafter(grid, 0), np.nextafter(grid, np.inf)])
+
+
+def far_grid_points(g):
+    """Every grid abscissa of the periods +-floor(700 / ln tau) and of the one
+    below each, near the ends of the float range, and the points within 1e-13
+    of each and one ulp either side."""
+    tau, sig = g.schedule.tau, np.asarray(g.schedule.sigmas)
+    top = floor(700 / log(tau))
+    grid = np.concatenate([tau**t * sig for t in (top - 1, top, -top - 1, -top)])
+    return np.concatenate([grid, grid * (1 - 1e-13), grid * (1 + 1e-13),
                            np.nextafter(grid, 0), np.nextafter(grid, np.inf)])
 
 
@@ -511,20 +527,28 @@ class ExactLines:
             t += 1
         while self.power(t) > q:
             t -= 1
-        x = q / self.power(t)
-        j = bisect_right(self.sig, x) - 1
-        return sorted(self.power(t) * (y0 + s * (x - x0)) for x0, y0, s in self.row(j))
+        j = bisect_right(self.sig, q / self.power(t)) - 1
+        # tau^t (y0 + s (x - x0)) with tau^t x = q: no product of two long fractions,
+        # sorted as integer numerators over one common denominator
+        vals = [self.power(t) * (y0 - s * x0) + s * q for x0, y0, s in self.row(j)]
+        den = lcm(*(v.denominator for v in vals))
+        return sorted(vals, key=lambda v: v.numerator * (den // v.denominator))
 
 
 def test_evaluate_exact_near_grid():
     # an x that rounds across a grid abscissa reads the neighbouring row, which
-    # agrees there: the error stays at rounding level, not 1e-12 q extrapolation
+    # agrees there: the error stays at rounding level, not 1e-12 q extrapolation.
+    # Near the ends of the float range log q / log tau can round across a power
+    # of tau; s then steps, so x is not read 1e-13 outside [1, tau)
     rng = np.random.default_rng(13)
-    for g, n_log in evaluate_cases(rng):
+    for i, (g, n_log) in enumerate(evaluate_cases(rng)):
         exact = ExactLines(g)
         w = float(np.max(np.abs(g.lines.slope)))
         qs = near_grid_points(g, rng, n_log // 8)
-        for q in rng.choice(qs, min(len(qs), 700), replace=False).tolist():
+        qs = rng.choice(qs, min(len(qs), 700), replace=False)
+        if i < 8:  # the four configs and four random instances
+            qs = np.append(qs, far_grid_points(g))
+        for q in qs.tolist():
             got = rg.evaluate(g, q).tolist()
             err = max(abs(Fraction(a) - b) for a, b in zip(got, exact(q)))
             assert float(err) <= 1e-14 * q * w, q
