@@ -14,17 +14,28 @@ The distinction between fail and not-sufficient matters for exit
 codes: the ratio test and the per-factor bound for a single falling
 weight only ever certify properness, so their inequality failing must
 not flag an otherwise healthy instance.
+
+run_all_checks extracts no piece table.  It reads system and
+proper-direct off the graph's line table at the k grid abscissae of one
+period closed by the next period's first subinterval, in O(k n log n):
+between grid abscissae the active lines are fixed, and at a crossing the
+order of the components changes only among lines tied there, whose gaps
+are exempt.  check_system and check_proper_direct test an extracted
+piece table the same way, with sortedness and continuity besides, which
+are properties of the extraction.  Thresholds scale with W, the largest
+|slope|, so weights times c, which give the graph times c, move no
+verdict.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .construct import ConstructError, ExpansionSchedule, RegularGraph, growth_terms
-from .graph import PiecewiseLinearSystem, component_functions
+from .graph import PiecewiseLinearSystem, _check_window, _intercepts
 from .weights import Weights
 
 PASS = "pass"
@@ -191,8 +202,13 @@ def check_regular(g: RegularGraph, tol: float = 1e-9) -> CheckResult:
     (v, V), at the worst r, the residual |h_r - chi_r h_{(r+n) mod k} + H_r|
     relative to the largest of its three terms (0 when exactly 0) must
     not exceed tol; a non-finite term fails."""
+    return _regular(g, growth_terms(g.weights, g.schedule), tol)
+
+
+def _regular(g: RegularGraph, terms, tol: float) -> CheckResult:
+    """check_regular with the growth_terms arrays of g."""
     w = g.weights
-    _, _, chi, U, V = growth_terms(w, g.schedule)
+    _, _, chi, U, V = terms
     h, H = np.stack([g.u, g.v]), np.stack([U, V])
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         step = chi * h[:, (np.arange(w.k) + w.n) % w.k]
@@ -210,27 +226,32 @@ def check_proper_direct(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckR
     At every interior breakpoint q and every index i where the gap
     P_{i+1}(q) - P_i(q) is open (above tol * W * q, W the largest
     |slope| in the table), the slope-sum of the bottom i components
-    just left of q must not exceed the one just right.  Margin is the
-    minimal right-minus-left slack over all tested (q, i).
+    just left of q must not exceed the one just right by more than
+    tol * W.  Margin is the minimal right-minus-left slack over all
+    tested (q, i).
     """
     failed = _non_finite("proper-direct", sys, tol)
     if failed is not None:
         return failed
     # row b - 1 is interior breakpoint b, where P = the right piece's left values
-    vals = sys.values[1:]
-    w_max = float(np.max(np.abs(sys.slopes)))
     csum = np.cumsum(sys.slopes, axis=1)
-    slack = csum[1:, :-1] - csum[:-1, :-1]
-    gap = vals[:, 1:] - vals[:, :-1]
+    return _proper_direct(csum[1:, :-1] - csum[:-1, :-1], np.diff(sys.values[1:], axis=1),
+                          sys.breakpoints[1:-1], float(np.max(np.abs(sys.slopes))), tol)
+
+
+def _proper_direct(slack, gap, q, w_max: float, tol: float, scale: float = 1.0) -> CheckResult:
+    """The proper-direct verdict from the (B, n - 1) slacks and gaps of index
+    i + 1 in column i at the B abscissae q: the least slack where the gap is
+    open, failing below -tol * W; the witness abscissa is scale * q."""
     # components tied at q are exempt; a NaN gap is not tied, so it counts
-    open_gap = ~(gap <= tol * w_max * sys.breakpoints[1:-1, None])
+    open_gap = ~(gap <= tol * w_max * q[:, None])
     if open_gap.any():
         b, i = np.unravel_index(np.argmin(np.where(open_gap, slack, np.inf)), slack.shape)
-        best, witness = float(slack[b, i]), {"q": float(sys.breakpoints[b + 1]), "i": int(i) + 1}
+        best, witness = float(slack[b, i]), {"q": float(scale * q[b]), "i": int(i) + 1}
     else:
         best, witness = 0.0, None  # no open gaps anywhere: vacuously proper
-    status = PASS if best >= -tol else FAIL
-    return CheckResult("proper-direct", status, tol, float(best), witness)
+    status = PASS if best >= -tol * w_max else FAIL
+    return CheckResult("proper-direct", status, tol, best, witness)
 
 
 def check_proper_nodes(g: RegularGraph) -> CheckResult:
@@ -252,11 +273,16 @@ def check_proper_sufficient(w: Weights, schedule: ExpansionSchedule) -> CheckRes
     dominates the extremal pair-sum ratio at every r.  One-sided: when
     the inequality fails the result is 'not-sufficient', not 'fail'.
     """
+    return _proper_sufficient(w, growth_terms(w, schedule))
+
+
+def _proper_sufficient(w: Weights, terms) -> CheckResult:
+    """check_proper_sufficient with the growth_terms arrays."""
     if w.pair_sum_min <= 0:
         return CheckResult("proper-sufficient", NOT_APPLICABLE, 0.0, 0.0, None,
                            note="some pair sum alpha_i + beta_j is zero")
     rhs = w.pair_sum_max / w.pair_sum_min
-    pl, pm, pn, _, _ = growth_terms(w, schedule)
+    pl, pm, pn, _, _ = terms
     lhs = (pn + 1.0) / (pl + pm)
     r = int((lhs - rhs).argmin())
     return _one_sided("proper-sufficient", lhs[r] - rhs,
@@ -270,7 +296,12 @@ def check_proper_termwise(w: Weights, schedule: ExpansionSchedule) -> CheckResul
     weaker (closer to necessary) than the ratio form and likewise only
     certifies, never refutes.
     """
-    _, _, _, U, V = growth_terms(w, schedule)
+    return _proper_termwise(growth_terms(w, schedule))
+
+
+def _proper_termwise(terms) -> CheckResult:
+    """check_proper_termwise with the growth_terms arrays."""
+    _, _, _, U, V = terms
     slack = V - U
     r = int(slack.argmin())
     return _one_sided("proper-termwise", slack[r], {"r": r})
@@ -303,19 +334,21 @@ def _one_sided(name: str, margin: float, witness: dict) -> CheckResult:
 def check_subgraphs(g: RegularGraph, tol: float = 1e-9) -> CheckResult:
     """Residue-class decomposition consistency for non-coprime sizes.
 
-    The class drifts gamma_f must cancel, and above every subinterval j of
-    the line table the lines of class f (r = f mod d) must sum to
-    gamma_f * x at both ends x.  A residual fails above tol * W * x, W the
-    largest |slope|, with margin residual / (W x); a non-finite term fails.
+    The class drifts gamma_f must cancel to tol * W, W the largest
+    |slope|, and above every subinterval j of the line table the lines of
+    class f (r = f mod d) must sum to gamma_f * x at both ends x.  A
+    residual fails above tol * W * x, with margin residual / (W x); a
+    non-finite term fails.
     """
     w, lines, tau = g.weights, g.lines, g.schedule.tau
     if w.d == 1:
         return CheckResult("subgraphs", NOT_APPLICABLE, tol, 0.0, None,
                            note="group sizes are coprime; single class")
+    w_max = float(np.max(np.abs(lines.slope)))
     gamma = np.array([w.class_gamma(f) for f in range(w.d)])
     gamma_sum = float(sum(gamma))
-    if abs(gamma_sum) > 1e-12:
-        return CheckResult("subgraphs", FAIL, tol, gamma_sum, None,
+    if abs(gamma_sum) > tol * w_max:
+        return CheckResult("subgraphs", FAIL, tol, gamma_sum / w_max, None,
                            note="class drifts do not cancel")
     sig = np.asarray(g.schedule.sigmas)
     x = np.stack([sig, np.append(sig[1:], tau)])[:, None, :]  # (end, 1, j)
@@ -323,40 +356,101 @@ def check_subgraphs(g: RegularGraph, tol: float = 1e-9) -> CheckResult:
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.where(in_class, lines.y0 + lines.slope * (x[..., None] - lines.x0), 0.0)
         resid = np.abs(terms.sum(axis=-1) - gamma[:, None] * x)
-    rel = _rel(resid, x, np.max(np.abs(lines.slope)))
+    rel = _rel(resid, x, w_max)
     rel[~np.isfinite(terms).all(axis=-1)] = np.inf
     return _worst_residual("subgraphs", rel, tol, lambda _, f, j: {"f": f, "j": j},
                            ("class lines off the class drift", "non-finite class line value"))
 
 
-def _close_period(sys: PiecewiseLinearSystem, tau: float) -> PiecewiseLinearSystem:
-    """The table with the next period's first piece appended: row 0 times tau,
-    as P(tau q) = tau P(q), so the period's end is an interior breakpoint.
-    Raises ConstructError when that piece leaves the float range."""
-    with np.errstate(over="ignore"):
-        end, values = tau * sys.breakpoints[1], tau * sys.values[0]
-    if not np.isfinite([end, *values]).all():
-        raise ConstructError(f"window: the piece after q = {sys.q_hi:g} leaves the float range")
-    return replace(
-        sys, q_hi=float(end), breakpoints=np.append(sys.breakpoints, end),
-        values=np.vstack([sys.values, values]), slopes=np.vstack([sys.slopes, sys.slopes[:1]]),
-        labels=np.vstack([sys.labels, sys.labels[:1]]))
+def _grid(g: RegularGraph, t_base: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row j of the line table at both ends of its subinterval, sigma_j and
+    sigma_{j+1} (sigma_k = tau): (2, k) abscissae and (2, k, n) values, read in
+    period 0, as P(tau q) = tau P(q).
+
+    Raises ConstructError unless tau^t_base .. tau^(t_base+1) are normal
+    floats, the line intercepts fit as for export (graph._intercepts), and
+    the abscissae and values of this grid fit in period t_base closed by the
+    next period's first subinterval, row 0 times tau.
+    """
+    lines, tau = g.lines, g.schedule.tau
+    _check_window(tau, t_base, t_base + 1)
+    _intercepts(lines)
+    sig = np.asarray(g.schedule.sigmas)
+    x = np.stack([sig, np.append(sig[1:], tau)])
+    scale = tau**t_base
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = lines.y0 + lines.slope * (x[..., None] - lines.x0)
+        closing = tau * np.append(x[:, 0], ends[:, 0])
+        fits = np.isfinite(scale * ends).all() and np.isfinite(scale * closing).all()
+    if not fits:
+        raise ConstructError(f"window: period {t_base} closed by the next period's "
+                             "first subinterval leaves the float range")
+    return x, ends
+
+
+def _grid_slack(g: RegularGraph, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The (k, n - 1) slacks and gaps of proper-direct at the grid abscissae
+    sigma_1 .. sigma_{k-1}, tau of _grid's ends, index i + 1 in column i.
+
+    Just left of sigma_j is row j - 1, ordered by (value, -slope); just right
+    is row j, ordered by (value, slope); at tau it is row 0 times tau.  The
+    gaps are those just right.  Between grid abscissae the active lines are
+    fixed, and at a crossing the order changes only within lines tied there,
+    whose gaps are closed, so these are all the slacks that can fail.
+    """
+    k, slope = g.weights.k, g.lines.slope
+    after = np.append(np.arange(1, k), 0)  # row j + 1, row 0 after row k - 1
+    right = ends[0][after]
+    right[-1] *= g.schedule.tau
+    vals = np.concatenate([ends[1], right])
+    slopes = np.concatenate([slope, slope[after]])
+    order = np.lexsort((np.concatenate([-slope, slopes[k:]]), vals))
+    csum = np.cumsum(np.take_along_axis(slopes, order, axis=1), axis=1)
+    gap = np.diff(np.take_along_axis(right, order[k:], axis=1), axis=1)
+    return csum[k:, :-1] - csum[:k, :-1], gap
+
+
+def _grid_system(g: RegularGraph, x: np.ndarray, ends: np.ndarray, scale: float,
+                 w_max: float, tol: float) -> CheckResult:
+    """check_system on the line table: each row's labels are a permutation of
+    the alphabet, its lines sum to 0 * x at both ends x of its subinterval
+    (failing above tol * W * x, margin the largest residual / (W x)), and row
+    0 at x = 1 is consistent with vanishing at 0, |P_i(1)| <= W (1 + tol).
+    Witness abscissae are scale * x."""
+    bad = np.any(np.sort(g.lines.label, axis=1) != np.arange(g.weights.n), axis=1)
+    if bad.any():
+        j = int(np.argmax(bad))
+        return CheckResult("system", FAIL, tol, -1.0, {"j": j, "q": float(scale * x[0, j])},
+                           note="slope labels are not a permutation of the alphabet")
+    sums = _worst_residual("system", _rel(np.abs(ends.sum(axis=-1)), x, w_max), tol,
+                           lambda e, j: {"q": float(scale * x[e, j])},
+                           ("component sum off the expected line", "non-finite component value"))
+    over = float(np.max(np.abs(ends[0, 0]))) - w_max
+    if sums.ok and over > tol * w_max:
+        return CheckResult("system", FAIL, tol, over / w_max, {"q": scale},
+                           note="first-period values inconsistent with vanishing at 0")
+    return sums
 
 
 def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> CheckReport:
-    """Run the full verification suite.  The table checks read period t_base
-    closed by the next period's first piece; t_base only places witnesses."""
-    sys1 = _close_period(component_functions(g, t_base, t_base), g.schedule.tau)
+    """Run the full verification suite.  system and proper-direct read the line
+    table at the grid abscissae of period t_base, closed by the next period's
+    first subinterval (see _grid); t_base only places witnesses and sets the
+    float range.  No piece table is extracted."""
+    x, ends = _grid(g, t_base)
+    scale, w_max = g.schedule.tau**t_base, float(np.max(np.abs(g.lines.slope)))
+    w = g.weights
+    terms = growth_terms(w, g.schedule)
     results = [
-        check_system(sys1, tol),
-        check_regular(g, tol),
-        check_proper_direct(sys1, tol),
+        _grid_system(g, x, ends, scale, w_max, tol),
+        _regular(g, terms, tol),
+        _proper_direct(*_grid_slack(g, ends), x[1], w_max, tol, scale),
         check_proper_nodes(g),
-        check_proper_sufficient(g.weights, g.schedule),
-        check_proper_termwise(g.weights, g.schedule),
-        check_proper_m1(g.weights, g.schedule),
+        _proper_sufficient(w, terms),
+        _proper_termwise(terms),
+        check_proper_m1(w, g.schedule),
     ]
-    if g.weights.d > 1:
+    if w.d > 1:
         results.append(check_subgraphs(g, tol))
     return CheckReport(results=tuple(results))
 

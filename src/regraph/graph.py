@@ -217,6 +217,20 @@ def _tau_powers(tau: float, t_lo: int, t_hi: int) -> np.ndarray:
     return np.array([tau**t for t in range(t_lo, t_hi + 1)])
 
 
+def _intercepts(lines) -> np.ndarray:
+    """The (k, n) intercepts y0 - slope * x0 of the period-0 lines.  Raises
+    ConstructError unless the intercepts of each row and any two's difference
+    are finite floats: the float range of period 0, for check and export alike.
+    The largest difference of a row is its max minus its min, as rounding is
+    monotone."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        c = lines.y0 - lines.slope * lines.x0
+        spread = c.max(axis=1) - c.min(axis=1)
+    if not np.isfinite(spread).all():
+        raise ConstructError("window: line intercepts in period 0 leave the float range")
+    return c
+
+
 def _window(g: RegularGraph, t_lo: int, t_hi: int):
     """The window's powers tau^t_lo .. tau^(t_hi+1) and period 0 of the sorted
     components as (power, breakpoints, values, slopes, codes): P0 left
@@ -245,17 +259,13 @@ def _window(g: RegularGraph, t_lo: int, t_hi: int):
     code = lines.label.astype(np.min_scalar_type(-n))
     sig = np.asarray(g.schedule.sigmas)
     ia, ib = np.triu_indices(n, 1)
+    c = _intercepts(lines)
     ds = slope[:, ia] - slope[:, ib]
     hi = np.append(sig[1:], tau)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        c = y0 - slope * x0
-        dc = c[:, ib] - c[:, ia]
-        qx = dc / ds
+    with np.errstate(divide="ignore", invalid="ignore"):
+        qx = (c[:, ib] - c[:, ia]) / ds
         tol = CROSSING_REL_TOL * np.abs(qx)
         inside = (ds != 0.0) & (sig[:, None] + tol < qx) & (qx < hi[:, None] - tol)
-    # every line is in some pair, so this also covers the intercepts c
-    if not np.isfinite(dc).all():
-        raise ConstructError("window: line intercepts in period 0 leave the float range")
     count = inside.sum(axis=1)
     qx = np.sort(np.where(inside, qx, np.inf), axis=1)[:, : count.max()]
     keep = _dedupe_crossings(qx, count)

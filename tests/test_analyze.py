@@ -1,11 +1,13 @@
 import dataclasses
+import tracemalloc
+from math import lcm
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import regraph as rg
-from regraph import analyze
+from regraph import analyze, graph
 from regraph.cli import load_config
 
 from conftest import make_instance, random_instance
@@ -305,6 +307,17 @@ def test_subgraph_check_fails_on_nan_height(l4m2_instance, height):
         assert res.note == "non-finite class line value"
 
 
+def close_period(sys, tau):
+    """The table with the next period's first piece appended: row 0 times tau,
+    as P(tau q) = tau P(q), so the period's end is an interior breakpoint."""
+    end = tau * sys.breakpoints[1]
+    return dataclasses.replace(
+        sys, q_hi=float(end), breakpoints=np.append(sys.breakpoints, end),
+        values=np.vstack([sys.values, tau * sys.values[0]]),
+        slopes=np.vstack([sys.slopes, sys.slopes[:1]]),
+        labels=np.vstack([sys.labels, sys.labels[:1]]))
+
+
 @pytest.mark.parametrize("t_base", [-20, 0, 10])
 def test_closing_piece_tests_period_end(l4m2_instance, t_base):
     # bend the period's last piece so that it still starts where it did but
@@ -317,21 +330,21 @@ def test_closing_piece_tests_period_end(l4m2_instance, t_base):
     slopes[-1, -1] += 1e-4
     bent = dataclasses.replace(period, slopes=slopes)
     assert analyze.check_system(bent).status == "pass"
-    closed = analyze._close_period(bent, g.schedule.tau)
+    closed = close_period(bent, g.schedule.tau)
     assert len(closed.values) == len(period.values) + 1
     res = analyze.check_system(closed)
     assert res.status == "fail" and res.note == "component discontinuous across breakpoint"
     assert res.witness["q"] == period.q_hi
-    assert analyze.check_system(analyze._close_period(period, g.schedule.tau)).status == "pass"
+    assert analyze.check_system(close_period(period, g.schedule.tau)).status == "pass"
 
 
-def test_run_all_checks_extracts_once(l4m2_instance, monkeypatch):
-    calls = []
-    extract = analyze.component_functions
-    monkeypatch.setattr(analyze, "component_functions",
-                        lambda *args: calls.append(args) or extract(*args))
+def test_run_all_checks_never_extracts(l4m2_instance, monkeypatch):
+    def extract(*args):
+        raise AssertionError("run_all_checks extracted a piece table")
+
+    monkeypatch.setattr(graph, "_window", extract)
+    monkeypatch.setattr(analyze, "component_functions", extract, raising=False)
     assert rg.run_all_checks(l4m2_instance, t_base=3).ok
-    assert calls == [(l4m2_instance, 3, 3)]
 
 
 def test_report_lines_and_entry(fig_instance):
@@ -341,3 +354,156 @@ def test_report_lines_and_entry(fig_instance):
     assert any(line.startswith("proper-sufficient: NOT-SUFFICIENT") for line in lines)
     with pytest.raises(KeyError):
         rep.entry("nonexistent")
+
+
+# ------------------------------------------- check on the line table's grid
+
+def reproduction_set():
+    """default_rng(0): 200 instances with l, m <= 5, rho ~ U[1.05, 3] and weights
+    U[0.2, 3] balanced onto sum(alpha); 200 more with each weight zeroed with
+    probability 0.3 (redrawn where a group is all zero); then the 5 instances of
+    the benchmark ladder, drawn as it draws them."""
+    rng = np.random.default_rng(0)
+    graphs = []
+    for zeroed in (False, True):
+        count = 0
+        while count < 200:
+            l, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            alpha, beta = rng.uniform(0.2, 3.0, size=l), rng.uniform(0.2, 3.0, size=m)
+            if zeroed:
+                alpha[rng.random(l) < 0.3] = 0.0
+                beta[rng.random(m) < 0.3] = 0.0
+                if alpha.sum() == 0.0 or beta.sum() == 0.0:
+                    continue
+            beta *= alpha.sum() / beta.sum()
+            graphs.append(make_instance(l, m, alpha, beta, rng.uniform(1.05, 3.0, size=lcm(l, m))))
+            count += 1
+    graphs.append(make_instance(3, 2, (0.5, 1.0, 1.5), (2.0, 1.0), [rg.PowerForm(2.0, 1, 3)] * 6))
+    rng = np.random.default_rng(20081025)
+    for l, m in ((7, 5), (13, 11), (6, 4), (20, 15)):
+        alpha, beta = rng.uniform(0.05, 3.0, size=l), rng.uniform(0.05, 3.0, size=m)
+        beta *= alpha.sum() / beta.sum()
+        graphs.append(make_instance(l, m, alpha, beta, rng.uniform(1.05, 1.15, size=lcm(l, m))))
+    return graphs
+
+
+def table_slack(sys, tol):
+    """check_proper_direct's (B, n - 1) slacks and open gaps at the interior
+    breakpoints, as its own arithmetic forms them."""
+    csum = np.cumsum(sys.slopes, axis=1)
+    gap = np.diff(sys.values[1:], axis=1)
+    w_max = np.max(np.abs(sys.slopes))
+    return csum[1:, :-1] - csum[:-1, :-1], ~(gap <= tol * w_max * sys.breakpoints[1:-1, None])
+
+
+def test_grid_route_matches_table_route():
+    # run_all_checks reads the line table at the grid abscissae; the table
+    # route extracts period t_base, closes it with one piece and checks that
+    tol = 1e-9
+    graphs = reproduction_set()
+    graphs += [load_config(path).graph() for path in sorted(CONFIG_DIR.glob("*.json"))]
+    compared = 0
+    statuses = set()
+    for g in graphs:
+        for t_base in (-20, 0, 10):
+            report = rg.run_all_checks(g, tol, t_base)
+            closed = close_period(rg.component_functions(g, t_base, t_base), g.schedule.tau)
+            for got, want in ((report.entry("system"), analyze.check_system(closed, tol)),
+                              (report.entry("proper-direct"),
+                               analyze.check_proper_direct(closed, tol))):
+                assert got.status == want.status, (g.weights, t_base, got, want)
+                statuses.add((got.name, got.status))
+            # the slacks of every (q, i) both routes test, q a grid abscissa
+            x, ends = analyze._grid(g, t_base)
+            slack, gap = analyze._grid_slack(g, ends)
+            w_max = np.max(np.abs(g.lines.slope))
+            grid_open = ~(gap <= tol * w_max * x[1][:, None])
+            want_slack, want_open = table_slack(closed, tol)
+            rows = np.searchsorted(closed.breakpoints, closed.grid[1:]) - 1
+            assert np.array_equal(closed.breakpoints[rows + 1], closed.grid[1:])
+            both = grid_open & want_open[rows]
+            assert np.abs(slack - want_slack[rows])[both].max(initial=0.0) <= 1e-12
+            compared += int(both.sum())
+    assert compared > 10000
+    assert {("system", "pass"), ("proper-direct", "pass"), ("proper-direct", "fail")} <= statuses
+
+
+def test_zero_weight_verdicts_pinned():
+    # proper-direct and proper-nodes disagree on this zero-weight instance; which
+    # one the paper's definition backs is open, so today's verdicts are pinned
+    g = make_instance(2, 4, [0.0, 3.0], [2.25, 0.0, 0.0, 0.75], [1.48, 2.24, 2.02, 2.66])
+    report = rg.run_all_checks(g)
+    assert report.entry("proper-direct").status == "pass"
+    assert report.entry("proper-nodes").status == "fail"
+
+
+def with_lines(g, **fields):
+    """g with its line table's fields replaced, past the derivation from u, v."""
+    broken = dataclasses.replace(g)
+    object.__setattr__(broken, "lines", dataclasses.replace(g.lines, **fields))
+    return broken
+
+
+def test_grid_system_detects_broken_graph(fig_instance):
+    g = fig_instance
+    assert rg.run_all_checks(g).entry("system").status == "pass"
+    u = g.u.copy()
+    u[2] += 1e-6
+    res = rg.run_all_checks(dataclasses.replace(g, u=u)).entry("system")
+    assert res.status == "fail" and res.margin > 1e-8
+    assert res.note == "component sum off the expected line"
+    label = g.lines.label.copy()
+    label[3, 0] = label[3, 1]
+    res = rg.run_all_checks(with_lines(g, label=label), t_base=2).entry("system")
+    assert res.status == "fail" and res.note == "slope labels are not a permutation of the alphabet"
+    assert res.witness == {"j": 3, "q": pytest.approx(g.tau**2 * g.schedule.sigmas[3])}
+    # shifting two lines by +-D keeps every sum and breaks vanishing at 0
+    y0 = g.lines.y0.copy()
+    y0[:, 0] += 10.0
+    y0[:, -1] -= 10.0
+    res = rg.run_all_checks(with_lines(g, y0=y0)).entry("system")
+    assert res.status == "fail"
+    assert res.note == "first-period values inconsistent with vanishing at 0"
+    # a non-finite height never reaches a verdict
+    for bad in (np.nan, np.inf, -np.inf):
+        u = g.u.copy()
+        u[3] = bad
+        with pytest.raises(rg.ConstructError, match="^window: "):
+            rg.run_all_checks(dataclasses.replace(g, u=u))
+
+
+def test_run_all_checks_memory_large_k():
+    # k = 899, n = 60: no O(k n^2) crossing arrays, no piece table
+    g = random_instance(np.random.default_rng(31), 31, 29, 1.01, 1.02)
+    assert g.weights.k == 899
+    tracemalloc.start()
+    try:
+        rg.run_all_checks(g)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2**20
+
+
+def exactly_balanced_instances(rng, count, scales):
+    """Random instances with l, m <= 6 whose weights, multiplied by each scale,
+    still balance exactly in floats, so that validate_weights accepts them."""
+    out = []
+    while len(out) < count:
+        l, m = int(rng.integers(1, 7)), int(rng.integers(1, 7))
+        alpha, beta = rng.uniform(0.05, 3.0, size=l), rng.uniform(0.05, 3.0, size=m)
+        beta *= alpha.sum() / beta.sum()
+        if all((c * alpha).sum() == (c * beta).sum() for c in (1.0, *scales)):
+            out.append((l, m, alpha, beta, rng.uniform(1.05, 3.0, size=lcm(l, m))))
+    return out
+
+
+def test_check_statuses_scale_invariant():
+    # weights times c give the graph times c: no verdict may move
+    scales = (1e6, 1e9)
+    for l, m, alpha, beta, rho in exactly_balanced_instances(
+            np.random.default_rng(2718), 80, scales):
+        want = [r.status for r in rg.run_all_checks(make_instance(l, m, alpha, beta, rho)).results]
+        for c in scales:
+            g = make_instance(l, m, c * alpha, c * beta, rho)
+            assert [r.status for r in rg.run_all_checks(g).results] == want, (l, m, c)

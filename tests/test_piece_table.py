@@ -96,7 +96,8 @@ def reference_values_at(sys, q):
 
 
 def reference_check_proper_direct(sys, tol=1e-9):
-    """A gap is open when it exceeds tol * W * q, W the largest |slope| in the table."""
+    """A gap is open when it exceeds tol * W * q, W the largest |slope| in the
+    table, and a slack fails below -tol * W."""
     best = np.inf
     witness = None
     w_max = max(abs(float(s)) for piece in sys.pieces for s in piece.slopes)
@@ -115,7 +116,7 @@ def reference_check_proper_direct(sys, tol=1e-9):
                 best, witness = slack, {"q": float(q), "i": i}
     if witness is None:
         best = 0.0
-    status = analyze.PASS if best >= -tol else analyze.FAIL
+    status = analyze.PASS if best >= -tol * w_max else analyze.FAIL
     return analyze.CheckResult("proper-direct", status, tol, float(best), witness)
 
 
