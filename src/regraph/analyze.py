@@ -15,16 +15,14 @@ codes: the ratio test and the per-factor bound for a single falling
 weight only ever certify properness, so their inequality failing must
 not flag an otherwise healthy instance.
 
-run_all_checks extracts no piece table.  It reads system and
-proper-direct off the graph's line table at the k grid abscissae of one
-period closed by the next period's first subinterval, in O(k n log n):
-between grid abscissae the active lines are fixed, and at a crossing the
-order of the components changes only among lines tied there, whose gaps
-are exempt.  check_system and check_proper_direct test an extracted
-piece table the same way, with sortedness and continuity besides, which
-are properties of the extraction.  Thresholds scale with W, the largest
-|slope|, so weights times c, which give the graph times c, move no
-verdict.
+system and proper-direct are decided only by run_all_checks, which
+extracts no piece table: it reads the graph's line table at the k grid
+abscissae of one period closed by the next period's first subinterval,
+in O(k n log n).  Between grid abscissae the active lines are fixed, and
+at a crossing the order of the components changes only among lines tied
+there, whose gaps are exempt.  Thresholds scale with W, the largest
+|slope|, and proper-m1 normalises the weights to beta_1 = l, so weights
+times c, which give the graph times c, move no verdict.
 """
 
 from __future__ import annotations
@@ -35,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from .construct import ConstructError, ExpansionSchedule, RegularGraph, growth_terms
-from .graph import PiecewiseLinearSystem, _check_window, _intercepts
+from .graph import _check_window, _intercepts
 from .weights import Weights
 
 PASS = "pass"
@@ -91,18 +89,6 @@ class CheckReport:
         return out
 
 
-def _non_finite(name: str, sys: PiecewiseLinearSystem, tol: float) -> Optional[CheckResult]:
-    """FAIL at the first piece whose ends, values or slopes hold NaN or +-inf."""
-    bp = sys.breakpoints
-    ok = np.isfinite(sys.values).all(axis=1) & np.isfinite(sys.slopes).all(axis=1)
-    ok &= np.isfinite(bp[:-1]) & np.isfinite(bp[1:])
-    if ok.all():
-        return None
-    p = int(np.argmin(ok))
-    return CheckResult(name, FAIL, tol, -np.inf, {"piece": p, "q": float(bp[p])},
-                       note="non-finite value in the piece table")
-
-
 def _rel(x, q, w):
     """x / (w q), the margin of a test x > tol * w * q; 0 where x is 0."""
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -119,79 +105,6 @@ def _worst_residual(name: str, rel: np.ndarray, tol: float, witness_at, notes) -
     if worst > tol:
         return CheckResult(name, FAIL, tol, worst, witness, note=notes[worst == np.inf])
     return CheckResult(name, PASS, tol, worst, witness)
-
-
-def check_system(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckResult:
-    """Structural validity of an extracted component system.
-
-    Verifies, piece by piece: the slope labels form exactly the
-    expected alphabet (as a multiset, label-level equality); the
-    components are sorted; the component sum vanishes; then
-    components are continuous across breakpoints; and the first-period
-    values are consistent with all components vanishing at the origin
-    (|P_i(q_lo)| <= W q_lo).  A deviation x at abscissa q fails above
-    tol * W * q, W the largest |slope| in the table, and its margin is
-    x / (W q), so neither depends on the window.  A failure reports the
-    first violated test in that order; a pass reports the largest sum
-    residual or jump margin.  Any non-finite entry fails.
-    """
-    failed = _non_finite("system", sys, tol)
-    if failed is not None:
-        return failed
-    vals, slopes = sys.values, sys.slopes
-    lo, hi = sys.breakpoints[:-1], sys.breakpoints[1:]
-    w_max = float(np.max(np.abs(slopes)))
-    bound = tol * w_max
-
-    gaps = np.diff(vals, axis=1)
-    qs = np.stack([lo, 0.5 * (lo + hi), hi], axis=1)  # left end, midpoint, right end
-    sums = (vals[:, None, :] + slopes[:, None, :] * (qs - lo[:, None])[..., None]).sum(axis=2)
-    resid = np.abs(sums)
-    bad = np.column_stack([
-        np.any(np.sort(sys.labels, axis=1) != np.arange(len(sys.alphabet)), axis=1),
-        np.any(-gaps > bound * lo[:, None], axis=1),
-        resid > bound * qs,
-    ])
-    if bad.any():
-        p, test = divmod(int(np.argmax(bad)), bad.shape[1])
-        if test == 0:
-            return CheckResult("system", FAIL, tol, -1.0, {"piece": p, "q": float(lo[p])},
-                               note="slope labels are not a permutation of the alphabet")
-        if test == 1:
-            return CheckResult("system", FAIL, tol, float(_rel(gaps[p].min(), lo[p], w_max)),
-                               {"piece": p, "q": float(lo[p])}, note="components out of order")
-        q = qs[p, test - 2]
-        return CheckResult("system", FAIL, tol, float(_rel(resid[p, test - 2], q, w_max)),
-                           {"q": float(q)}, note="component sum off the expected line")
-
-    # row b compares the right end of piece b with the left end of piece b + 1
-    jump = np.abs(vals[:-1] + slopes[:-1] * (hi[:-1] - lo[:-1])[:, None] - vals[1:])
-    j, i = jump.max(axis=1), jump.argmax(axis=1) + 1
-    bad = j > bound * lo[1:]
-    if bad.any():
-        b = int(np.argmax(bad))
-        return CheckResult("system", FAIL, tol, float(_rel(j[b], lo[b + 1], w_max)),
-                           {"q": float(lo[b + 1]), "i": int(i[b])},
-                           note="component discontinuous across breakpoint")
-
-    # every component must vanish at 0, so |P_i(q)| <= W * q
-    over = float(np.max(np.abs(vals[0]))) - w_max * sys.q_lo
-    if over > bound * sys.q_lo:
-        return CheckResult("system", FAIL, tol, float(_rel(over, sys.q_lo, w_max)),
-                           {"q": sys.q_lo},
-                           note="first-period values inconsistent with vanishing at 0")
-
-    # the first largest of the sum residuals (piece by piece) and then the jumps
-    seen = np.concatenate([_rel(resid, qs, w_max).ravel(), _rel(j, lo[1:], w_max)])
-    p = int(np.argmax(seen))
-    if not seen[p] > 0.0:
-        return CheckResult("system", PASS, tol, 0.0, None)
-    if p < resid.size:
-        witness = {"q": float(qs.flat[p]), "kind": "sum"}
-    else:
-        b = p - resid.size
-        witness = {"q": float(lo[b + 1]), "kind": "jump", "i": int(i[b])}
-    return CheckResult("system", PASS, tol, float(seen[p]), witness)
 
 
 def check_regular(g: RegularGraph, tol: float = 1e-9) -> CheckResult:
@@ -218,40 +131,6 @@ def _regular(g: RegularGraph, terms, tol: float) -> CheckResult:
     rel[~np.isfinite(terms).all(axis=0)] = np.inf
     return _worst_residual("regular", rel, tol, lambda kind, r: {"r": r, "kind": "uv"[kind]},
                            ("node heights off the node system", "non-finite node height or term"))
-
-
-def check_proper_direct(sys: PiecewiseLinearSystem, tol: float = 1e-9) -> CheckResult:
-    """The definitional properness test on the extracted system.
-
-    At every interior breakpoint q and every index i where the gap
-    P_{i+1}(q) - P_i(q) is open (above tol * W * q, W the largest
-    |slope| in the table), the slope-sum of the bottom i components
-    just left of q must not exceed the one just right by more than
-    tol * W.  Margin is the minimal right-minus-left slack over all
-    tested (q, i).
-    """
-    failed = _non_finite("proper-direct", sys, tol)
-    if failed is not None:
-        return failed
-    # row b - 1 is interior breakpoint b, where P = the right piece's left values
-    csum = np.cumsum(sys.slopes, axis=1)
-    return _proper_direct(csum[1:, :-1] - csum[:-1, :-1], np.diff(sys.values[1:], axis=1),
-                          sys.breakpoints[1:-1], float(np.max(np.abs(sys.slopes))), tol)
-
-
-def _proper_direct(slack, gap, q, w_max: float, tol: float, scale: float = 1.0) -> CheckResult:
-    """The proper-direct verdict from the (B, n - 1) slacks and gaps of index
-    i + 1 in column i at the B abscissae q: the least slack where the gap is
-    open, failing below -tol * W; the witness abscissa is scale * q."""
-    # components tied at q are exempt; a NaN gap is not tied, so it counts
-    open_gap = ~(gap <= tol * w_max * q[:, None])
-    if open_gap.any():
-        b, i = np.unravel_index(np.argmin(np.where(open_gap, slack, np.inf)), slack.shape)
-        best, witness = float(slack[b, i]), {"q": float(scale * q[b]), "i": int(i) + 1}
-    else:
-        best, witness = 0.0, None  # no open gaps anywhere: vacuously proper
-    status = PASS if best >= -tol * w_max else FAIL
-    return CheckResult("proper-direct", status, tol, best, witness)
 
 
 def check_proper_nodes(g: RegularGraph) -> CheckResult:
@@ -308,17 +187,19 @@ def _proper_termwise(terms) -> CheckResult:
 
 
 def check_proper_m1(w: Weights, schedule: ExpansionSchedule) -> CheckResult:
-    """Per-factor bound for a single falling weight equal to the rising
-    count.
+    """Per-factor bound for a single falling weight.
 
-    Applies when m = 1 and beta_1 = l; then rho_r >= (alpha_r + l) /
-    (alpha_{r+1} + l) for r = 1..l certifies properness.
+    Applies when m = 1.  The paper's bound rho_r >= (alpha_r + l) /
+    (alpha_{r+1} + l) for r = 1..l assumes beta_1 = l; weights times c
+    give the graph times c, so normalising to beta_1 = l makes it
+    rho_r >= (alpha_r + beta_1) / (alpha_{r+1} + beta_1), which certifies
+    properness at any scale.
     """
-    if w.m != 1 or abs(w.beta[0] - w.l) > 1e-12:
+    if w.m != 1:
         return CheckResult("proper-m1", NOT_APPLICABLE, 0.0, 0.0, None,
                            note="requires m = 1 and beta_1 = l")
     alpha = np.array(w.alpha + w.alpha[:1])  # alpha_1 .. alpha_{l+1}
-    bound = (alpha[:-1] + w.l) / (alpha[1:] + w.l)
+    bound = (alpha[:-1] + w.beta[0]) / (alpha[1:] + w.beta[0])
     slack = np.asarray(schedule.factors[:w.l]) - bound
     i = int(slack.argmin())
     return _one_sided("proper-m1", slack[i], {"r": i + 1, "bound": float(bound[i])})
@@ -340,7 +221,7 @@ def check_subgraphs(g: RegularGraph, tol: float = 1e-9) -> CheckResult:
     residual fails above tol * W * x, with margin residual / (W x); a
     non-finite term fails.
     """
-    w, lines, tau = g.weights, g.lines, g.schedule.tau
+    w, lines = g.weights, g.lines
     if w.d == 1:
         return CheckResult("subgraphs", NOT_APPLICABLE, tol, 0.0, None,
                            note="group sizes are coprime; single class")
@@ -350,11 +231,11 @@ def check_subgraphs(g: RegularGraph, tol: float = 1e-9) -> CheckResult:
     if abs(gamma_sum) > tol * w_max:
         return CheckResult("subgraphs", FAIL, tol, gamma_sum / w_max, None,
                            note="class drifts do not cancel")
-    sig = np.asarray(g.schedule.sigmas)
-    x = np.stack([sig, np.append(sig[1:], tau)])[:, None, :]  # (end, 1, j)
+    x, ends = _grid_ends(g)
+    x = x[:, None]  # (end, 1, j)
     in_class = lines.r % w.d == np.arange(w.d)[:, None, None]  # (f, j, line)
     with np.errstate(over="ignore", invalid="ignore"):
-        terms = np.where(in_class, lines.y0 + lines.slope * (x[..., None] - lines.x0), 0.0)
+        terms = np.where(in_class, ends[:, None], 0.0)
         resid = np.abs(terms.sum(axis=-1) - gamma[:, None] * x)
     rel = _rel(resid, x, w_max)
     rel[~np.isfinite(terms).all(axis=-1)] = np.inf
@@ -362,24 +243,30 @@ def check_subgraphs(g: RegularGraph, tol: float = 1e-9) -> CheckResult:
                            ("class lines off the class drift", "non-finite class line value"))
 
 
-def _grid(g: RegularGraph, t_base: int) -> tuple[np.ndarray, np.ndarray]:
+def _grid_ends(g: RegularGraph) -> tuple[np.ndarray, np.ndarray]:
     """Row j of the line table at both ends of its subinterval, sigma_j and
-    sigma_{j+1} (sigma_k = tau): (2, k) abscissae and (2, k, n) values, read in
-    period 0, as P(tau q) = tau P(q).
+    sigma_{j+1} (sigma_k = tau): (2, k) abscissae and (2, k, n) values in
+    period 0, non-finite where a value leaves the float range."""
+    lines, sig = g.lines, np.asarray(g.schedule.sigmas)
+    x = np.stack([sig, np.append(sig[1:], g.schedule.tau)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        return x, lines.y0 + lines.slope * (x[..., None] - lines.x0)
+
+
+def _grid(g: RegularGraph, t_base: int) -> tuple[np.ndarray, np.ndarray]:
+    """_grid_ends, to be read in period t_base, as P(tau q) = tau P(q).
 
     Raises ConstructError unless tau^t_base .. tau^(t_base+1) are normal
     floats, the line intercepts fit as for export (graph._intercepts), and
     the abscissae and values of this grid fit in period t_base closed by the
     next period's first subinterval, row 0 times tau.
     """
-    lines, tau = g.lines, g.schedule.tau
+    tau = g.schedule.tau
     _check_window(tau, t_base, t_base + 1)
-    _intercepts(lines)
-    sig = np.asarray(g.schedule.sigmas)
-    x = np.stack([sig, np.append(sig[1:], tau)])
+    _intercepts(g.lines)
+    x, ends = _grid_ends(g)
     scale = tau**t_base
     with np.errstate(over="ignore", invalid="ignore"):
-        ends = lines.y0 + lines.slope * (x[..., None] - lines.x0)
         closing = tau * np.append(x[:, 0], ends[:, 0])
         fits = np.isfinite(scale * ends).all() and np.isfinite(scale * closing).all()
     if not fits:
@@ -412,8 +299,8 @@ def _grid_slack(g: RegularGraph, ends: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 def _grid_system(g: RegularGraph, x: np.ndarray, ends: np.ndarray, scale: float,
                  w_max: float, tol: float) -> CheckResult:
-    """check_system on the line table: each row's labels are a permutation of
-    the alphabet, its lines sum to 0 * x at both ends x of its subinterval
+    """system on the line table: each row's labels are a permutation of the
+    alphabet, its lines sum to 0 * x at both ends x of its subinterval
     (failing above tol * W * x, margin the largest residual / (W x)), and row
     0 at x = 1 is consistent with vanishing at 0, |P_i(1)| <= W (1 + tol).
     Witness abscissae are scale * x."""
@@ -432,6 +319,23 @@ def _grid_system(g: RegularGraph, x: np.ndarray, ends: np.ndarray, scale: float,
     return sums
 
 
+def _grid_proper_direct(g: RegularGraph, x: np.ndarray, ends: np.ndarray, scale: float,
+                        w_max: float, tol: float) -> CheckResult:
+    """proper-direct on the line table: the least _grid_slack where the gap
+    at grid abscissa x[1] is open (above tol * W * x), failing below
+    -tol * W.  The witness abscissa is scale * x."""
+    slack, gap = _grid_slack(g, ends)
+    # components tied at x are exempt; a NaN gap is not tied, so it counts
+    open_gap = ~(gap <= tol * w_max * x[1][:, None])
+    if open_gap.any():
+        b, i = np.unravel_index(np.argmin(np.where(open_gap, slack, np.inf)), slack.shape)
+        best, witness = float(slack[b, i]), {"q": float(scale * x[1, b]), "i": int(i) + 1}
+    else:
+        best, witness = 0.0, None  # no open gaps anywhere: vacuously proper
+    status = PASS if best >= -tol * w_max else FAIL
+    return CheckResult("proper-direct", status, tol, best, witness)
+
+
 def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> CheckReport:
     """Run the full verification suite.  system and proper-direct read the line
     table at the grid abscissae of period t_base, closed by the next period's
@@ -444,7 +348,7 @@ def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> Check
     results = [
         _grid_system(g, x, ends, scale, w_max, tol),
         _regular(g, terms, tol),
-        _proper_direct(*_grid_slack(g, ends), x[1], w_max, tol, scale),
+        _grid_proper_direct(g, x, ends, scale, w_max, tol),
         check_proper_nodes(g),
         _proper_sufficient(w, terms),
         _proper_termwise(terms),
@@ -458,7 +362,6 @@ def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> Check
 __all__ = [
     "PASS", "FAIL", "NOT_SUFFICIENT", "NOT_APPLICABLE",
     "CheckResult", "CheckReport",
-    "check_system", "check_regular", "check_proper_direct",
-    "check_proper_nodes", "check_proper_sufficient", "check_proper_termwise",
+    "check_regular", "check_proper_nodes", "check_proper_sufficient", "check_proper_termwise",
     "check_proper_m1", "check_subgraphs", "run_all_checks",
 ]

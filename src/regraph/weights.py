@@ -112,9 +112,10 @@ def validate_weights(
     """Validate raw weight input and populate all derived constants.
 
     Rejects non-finite and negative entries, the all-zero system,
-    mismatched lengths, sums that overflow a float and unbalanced sums
-    (|sum(alpha) - sum(beta)| > DEFAULT_BALANCE_TOL).  Zero entries are
-    allowed as long as not everything vanishes.
+    mismatched lengths, sums that overflow a float and unbalanced sums,
+    |sum(alpha) - sum(beta)| > DEFAULT_BALANCE_TOL * max(sum(alpha),
+    sum(beta)), a relative bound, so that weights times c are accepted
+    alike.  Zero entries are allowed as long as not everything vanishes.
     """
     if l < 1 or m < 1:
         raise LengthMismatch(f"group sizes must be positive, got l={l}, m={m}")
@@ -135,11 +136,11 @@ def validate_weights(
     total_alpha, total_beta = sum(alpha), sum(beta)
     if not (isfinite(total_alpha) and isfinite(total_beta)):
         raise WeightError(f"weight sums overflow a float: {total_alpha}, {total_beta}")
-    imbalance = abs(total_alpha - total_beta)
-    if not imbalance <= DEFAULT_BALANCE_TOL:
+    imbalance, total = abs(total_alpha - total_beta), max(total_alpha, total_beta)
+    if not imbalance <= DEFAULT_BALANCE_TOL * total:
         raise BalanceViolated(
             f"weight sums differ: |{total_alpha} - {total_beta}| = {imbalance}"
-            f" > {DEFAULT_BALANCE_TOL}"
+            f" > {DEFAULT_BALANCE_TOL} * {total}"
         )
     d = gcd(l, m)
     k = lcm(l, m)

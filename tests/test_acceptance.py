@@ -15,7 +15,6 @@ import regraph as rg
 from regraph.analyze import (
     NOT_SUFFICIENT,
     PASS,
-    check_proper_direct,
     check_proper_m1,
     check_proper_nodes,
     check_proper_sufficient,
@@ -81,8 +80,7 @@ def test_criterion_01_reference_instance(fig_instance, announce):
     g = fig_instance
     ok_tau = abs(g.tau - 4.0) <= 1e-12
     ok_order = bool(np.all(g.v > g.u))
-    sys_ = rg.component_functions(g, 0, 2)
-    ok_direct = check_proper_direct(sys_).status == PASS
+    ok_direct = rg.run_all_checks(g).entry("proper-direct").status == PASS
     ok_cli = main(["check", FIG_CONFIG]) == 0
     ok = ok_tau and ok_order and ok_direct and ok_cli
     announce(
@@ -216,9 +214,7 @@ def test_criterion_06_sufficiency_implies_properness(announce):
             continue
         g = rg.build_graph(w, sch)
         nodes_ok = check_proper_nodes(g).status == PASS
-        direct_ok = (
-            check_proper_direct(rg.component_functions(g, 0, 2)).status == PASS
-        )
+        direct_ok = rg.run_all_checks(g).entry("proper-direct").status == PASS
         if not (nodes_ok and direct_ok):
             counterexamples += 1
     ok = counterexamples == 0 and escalation_failures == 0
@@ -242,7 +238,7 @@ def test_criterion_07_sharpness_split(fig_instance, announce):
         and abs(rhs - rhs_expected) <= 1e-12 * rhs_expected
     )
     ok_status = result.status == NOT_SUFFICIENT
-    direct = check_proper_direct(rg.component_functions(g, 0, 2))
+    direct = rg.run_all_checks(g).entry("proper-direct")
     ok = ok_values and ok_status and direct.status == PASS
     announce(
         f"criterion 07: {'PASS' if ok else 'FAIL'} - one-sided ratio test "

@@ -11,6 +11,7 @@ from regraph import analyze, graph
 from regraph.cli import load_config
 
 from conftest import make_instance, random_instance
+from test_piece_table import reference_check_proper_direct, reference_check_system
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -62,26 +63,6 @@ def test_improper_instance_flagged(improper_instance):
     assert rep.entry("regular").status == "pass"
 
 
-def test_check_system_detects_broken_slope(fig_instance):
-    sys1 = rg.component_functions(fig_instance, 0, 1)
-    slopes = sys1.slopes.copy()
-    slopes[3, 0] = 0.0
-    broken = dataclasses.replace(sys1, slopes=slopes)
-    assert analyze.check_system(broken).status == "fail"
-
-
-def test_check_system_detects_wrong_label(fig_instance):
-    sys1 = rg.component_functions(fig_instance, 0, 1)
-    labels = sys1.labels.copy()
-    labels[0, 0] = sys1.alphabet.index(("A", 1))
-    broken = dataclasses.replace(sys1, labels=labels)
-    res = analyze.check_system(broken)
-    # piece 0 now repeats label A1; only fails if it was not A1 already
-    if sys1.pieces[0].labels[0] != ("A", 1):
-        assert res.status == "fail"
-        assert res.witness["piece"] == 0
-
-
 def test_check_regular_detects_perturbation(fig_instance):
     res = analyze.check_regular(fig_instance)
     assert res.status == "pass" and 0.0 < res.margin < 1e-15
@@ -92,41 +73,10 @@ def test_check_regular_detects_perturbation(fig_instance):
         assert res.status == "fail" and res.margin > 1e-7
         assert res.witness["kind"] == height
         assert res.note == "node heights off the node system"
-    # a table that does not scale by tau is broken structurally as well
-    sys1 = rg.component_functions(fig_instance, 0, 1)
-    idx = len(sys1.pieces) // 2
-    values = sys1.values.copy()
-    values[idx, 0] -= 1e-3
-    broken = dataclasses.replace(sys1, values=values)
-    assert analyze.check_system(broken).status == "fail"
-
-
-@pytest.fixture(scope="module")
-def fig_table(fig_instance):
-    return rg.component_functions(fig_instance, 0, 2)
-
-
-def with_non_finite(sys, field, bad):
-    """The table with one entry of field set to bad, and the piece it lands in."""
-    p = len(sys.values) // 3
-    arr = getattr(sys, field).copy()
-    if field == "breakpoints":
-        arr[p + 1] = bad  # right end of piece p, left end of piece p + 1
-    else:
-        arr[p, 1] = bad
-    return dataclasses.replace(sys, **{field: arr}), p
 
 
 NON_FINITE = [(field, bad) for field in ("breakpoints", "values", "slopes")
               for bad in (np.nan, np.inf, -np.inf)]
-
-
-@pytest.mark.parametrize("field,bad", NON_FINITE)
-def test_check_system_fails_on_non_finite(fig_table, field, bad):
-    broken, p = with_non_finite(fig_table, field, bad)
-    res = analyze.check_system(broken)
-    assert res.status == "fail" and res.witness["piece"] == p
-    assert "non-finite" in res.note
 
 
 def with_non_finite_source(g, field, bad):
@@ -164,11 +114,11 @@ def test_check_regular_fails_on_non_finite(fig_instance, field, bad):
 
 
 @pytest.mark.parametrize("field,bad", NON_FINITE)
-def test_check_proper_direct_fails_on_non_finite(fig_table, field, bad):
-    broken, p = with_non_finite(fig_table, field, bad)
-    res = analyze.check_proper_direct(broken)
-    assert res.status == "fail" and res.witness["piece"] == p
-    assert "non-finite" in res.note
+def test_run_all_checks_fails_closed_on_non_finite(fig_instance, field, bad):
+    # system and proper-direct never reach a verdict on a non-finite line value
+    for broken in with_non_finite_source(fig_instance, field, bad):
+        with pytest.raises(rg.ConstructError, match="^window: "):
+            rg.run_all_checks(broken)
 
 
 def test_direct_check_window_translation_invariance(improper_instance, fig_instance):
@@ -204,12 +154,23 @@ def test_m1_condition_violated_bound():
 
 
 def test_m1_condition_not_applicable():
-    w = rg.validate_weights(2, 1, (2.0, 1.0), (3.0,))
+    w = rg.validate_weights(2, 2, (1.0, 2.0), (2.0, 1.0))
     sch = rg.ExpansionSchedule.from_factors([1.5, 1.5])
     assert analyze.check_proper_m1(w, sch).status == "not-applicable"
-    w2 = rg.validate_weights(2, 2, (1.0, 2.0), (2.0, 1.0))
-    sch2 = rg.ExpansionSchedule.from_factors([1.5, 1.5])
-    assert analyze.check_proper_m1(w2, sch2).status == "not-applicable"
+
+
+def test_m1_condition_normalises_beta():
+    # weights times c give the graph times c, so m = 1 applies whatever beta_1
+    # is: the bound (alpha_r + beta_1) / (alpha_{r+1} + beta_1) is the paper's
+    # (alpha_r + l) / (alpha_{r+1} + l) of the weights scaled to beta_1 = l
+    w = rg.validate_weights(2, 1, (2.0, 1.0), (3.0,))
+    res = analyze.check_proper_m1(w, rg.ExpansionSchedule.from_factors([1.5, 1.5]))
+    assert res.status == "pass" and res.witness == {"r": 1, "bound": 1.25}
+    sch = rg.ExpansionSchedule.from_factors([3.0])
+    want = analyze.check_proper_m1(rg.validate_weights(1, 1, (1.0,), (1.0,)), sch)
+    assert want.status == "pass" and want.witness == {"r": 1, "bound": 1.0}
+    for c in (2.0, 1e6, 1e-6):
+        assert analyze.check_proper_m1(rg.validate_weights(1, 1, (c,), (c,)), sch) == want
 
 
 def test_sufficient_not_applicable_for_zero_pair():
@@ -254,8 +215,7 @@ def test_implication_chain_randomized():
             assert nodes.status == "pass"
             checked += 1
         if nodes.status == "pass":
-            sys1 = rg.component_functions(g, 0, 2)
-            assert analyze.check_proper_direct(sys1).status == "pass"
+            assert rg.run_all_checks(g).entry("proper-direct").status == "pass"
     assert checked > 10  # the chain must actually have been exercised
 
 
@@ -320,22 +280,26 @@ def close_period(sys, tau):
 
 @pytest.mark.parametrize("t_base", [-20, 0, 10])
 def test_closing_piece_tests_period_end(l4m2_instance, t_base):
-    # bend the period's last piece so that it still starts where it did but
-    # ends off the next period's first piece: the one jump sits at
-    # tau^(t_base+1), seen only once the period is closed
+    # bend the bottom and top lines of the last subinterval about sigma_{k-1}
+    # by +-D: this keeps their values there and every line sum, raises the
+    # slacks at sigma_{k-1}, and leaves the bottom slope sums falling only at
+    # tau^(t_base+1), where the next period's first subinterval closes the period
     g = l4m2_instance
-    period = rg.component_functions(g, t_base, t_base)
-    slopes = period.slopes.copy()
-    slopes[-1, 0] -= 1e-4
-    slopes[-1, -1] += 1e-4
-    bent = dataclasses.replace(period, slopes=slopes)
-    assert analyze.check_system(bent).status == "pass"
-    closed = close_period(bent, g.schedule.tau)
-    assert len(closed.values) == len(period.values) + 1
-    res = analyze.check_system(closed)
-    assert res.status == "fail" and res.note == "component discontinuous across breakpoint"
-    assert res.witness["q"] == period.q_hi
-    assert analyze.check_system(close_period(period, g.schedule.tau)).status == "pass"
+    j, sig = g.weights.k - 1, g.schedule.sigmas[-1]
+    lines = g.lines
+    at_sig = lines.y0[j] + lines.slope[j] * (sig - lines.x0[j])
+    bottom, top = np.argmin(at_sig), np.argmax(at_sig)
+    bend = 1e-3 * np.max(np.abs(lines.slope))
+    slope, y0 = lines.slope.copy(), lines.y0.copy()
+    for i, d in ((bottom, bend), (top, -bend)):
+        slope[j, i] += d
+        y0[j, i] -= d * (sig - lines.x0[j, i])
+    assert rg.run_all_checks(g, t_base=t_base).entry("proper-direct").status == "pass"
+    report = rg.run_all_checks(with_lines(g, slope=slope, y0=y0), t_base=t_base)
+    assert report.entry("system").status == "pass"
+    res = report.entry("proper-direct")
+    assert res.status == "fail"
+    assert res.witness["q"] == pytest.approx(g.tau ** (t_base + 1), rel=1e-15)
 
 
 def test_run_all_checks_never_extracts(l4m2_instance, monkeypatch):
@@ -388,8 +352,9 @@ def reproduction_set():
 
 
 def table_slack(sys, tol):
-    """check_proper_direct's (B, n - 1) slacks and open gaps at the interior
-    breakpoints, as its own arithmetic forms them."""
+    """proper-direct's (B, n - 1) slacks and open gaps at the interior
+    breakpoints of a piece table: the bottom-i slope sums right minus left,
+    and the gaps just right above tol * W * q."""
     csum = np.cumsum(sys.slopes, axis=1)
     gap = np.diff(sys.values[1:], axis=1)
     w_max = np.max(np.abs(sys.slopes))
@@ -398,7 +363,10 @@ def table_slack(sys, tol):
 
 def test_grid_route_matches_table_route():
     # run_all_checks reads the line table at the grid abscissae; the table
-    # route extracts period t_base, closes it with one piece and checks that
+    # route extracts period t_base and closes it with one piece.  The loop
+    # references referee the statuses in period 0 (the other periods give the
+    # same verdicts: test_direct_check_window_translation_invariance), and
+    # the slacks of the two routes agree in every period tested
     tol = 1e-9
     graphs = reproduction_set()
     graphs += [load_config(path).graph() for path in sorted(CONFIG_DIR.glob("*.json"))]
@@ -408,11 +376,13 @@ def test_grid_route_matches_table_route():
         for t_base in (-20, 0, 10):
             report = rg.run_all_checks(g, tol, t_base)
             closed = close_period(rg.component_functions(g, t_base, t_base), g.schedule.tau)
-            for got, want in ((report.entry("system"), analyze.check_system(closed, tol)),
-                              (report.entry("proper-direct"),
-                               analyze.check_proper_direct(closed, tol))):
-                assert got.status == want.status, (g.weights, t_base, got, want)
-                statuses.add((got.name, got.status))
+            if t_base == 0:
+                for got, reference in ((report.entry("system"), reference_check_system),
+                                       (report.entry("proper-direct"),
+                                        reference_check_proper_direct)):
+                    want = reference(closed, tol)
+                    assert got.status == want.status, (g.weights, got, want)
+                    statuses.add((got.name, got.status))
             # the slacks of every (q, i) both routes test, q a grid abscissa
             x, ends = analyze._grid(g, t_base)
             slack, gap = analyze._grid_slack(g, ends)
@@ -452,6 +422,10 @@ def test_grid_system_detects_broken_graph(fig_instance):
     res = rg.run_all_checks(dataclasses.replace(g, u=u)).entry("system")
     assert res.status == "fail" and res.margin > 1e-8
     assert res.note == "component sum off the expected line"
+    slope = g.lines.slope.copy()
+    slope[3, 0] = 0.0
+    res = rg.run_all_checks(with_lines(g, slope=slope)).entry("system")
+    assert res.status == "fail" and res.note == "component sum off the expected line"
     label = g.lines.label.copy()
     label[3, 0] = label[3, 1]
     res = rg.run_all_checks(with_lines(g, label=label), t_base=2).entry("system")
@@ -464,12 +438,6 @@ def test_grid_system_detects_broken_graph(fig_instance):
     res = rg.run_all_checks(with_lines(g, y0=y0)).entry("system")
     assert res.status == "fail"
     assert res.note == "first-period values inconsistent with vanishing at 0"
-    # a non-finite height never reaches a verdict
-    for bad in (np.nan, np.inf, -np.inf):
-        u = g.u.copy()
-        u[3] = bad
-        with pytest.raises(rg.ConstructError, match="^window: "):
-            rg.run_all_checks(dataclasses.replace(g, u=u))
 
 
 def test_run_all_checks_memory_large_k():

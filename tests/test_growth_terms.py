@@ -86,12 +86,12 @@ def reference_termwise(w, sch, tol=0.0):
 
 
 def reference_m1(w, sch, tol=0.0):
-    if w.m != 1 or abs(w.beta[0] - w.l) > 1e-12:
+    if w.m != 1:
         return analyze.CheckResult("proper-m1", analyze.NOT_APPLICABLE, tol, 0.0, None,
                                    note="requires m = 1 and beta_1 = l")
     best, wit = np.inf, None
     for r in range(1, w.l + 1):
-        bound = (w.alpha_at(r) + w.l) / (w.alpha_at(r + 1) + w.l)
+        bound = (w.alpha_at(r) + w.beta[0]) / (w.alpha_at(r + 1) + w.beta[0])
         s = sch.factors[r - 1] - bound
         if s < best:
             best, wit = s, {"r": r, "bound": bound}

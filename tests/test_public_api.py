@@ -32,9 +32,8 @@ HOME = {
     "graph": ("NegativeAbscissa", "NonFiniteAbscissa", "EmptyWindow", "Piece",
               "PiecewiseLinearSystem"),
     "analyze": ("PASS", "FAIL", "NOT_SUFFICIENT", "NOT_APPLICABLE", "CheckResult",
-                "CheckReport", "check_system", "check_regular", "check_proper_direct",
-                "check_proper_nodes", "check_proper_sufficient", "check_proper_termwise",
-                "check_proper_m1", "check_subgraphs"),
+                "CheckReport", "check_regular", "check_proper_nodes", "check_proper_sufficient",
+                "check_proper_termwise", "check_proper_m1", "check_subgraphs"),
     "cli": ("InstanceConfig", "ParseError", "ValidationError", "load_config"),
 }
 
@@ -44,7 +43,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_all_is_exactly_the_pipeline():
     assert len(regraph.__all__) == len(set(regraph.__all__))
     assert set(regraph.__all__) == PUBLIC
-    assert sum(map(len, HOME.values())) == 35
+    assert sum(map(len, HOME.values())) == 33
     for name in PUBLIC:
         assert hasattr(regraph, name), name
 

@@ -99,6 +99,19 @@ def test_balance_tolerance_boundary():
         rg.validate_weights(1, 1, (1.0,), (1.0 + 5e-12,))
 
 
+def test_balance_tolerance_is_relative():
+    # weights times c give the graph times c, so they are accepted alike
+    rng = np.random.default_rng(0)
+    for _ in range(200):
+        l, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+        alpha, beta = rng.uniform(0.2, 3.0, size=l), rng.uniform(0.2, 3.0, size=m)
+        beta *= alpha.sum() / beta.sum()
+        for c in (1e-3, 1.0, 1e3, 1e6):
+            rg.validate_weights(l, m, c * alpha, c * beta)
+            with pytest.raises(BalanceViolated):
+                rg.validate_weights(l, m, c * alpha, c * beta * (1.0 + 1e-9))
+
+
 def test_cyclic_alpha_examples():
     w = rg.validate_weights(3, 2, (0.5, 1.0, 1.5), (2.0, 1.0))
     assert w.alpha_at(4) == w.alpha[0]
