@@ -5,7 +5,8 @@ slope sum of the bottom group on the left never exceeds the one on the
 right — can be confirmed several ways, and the battery reports each route
 separately:
 
-  * the direct definition on the extracted pieces,
+  * the direct definition, read off the graph's line table at the grid
+    abscissae of one period,
   * the node ordering v_r > u_r,
   * a one-sided ratio test on the expansion schedule,
   * a per-step termwise bound,

@@ -14,7 +14,6 @@ from bisect import bisect_right
 import numpy as np
 
 import regraph as rg
-from regraph.analyze import check_subgraphs
 
 g = rg.build_graph(
     rg.validate_weights(4, 2, (0.5, 1.5, 1.0, 2.0), (3.0, 2.0)),
@@ -46,6 +45,6 @@ merged = np.sort(np.concatenate(parts))
 print(f"\nmerged class values match the full system: "
       f"{np.allclose(merged, rg.evaluate(g, q), rtol=1e-12)}")
 
-res = check_subgraphs(g)
+res = rg.run_all_checks(g).entry("subgraphs")
 print(f"subgraphs check over every subinterval: {res.status.upper()}, "
       f"worst class-sum residual {res.margin:.1e} (relative), at {res.witness}")

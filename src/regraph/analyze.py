@@ -15,18 +15,23 @@ codes: the ratio test and the per-factor bound for a single falling
 weight only ever certify properness, so their inequality failing must
 not flag an otherwise healthy instance.
 
-system and proper-direct are decided only by run_all_checks, which
-extracts no piece table: it reads the graph's line table at the k grid
-abscissae of one period closed by the next period's first subinterval,
-in O(k n log n).  Between grid abscissae the active lines are fixed, and
-at a crossing the order of the components changes only among lines tied
-there, whose gaps are exempt.  Thresholds scale with W, the largest
-|slope|, and proper-m1 normalises the weights to beta_1 = l, so weights
-times c, which give the graph times c, move no verdict.
+run_all_checks is the one public check: it runs every check below on one
+graph, in a fixed order, and extracts no piece table.  It reads the
+graph's line table once, at the k grid abscissae of one period closed by
+the next period's first subinterval, in O(k n log n); system,
+proper-direct and (when d > 1) subgraphs are decided there.  Between
+grid abscissae the active lines are fixed, and at a crossing the order
+of the components changes only among lines tied there, whose gaps are
+exempt.  Thresholds scale with W, the largest |slope|, and proper-m1
+normalises the weights to beta_1 = l, so weights times c, which give the
+graph times c, move no verdict.  A non-finite line value makes
+run_all_checks raise ConstructError before any check runs; the
+non-finite FAIL paths of _regular and _subgraphs are kept as safety code.
 """
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass
 from typing import Optional
 
@@ -107,19 +112,14 @@ def _worst_residual(name: str, rel: np.ndarray, tol: float, witness_at, notes) -
     return CheckResult(name, PASS, tol, worst, witness)
 
 
-def check_regular(g: RegularGraph, tol: float = 1e-9) -> CheckResult:
+def _regular(g: RegularGraph, terms, tol: float) -> CheckResult:
     """Self-similarity at its source: the heights solve the node system.
 
     Windows are tau^t tiles of period 0, so P(tau q) = tau P(q) holds by
     construction; this tests the period-0 data.  For (h, H) = (u, U) and
-    (v, V), at the worst r, the residual |h_r - chi_r h_{(r+n) mod k} + H_r|
-    relative to the largest of its three terms (0 when exactly 0) must
-    not exceed tol; a non-finite term fails."""
-    return _regular(g, growth_terms(g.weights, g.schedule), tol)
-
-
-def _regular(g: RegularGraph, terms, tol: float) -> CheckResult:
-    """check_regular with the growth_terms arrays of g."""
+    (v, V), terms the growth_terms arrays of g, at the worst r, the residual
+    |h_r - chi_r h_{(r+n) mod k} + H_r| relative to the largest of its three
+    terms (0 when exactly 0) must not exceed tol; a non-finite term fails."""
     w = g.weights
     _, _, chi, U, V = terms
     h, H = np.stack([g.u, g.v]), np.stack([U, V])
@@ -133,7 +133,7 @@ def _regular(g: RegularGraph, terms, tol: float) -> CheckResult:
                            ("node heights off the node system", "non-finite node height or term"))
 
 
-def check_proper_nodes(g: RegularGraph) -> CheckResult:
+def _proper_nodes(g: RegularGraph) -> CheckResult:
     """Node-ordering properness test: every upper node at or above the
     lower node of the same index (v_r >= u_r)."""
     diff = np.asarray(g.v) - np.asarray(g.u)
@@ -144,19 +144,15 @@ def check_proper_nodes(g: RegularGraph) -> CheckResult:
     )
 
 
-def check_proper_sufficient(w: Weights, schedule: ExpansionSchedule) -> CheckResult:
+def _proper_sufficient(w: Weights, terms) -> CheckResult:
     """Ratio form of the sufficient properness condition.
 
     Requires every pair sum alpha_i + beta_j to be positive; then
-    properness is guaranteed when (psi_r^n + 1)/(psi_r^l + psi_r^m)
-    dominates the extremal pair-sum ratio at every r.  One-sided: when
-    the inequality fails the result is 'not-sufficient', not 'fail'.
+    properness is guaranteed when (psi_r^n + 1)/(psi_r^l + psi_r^m), read
+    off the growth_terms arrays, dominates the extremal pair-sum ratio at
+    every r.  One-sided: when the inequality fails the result is
+    'not-sufficient', not 'fail'.
     """
-    return _proper_sufficient(w, growth_terms(w, schedule))
-
-
-def _proper_sufficient(w: Weights, terms) -> CheckResult:
-    """check_proper_sufficient with the growth_terms arrays."""
     if w.pair_sum_min <= 0:
         return CheckResult("proper-sufficient", NOT_APPLICABLE, 0.0, 0.0, None,
                            note="some pair sum alpha_i + beta_j is zero")
@@ -168,25 +164,20 @@ def _proper_sufficient(w: Weights, terms) -> CheckResult:
                       {"r": r, "lhs": float(lhs[r]), "rhs": rhs})
 
 
-def check_proper_termwise(w: Weights, schedule: ExpansionSchedule) -> CheckResult:
+def _proper_termwise(terms) -> CheckResult:
     """Termwise sufficient condition: V_r - U_r >= 0 for every r.
 
     This is the inequality the ratio condition actually bounds; it is
     weaker (closer to necessary) than the ratio form and likewise only
     certifies, never refutes.
     """
-    return _proper_termwise(growth_terms(w, schedule))
-
-
-def _proper_termwise(terms) -> CheckResult:
-    """check_proper_termwise with the growth_terms arrays."""
     _, _, _, U, V = terms
     slack = V - U
     r = int(slack.argmin())
     return _one_sided("proper-termwise", slack[r], {"r": r})
 
 
-def check_proper_m1(w: Weights, schedule: ExpansionSchedule) -> CheckResult:
+def _proper_m1(w: Weights, schedule: ExpansionSchedule) -> CheckResult:
     """Per-factor bound for a single falling weight.
 
     Applies when m = 1.  The paper's bound rho_r >= (alpha_r + l) /
@@ -212,28 +203,24 @@ def _one_sided(name: str, margin: float, witness: dict) -> CheckResult:
     return CheckResult(name, status, 0.0, float(margin), witness)
 
 
-def check_subgraphs(g: RegularGraph, tol: float = 1e-9) -> CheckResult:
-    """Residue-class decomposition consistency for non-coprime sizes.
+def _subgraphs(g: RegularGraph, x: np.ndarray, ends: np.ndarray, w_max: float,
+               tol: float) -> CheckResult:
+    """Residue-class decomposition consistency for non-coprime sizes (d > 1).
 
     The class drifts gamma_f must cancel to tol * W, W the largest
     |slope|, and above every subinterval j of the line table the lines of
-    class f (r = f mod d) must sum to gamma_f * x at both ends x.  A
-    residual fails above tol * W * x, with margin residual / (W x); a
+    class f (r = f mod d) must sum to gamma_f * x at both ends x of _grid.
+    A residual fails above tol * W * x, with margin residual / (W x); a
     non-finite term fails.
     """
-    w, lines = g.weights, g.lines
-    if w.d == 1:
-        return CheckResult("subgraphs", NOT_APPLICABLE, tol, 0.0, None,
-                           note="group sizes are coprime; single class")
-    w_max = float(np.max(np.abs(lines.slope)))
+    w = g.weights
     gamma = np.array([w.class_gamma(f) for f in range(w.d)])
     gamma_sum = float(sum(gamma))
     if abs(gamma_sum) > tol * w_max:
         return CheckResult("subgraphs", FAIL, tol, gamma_sum / w_max, None,
                            note="class drifts do not cancel")
-    x, ends = _grid_ends(g)
     x = x[:, None]  # (end, 1, j)
-    in_class = lines.r % w.d == np.arange(w.d)[:, None, None]  # (f, j, line)
+    in_class = g.lines.r % w.d == np.arange(w.d)[:, None, None]  # (f, j, line)
     with np.errstate(over="ignore", invalid="ignore"):
         terms = np.where(in_class, ends[:, None], 0.0)
         resid = np.abs(terms.sum(axis=-1) - gamma[:, None] * x)
@@ -243,30 +230,24 @@ def check_subgraphs(g: RegularGraph, tol: float = 1e-9) -> CheckResult:
                            ("class lines off the class drift", "non-finite class line value"))
 
 
-def _grid_ends(g: RegularGraph) -> tuple[np.ndarray, np.ndarray]:
+def _grid(g: RegularGraph, t_base: int) -> tuple[np.ndarray, np.ndarray]:
     """Row j of the line table at both ends of its subinterval, sigma_j and
     sigma_{j+1} (sigma_k = tau): (2, k) abscissae and (2, k, n) values in
-    period 0, non-finite where a value leaves the float range."""
-    lines, sig = g.lines, np.asarray(g.schedule.sigmas)
-    x = np.stack([sig, np.append(sig[1:], g.schedule.tau)])
-    with np.errstate(over="ignore", invalid="ignore"):
-        return x, lines.y0 + lines.slope * (x[..., None] - lines.x0)
-
-
-def _grid(g: RegularGraph, t_base: int) -> tuple[np.ndarray, np.ndarray]:
-    """_grid_ends, to be read in period t_base, as P(tau q) = tau P(q).
+    period 0, to be read in period t_base, as P(tau q) = tau P(q).
 
     Raises ConstructError unless tau^t_base .. tau^(t_base+1) are normal
     floats, the line intercepts fit as for export (graph._intercepts), and
     the abscissae and values of this grid fit in period t_base closed by the
     next period's first subinterval, row 0 times tau.
     """
-    tau = g.schedule.tau
+    tau, lines = g.schedule.tau, g.lines
     _check_window(tau, t_base, t_base + 1)
-    _intercepts(g.lines)
-    x, ends = _grid_ends(g)
+    _intercepts(lines)
+    sig = np.asarray(g.schedule.sigmas)
+    x = np.stack([sig, np.append(sig[1:], tau)])
     scale = tau**t_base
     with np.errstate(over="ignore", invalid="ignore"):
+        ends = lines.y0 + lines.slope * (x[..., None] - lines.x0)
         closing = tau * np.append(x[:, 0], ends[:, 0])
         fits = np.isfinite(scale * ends).all() and np.isfinite(scale * closing).all()
     if not fits:
@@ -337,10 +318,16 @@ def _grid_proper_direct(g: RegularGraph, x: np.ndarray, ends: np.ndarray, scale:
 
 
 def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> CheckReport:
-    """Run the full verification suite.  system and proper-direct read the line
-    table at the grid abscissae of period t_base, closed by the next period's
-    first subinterval (see _grid); t_base only places witnesses and sets the
-    float range.  No piece table is extracted."""
+    """Run the full verification suite, the one public check of this module.
+
+    system, proper-direct and, when d > 1, subgraphs read the line table at
+    the grid abscissae of period t_base, closed by the next period's first
+    subinterval (see _grid); t_base only places witnesses and sets the float
+    range.  No piece table is extracted.  Raises ValueError unless
+    0 < tol <= the largest float.
+    """
+    if not 0 < tol <= sys.float_info.max:
+        raise ValueError(f"tol: must be a finite positive number, got {tol!r}")
     x, ends = _grid(g, t_base)
     scale, w_max = g.schedule.tau**t_base, float(np.max(np.abs(g.lines.slope)))
     w = g.weights
@@ -349,19 +336,17 @@ def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> Check
         _grid_system(g, x, ends, scale, w_max, tol),
         _regular(g, terms, tol),
         _grid_proper_direct(g, x, ends, scale, w_max, tol),
-        check_proper_nodes(g),
+        _proper_nodes(g),
         _proper_sufficient(w, terms),
         _proper_termwise(terms),
-        check_proper_m1(w, g.schedule),
+        _proper_m1(w, g.schedule),
     ]
     if w.d > 1:
-        results.append(check_subgraphs(g, tol))
+        results.append(_subgraphs(g, x, ends, w_max, tol))
     return CheckReport(results=tuple(results))
 
 
 __all__ = [
     "PASS", "FAIL", "NOT_SUFFICIENT", "NOT_APPLICABLE",
-    "CheckResult", "CheckReport",
-    "check_regular", "check_proper_nodes", "check_proper_sufficient", "check_proper_termwise",
-    "check_proper_m1", "check_subgraphs", "run_all_checks",
+    "CheckResult", "CheckReport", "run_all_checks",
 ]

@@ -12,14 +12,7 @@ import numpy as np
 import pytest
 
 import regraph as rg
-from regraph.analyze import (
-    NOT_SUFFICIENT,
-    PASS,
-    check_proper_m1,
-    check_proper_nodes,
-    check_proper_sufficient,
-    check_regular,
-)
+from regraph.analyze import NOT_SUFFICIENT, PASS
 from regraph.cli import main
 from regraph.construct import chi
 
@@ -145,7 +138,7 @@ def test_criterion_04_regularity(all_fixture_instances, announce):
     bad = []
     worst = 0.0
     for i, g in enumerate(graphs):
-        result = check_regular(g, tol=1e-9)
+        result = rg.run_all_checks(g, tol=1e-9).entry("regular")
         if result.status != PASS:
             bad.append((i, result.status, result.note))
         # the window 0..2 is tiled from period 0; evaluate reads no table
@@ -205,16 +198,16 @@ def test_criterion_06_sufficiency_implies_properness(announce):
         factors = rng.uniform(1.05, 3.0, size=w.k)
         sch = rg.ExpansionSchedule.from_factors(factors)
         for _ in range(40):
-            if check_proper_sufficient(w, sch).status == PASS:
+            report = rg.run_all_checks(rg.build_graph(w, sch))
+            if report.entry("proper-sufficient").status == PASS:
                 break
             factors = 1.0 + (factors - 1.0) * 1.5
             sch = rg.ExpansionSchedule.from_factors(factors)
         else:
             escalation_failures += 1
             continue
-        g = rg.build_graph(w, sch)
-        nodes_ok = check_proper_nodes(g).status == PASS
-        direct_ok = rg.run_all_checks(g).entry("proper-direct").status == PASS
+        nodes_ok = report.entry("proper-nodes").status == PASS
+        direct_ok = report.entry("proper-direct").status == PASS
         if not (nodes_ok and direct_ok):
             counterexamples += 1
     ok = counterexamples == 0 and escalation_failures == 0
@@ -228,7 +221,8 @@ def test_criterion_06_sufficiency_implies_properness(announce):
 
 def test_criterion_07_sharpness_split(fig_instance, announce):
     g = fig_instance
-    result = check_proper_sufficient(g.weights, g.schedule)
+    report = rg.run_all_checks(g)
+    result = report.entry("proper-sufficient")
     lhs_expected = (2.0 ** (5.0 / 3.0) + 1.0) / (2.0 + 2.0 ** (2.0 / 3.0))
     rhs_expected = 7.0 / 3.0
     lhs = result.witness["lhs"]
@@ -238,7 +232,7 @@ def test_criterion_07_sharpness_split(fig_instance, announce):
         and abs(rhs - rhs_expected) <= 1e-12 * rhs_expected
     )
     ok_status = result.status == NOT_SUFFICIENT
-    direct = rg.run_all_checks(g).entry("proper-direct")
+    direct = report.entry("proper-direct")
     ok = ok_values and ok_status and direct.status == PASS
     announce(
         f"criterion 07: {'PASS' if ok else 'FAIL'} - one-sided ratio test "
@@ -264,9 +258,9 @@ def test_criterion_08_schedule_designer(announce):
                 bound = (a_r + l) / (a_next + l)
                 factors.append(max(bound * (1.0 + delta), 1.0 + 1e-6))
             sch = rg.ExpansionSchedule.from_factors(factors)
-            g = rg.build_graph(w, sch)
-            m1 = check_proper_m1(w, sch)
-            nodes = check_proper_nodes(g)
+            report = rg.run_all_checks(rg.build_graph(w, sch))
+            m1 = report.entry("proper-m1")
+            nodes = report.entry("proper-nodes")
             trials += 1
             if m1.status != PASS or nodes.status != PASS:
                 failures.append((delta, alpha, m1.status, nodes.status))

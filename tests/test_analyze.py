@@ -29,9 +29,7 @@ def test_fig_report(fig_instance):
 
 
 def test_fig_sufficient_witness_values(fig_instance):
-    res = analyze.check_proper_sufficient(
-        fig_instance.weights, fig_instance.schedule
-    )
+    res = rg.run_all_checks(fig_instance).entry("proper-sufficient")
     lhs = (2 ** (5 / 3) + 1) / (2 + 2 ** (2 / 3))
     assert res.witness["lhs"] == pytest.approx(lhs, rel=1e-12)
     assert res.witness["rhs"] == pytest.approx(7 / 3, rel=1e-12)
@@ -64,12 +62,12 @@ def test_improper_instance_flagged(improper_instance):
 
 
 def test_check_regular_detects_perturbation(fig_instance):
-    res = analyze.check_regular(fig_instance)
+    res = rg.run_all_checks(fig_instance).entry("regular")
     assert res.status == "pass" and 0.0 < res.margin < 1e-15
     for height in ("u", "v"):
         h = getattr(fig_instance, height).copy()
         h[2] += 1e-6
-        res = analyze.check_regular(dataclasses.replace(fig_instance, **{height: h}))
+        res = rg.run_all_checks(dataclasses.replace(fig_instance, **{height: h})).entry("regular")
         assert res.status == "fail" and res.margin > 1e-7
         assert res.witness["kind"] == height
         assert res.note == "node heights off the node system"
@@ -101,14 +99,21 @@ def with_non_finite_source(g, field, bad):
     return graphs
 
 
+def regular(g, tol=1e-9):
+    """The regular check on its own.  run_all_checks raises ConstructError on
+    a non-finite line value before it runs, so its non-finite FAIL path is
+    reached only here."""
+    return analyze._regular(g, rg.growth_terms(g.weights, g.schedule), tol)
+
+
 @pytest.mark.parametrize("field,bad", NON_FINITE)
 def test_check_regular_fails_on_non_finite(fig_instance, field, bad):
     for broken in with_non_finite_source(fig_instance, field, bad):
-        res = analyze.check_regular(broken)
+        res = regular(broken)
         assert res.status == "fail" and res.margin == np.inf
         assert "non-finite" in res.note
     if field == "values":
-        assert [analyze.check_regular(b).witness for b in
+        assert [regular(b).witness for b in
                 with_non_finite_source(fig_instance, field, bad)] == [
             {"r": 3, "kind": "u"}, {"r": 3, "kind": "v"}]
 
@@ -138,16 +143,22 @@ def test_direct_check_window_translation_invariance(improper_instance, fig_insta
     assert {("system", "pass"), ("subgraphs", "pass"), ("proper-direct", "fail")} <= statuses
 
 
+def entry(name, w, sch):
+    """run_all_checks' result for check name on the graph of weights w and
+    schedule sch."""
+    return rg.run_all_checks(rg.build_graph(w, sch)).entry(name)
+
+
 def test_m1_condition_pass_equal_weights():
     g = make_instance(3, 1, (1.0, 1.0, 1.0), (3.0,), [1.01, 1.7, 2.3])
-    res = analyze.check_proper_m1(g.weights, g.schedule)
+    res = rg.run_all_checks(g).entry("proper-m1")
     assert res.status == "pass"  # all bounds are exactly 1
 
 
 def test_m1_condition_violated_bound():
     w = rg.validate_weights(3, 1, (2.0, 0.5, 0.5), (3.0,))
     sch = rg.ExpansionSchedule.from_factors([1.3, 1.01, 1.5])
-    res = analyze.check_proper_m1(w, sch)
+    res = entry("proper-m1", w, sch)
     assert res.status == "not-sufficient"
     assert res.witness["r"] == 1
     assert res.witness["bound"] == pytest.approx(10 / 7, rel=1e-12)
@@ -156,7 +167,7 @@ def test_m1_condition_violated_bound():
 def test_m1_condition_not_applicable():
     w = rg.validate_weights(2, 2, (1.0, 2.0), (2.0, 1.0))
     sch = rg.ExpansionSchedule.from_factors([1.5, 1.5])
-    assert analyze.check_proper_m1(w, sch).status == "not-applicable"
+    assert entry("proper-m1", w, sch).status == "not-applicable"
 
 
 def test_m1_condition_normalises_beta():
@@ -164,19 +175,19 @@ def test_m1_condition_normalises_beta():
     # is: the bound (alpha_r + beta_1) / (alpha_{r+1} + beta_1) is the paper's
     # (alpha_r + l) / (alpha_{r+1} + l) of the weights scaled to beta_1 = l
     w = rg.validate_weights(2, 1, (2.0, 1.0), (3.0,))
-    res = analyze.check_proper_m1(w, rg.ExpansionSchedule.from_factors([1.5, 1.5]))
+    res = entry("proper-m1", w, rg.ExpansionSchedule.from_factors([1.5, 1.5]))
     assert res.status == "pass" and res.witness == {"r": 1, "bound": 1.25}
     sch = rg.ExpansionSchedule.from_factors([3.0])
-    want = analyze.check_proper_m1(rg.validate_weights(1, 1, (1.0,), (1.0,)), sch)
+    want = entry("proper-m1", rg.validate_weights(1, 1, (1.0,), (1.0,)), sch)
     assert want.status == "pass" and want.witness == {"r": 1, "bound": 1.0}
     for c in (2.0, 1e6, 1e-6):
-        assert analyze.check_proper_m1(rg.validate_weights(1, 1, (c,), (c,)), sch) == want
+        assert entry("proper-m1", rg.validate_weights(1, 1, (c,), (c,)), sch) == want
 
 
 def test_sufficient_not_applicable_for_zero_pair():
     w = rg.validate_weights(2, 2, (0.0, 1.0), (0.0, 1.0))
     sch = rg.ExpansionSchedule.from_factors([1.5, 1.8])
-    res = analyze.check_proper_sufficient(w, sch)
+    res = entry("proper-sufficient", w, sch)
     assert res.status == "not-applicable"
 
 
@@ -186,14 +197,13 @@ def test_sufficient_passes_for_large_factors(fig_instance):
     w = fig_instance.weights
     factors = np.array(fig_instance.schedule.factors)
     for _ in range(40):
-        sch = rg.ExpansionSchedule.from_factors(factors)
-        if analyze.check_proper_sufficient(w, sch).status == "pass":
+        report = rg.run_all_checks(rg.build_graph(w, rg.ExpansionSchedule.from_factors(factors)))
+        if report.entry("proper-sufficient").status == "pass":
             break
         factors = 1.0 + (factors - 1.0) * 2.0
     else:
         pytest.fail("ratio condition never became satisfiable")
-    g = rg.build_graph(w, sch)
-    assert analyze.check_proper_nodes(g).status == "pass"
+    assert report.entry("proper-nodes").status == "pass"
 
 
 SEED_IMPLICATIONS = 90210
@@ -204,18 +214,16 @@ def test_implication_chain_randomized():
     rng = np.random.default_rng(SEED_IMPLICATIONS)
     checked = 0
     for _ in range(150):
-        g = random_instance(rng)
-        w, sch = g.weights, g.schedule
-        suff = analyze.check_proper_sufficient(w, sch)
-        term = analyze.check_proper_termwise(w, sch)
-        nodes = analyze.check_proper_nodes(g)
+        report = rg.run_all_checks(random_instance(rng))
+        suff, term, nodes = (report.entry(name) for name in
+                             ("proper-sufficient", "proper-termwise", "proper-nodes"))
         if suff.status == "pass":
             assert term.status == "pass"
         if term.status == "pass":
             assert nodes.status == "pass"
             checked += 1
         if nodes.status == "pass":
-            assert rg.run_all_checks(g).entry("proper-direct").status == "pass"
+            assert report.entry("proper-direct").status == "pass"
     assert checked > 10  # the chain must actually have been exercised
 
 
@@ -227,16 +235,19 @@ def test_m1_implies_nodes_randomized():
         alpha *= l / alpha.sum()  # balance against beta_1 = l
         w = rg.validate_weights(l, 1, alpha, (float(l),))
         sch = rg.ExpansionSchedule.from_factors(rng.uniform(1.05, 2.5, size=l))
-        if analyze.check_proper_m1(w, sch).status != "pass":
+        report = rg.run_all_checks(rg.build_graph(w, sch))
+        if report.entry("proper-m1").status != "pass":
             continue
-        g = rg.build_graph(w, sch)
-        assert analyze.check_proper_nodes(g).status == "pass"
+        assert report.entry("proper-nodes").status == "pass"
 
 
 def test_subgraph_check(l2m2_instance, l4m2_instance, fig_instance):
-    assert analyze.check_subgraphs(l2m2_instance).status == "pass"
-    assert analyze.check_subgraphs(l4m2_instance).status == "pass"
-    assert analyze.check_subgraphs(fig_instance).status == "not-applicable"
+    assert rg.run_all_checks(l2m2_instance).entry("subgraphs").status == "pass"
+    assert rg.run_all_checks(l4m2_instance).entry("subgraphs").status == "pass"
+    # coprime group sizes form a single class: the report has no subgraphs entry
+    assert fig_instance.weights.d == 1
+    with pytest.raises(KeyError):
+        rg.run_all_checks(fig_instance).entry("subgraphs")
 
 
 def test_subgraph_check_detects_perturbed_height(l4m2_instance):
@@ -245,14 +256,26 @@ def test_subgraph_check_detects_perturbed_height(l4m2_instance):
                                            [1.3, 1.5, 1.2, 1.4, 1.25, 1.35])]
     for g in graphs:
         assert g.weights.d > 1
-        assert analyze.check_subgraphs(g).status == "pass"
+        assert rg.run_all_checks(g).entry("subgraphs").status == "pass"
         for r in range(g.weights.k):
             u = g.u.copy()
             u[r] += 1e-6
-            res = analyze.check_subgraphs(dataclasses.replace(g, u=u))
+            res = rg.run_all_checks(dataclasses.replace(g, u=u)).entry("subgraphs")
             assert res.status == "fail" and 1e-9 < res.margin < np.inf
             assert res.witness["f"] == r % g.weights.d
             assert res.note == "class lines off the class drift"
+
+
+def subgraphs(g, tol=1e-9):
+    """The subgraphs check on its own, on the line table at the grid ends
+    evaluated here, as _grid does, but without its float-range test:
+    run_all_checks raises ConstructError on a non-finite line value before
+    subgraphs runs, so its non-finite FAIL path is reached only here."""
+    lines, sig = g.lines, np.asarray(g.schedule.sigmas)
+    x = np.stack([sig, np.append(sig[1:], g.tau)])
+    with np.errstate(over="ignore", invalid="ignore"):
+        ends = lines.y0 + lines.slope * (x[..., None] - lines.x0)
+    return analyze._subgraphs(g, x, ends, float(np.max(np.abs(lines.slope))), tol)
 
 
 @pytest.mark.parametrize("height", ["u", "v"])
@@ -261,7 +284,10 @@ def test_subgraph_check_fails_on_nan_height(l4m2_instance, height):
     for r in range(g.weights.k):
         h = getattr(g, height).copy()
         h[r] = np.nan
-        res = analyze.check_subgraphs(dataclasses.replace(g, **{height: h}))
+        broken = dataclasses.replace(g, **{height: h})
+        with pytest.raises(rg.ConstructError, match="^window: "):
+            rg.run_all_checks(broken)
+        res = subgraphs(broken)
         assert res.status == "fail" and res.margin == np.inf
         assert res.witness["f"] == r % g.weights.d
         assert res.note == "non-finite class line value"
@@ -309,6 +335,57 @@ def test_run_all_checks_never_extracts(l4m2_instance, monkeypatch):
     monkeypatch.setattr(graph, "_window", extract)
     monkeypatch.setattr(analyze, "component_functions", extract, raising=False)
     assert rg.run_all_checks(l4m2_instance, t_base=3).ok
+
+
+@pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0])
+def test_run_all_checks_rejects_bad_tolerance(tol):
+    # the rule of load_config and --tolerance: 0 < tol <= the largest float.
+    # A NaN tol would PASS system, regular and subgraphs on this broken graph
+    g = load_config(CONFIG_DIR / "l4m2_interleaved.json").graph()
+    u = g.u.copy()
+    u[1] += 1e-3
+    with pytest.raises(ValueError, match="^tol: "):
+        rg.run_all_checks(dataclasses.replace(g, u=u), tol=tol)
+
+
+class SealedLines:
+    """A line table whose anchors x0, y0 may not be read once sealed."""
+
+    def __init__(self, lines):
+        self.lines, self.sealed = lines, False
+
+    def __getattr__(self, name):
+        if self.sealed and name in ("x0", "y0"):
+            raise AssertionError(f"line table evaluated again: {name} read after _grid")
+        return getattr(self.lines, name)
+
+
+@pytest.mark.parametrize("instance", ["fig_instance", "l4m2_instance"])
+def test_run_all_checks_evaluates_grid_once(instance, request, monkeypatch):
+    # _grid evaluates the line table at the grid ends once per report and no
+    # check evaluates it again; growth_terms is computed once.  d = 1 and d > 1
+    g = dataclasses.replace(request.getfixturevalue(instance))
+    watched = SealedLines(g.lines)
+    object.__setattr__(g, "lines", watched)
+    calls = {"_grid": 0, "growth_terms": 0}
+    real_grid, real_terms = analyze._grid, analyze.growth_terms
+
+    def grid(*args):
+        calls["_grid"] += 1
+        out = real_grid(*args)
+        watched.sealed = True
+        return out
+
+    def terms(*args):
+        calls["growth_terms"] += 1
+        return real_terms(*args)
+
+    monkeypatch.setattr(analyze, "_grid", grid)
+    monkeypatch.setattr(analyze, "growth_terms", terms)
+    report = rg.run_all_checks(g)
+    assert report.ok
+    assert ("subgraphs" in [r.name for r in report.results]) == (g.weights.d > 1)
+    assert calls == {"_grid": 1, "growth_terms": 1}
 
 
 def test_report_lines_and_entry(fig_instance):

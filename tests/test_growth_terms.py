@@ -182,10 +182,11 @@ def test_solves_match_loop_set_up(pairs):
 def test_one_sided_checks_match_loops(pairs):
     statuses = set()
     for _, w, sch in pairs:
-        for check, reference in ((analyze.check_proper_sufficient, reference_sufficient),
-                                 (analyze.check_proper_termwise, reference_termwise),
-                                 (analyze.check_proper_m1, reference_m1)):
-            res = check(w, sch)
+        report = rg.run_all_checks(rg.build_graph(w, sch))
+        for name, reference in (("proper-sufficient", reference_sufficient),
+                                ("proper-termwise", reference_termwise),
+                                ("proper-m1", reference_m1)):
+            res = report.entry(name)
             assert res == reference(w, sch)
             statuses.add((res.name, res.status))
     for name in ("proper-sufficient", "proper-termwise", "proper-m1"):

@@ -2,8 +2,9 @@
 
 `regraph` exports the pipeline weights -> schedule -> solve ->
 extract/evaluate -> check/render and nothing else; the typed errors,
-the individual checks and the piece and config records are imported
-from their submodules.
+the check statuses and result records, and the piece and config records
+are imported from their submodules.  `run_all_checks` is the only check:
+`regraph.analyze` has no single-check functions.
 """
 
 import importlib
@@ -32,8 +33,7 @@ HOME = {
     "graph": ("NegativeAbscissa", "NonFiniteAbscissa", "EmptyWindow", "Piece",
               "PiecewiseLinearSystem"),
     "analyze": ("PASS", "FAIL", "NOT_SUFFICIENT", "NOT_APPLICABLE", "CheckResult",
-                "CheckReport", "check_regular", "check_proper_nodes", "check_proper_sufficient",
-                "check_proper_termwise", "check_proper_m1", "check_subgraphs"),
+                "CheckReport"),
     "cli": ("InstanceConfig", "ParseError", "ValidationError", "load_config"),
 }
 
@@ -43,9 +43,16 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_all_is_exactly_the_pipeline():
     assert len(regraph.__all__) == len(set(regraph.__all__))
     assert set(regraph.__all__) == PUBLIC
-    assert sum(map(len, HOME.values())) == 33
+    assert sum(map(len, HOME.values())) == 27
     for name in PUBLIC:
         assert hasattr(regraph, name), name
+
+
+def test_analyze_has_one_check_entry():
+    analyze = importlib.import_module("regraph.analyze")
+    assert analyze.__all__ == ["PASS", "FAIL", "NOT_SUFFICIENT", "NOT_APPLICABLE",
+                               "CheckResult", "CheckReport", "run_all_checks"]
+    assert [name for name in vars(analyze) if name.startswith("check_")] == []
 
 
 @pytest.mark.parametrize("module", sorted(HOME))
