@@ -29,7 +29,7 @@ from .construct import (
     RegularGraph,
     build_graph,
 )
-from .graph import _check_window, _window, evaluate
+from .graph import _check_window, component_functions, evaluate
 from .render import render_svg
 from .weights import WeightError, Weights, validate_weights
 
@@ -78,13 +78,20 @@ def _require(raw: dict, field: str, kinds, path: str):
     return value
 
 
+def _float(value: Union[int, float], path: str) -> float:
+    try:
+        return float(value)
+    except OverflowError:  # a JSON integer beyond the float range
+        raise ValidationError(f"{path}: integer too large for a float") from None
+
+
 def _number_list(raw: dict, field: str) -> tuple[float, ...]:
     value = _require(raw, field, list, field)
     out = []
     for i, entry in enumerate(value):
         if isinstance(entry, bool) or not isinstance(entry, (int, float)):
             raise ValidationError(f"{field}[{i}]: expected a number")
-        out.append(float(entry))
+        out.append(_float(entry, f"{field}[{i}]"))
     return tuple(out)
 
 
@@ -94,7 +101,7 @@ def _rho_entry(entry, i: int) -> FactorLike:
     if isinstance(entry, (int, float)):
         if not entry > 1:
             raise ValidationError(f"rho[{i}]: factor {entry} must exceed 1")
-        return float(entry)
+        return _float(entry, f"rho[{i}]")
     if isinstance(entry, dict):
         for key in ("base", "num", "den"):
             if key not in entry:
@@ -106,7 +113,7 @@ def _rho_entry(entry, i: int) -> FactorLike:
             raise ValidationError(f"rho[{i}].num: must be an integer")
         if not isinstance(den, int) or isinstance(den, bool) or den <= 0:
             raise ValidationError(f"rho[{i}].den: must be a positive integer")
-        form = PowerForm(base=float(base), num=num, den=den)
+        form = PowerForm(base=_float(base, f"rho[{i}].base"), num=num, den=den)
         if not form.value > 1:
             raise ValidationError(f"rho[{i}]: power evaluates to {form.value}, must exceed 1")
         return form
@@ -133,7 +140,7 @@ def load_config(source: Union[str, Path, dict]) -> InstanceConfig:
                 raise ParseError(f"cannot read config: {exc}") from exc
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
             raise ParseError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ParseError("config root must be an object")
@@ -314,12 +321,10 @@ def _csv_text(x: np.ndarray, separators: np.ndarray) -> np.ndarray:
 
 
 def cmd_export(cfg: InstanceConfig, out_path: str) -> int:
-    g = cfg.graph()
-    power, p_lo, values, slopes, _ = _window(g, cfg.t_min, cfg.t_max)
-    scale, n = power[:-1], g.weights.n
-    breakpoints = np.append(np.multiply.outer(scale, p_lo), power[-1])
+    system = component_functions(cfg.graph(), cfg.t_min, cfg.t_max)
+    breakpoints, n = system.breakpoints, system.n
     with np.errstate(over="ignore", invalid="ignore"):  # the closing row, as written below
-        end = scale[-1] * values[-1] + slopes[-1] * (power[-1] - breakpoints[-2])
+        end = system.values_at(system.q_hi)
     if not np.isfinite(end).all():
         raise ConstructError(f"window: component values at tau^{cfg.t_max + 1} leave the float range")
     # per piece: its left breakpoint (s = 0), then samples_per_piece interior
@@ -351,13 +356,11 @@ def cmd_export(cfg: InstanceConfig, out_path: str) -> int:
                 # as dividing first elsewhere moves some printed digits
                 offset[inf] = width[inf] / (spp + 1) * s[inf]
             q = lo + offset
-            # the piece holding q (q >= lo), which may be the next one where q rounds
-            # onto its end
-            i = np.minimum(np.searchsorted(breakpoints, q, side="right") - 1, last - 1)
-            t, p = np.divmod(i, len(p_lo))
+            # values_at reads the piece holding q (q >= lo), which may be the next
+            # one where q rounds onto its end
             rows_here = table[:len(q)]
             rows_here[:, 0] = q
-            rows_here[:, 1:] = scale[t, None] * values[p] + slopes[p] * (q - breakpoints[i])[:, None]
+            rows_here[:, 1:] = system.values_at(q)
             fh.write(_csv_text(rows_here.ravel(), separators[:len(q)].ravel()))
     print(f"wrote {out_path}")
     return 0

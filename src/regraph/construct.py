@@ -69,11 +69,13 @@ class PowerForm:
 
     @property
     def value(self) -> float:
-        """base ** (num / den); inf where that overflows a float."""
+        """base ** (num / den); inf or 0.0 where that over- or underflows a float."""
         try:
             return float(self.base) ** (self.num / self.den)
-        except OverflowError:
-            return math.inf
+        except OverflowError:  # the power, or num / den itself, is beyond the float range
+            if self.base == 1:
+                return 1.0
+            return math.inf if (self.base > 1) == (self.num > 0) else 0.0
 
 
 FactorLike = Union[float, PowerForm]

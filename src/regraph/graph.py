@@ -9,12 +9,11 @@ segments pass (l rising, m falling), and sorting their ordinates
 yields continuous piecewise-linear component functions P_1 <= ... <=
 P_n.  This module evaluates the component values at arbitrary q and
 extracts the sorted system over an integer period window as a piece
-table: P pieces between P + 1 breakpoints, with (P, n) arrays of
-left-end values, slopes and slope-label codes.  Only period 0 is
-extracted; since P(tau q) = tau P(q), every window is tiled from it,
-and `export` streams its samples from period 0 without tiling.
-The table's `pieces` attribute views the same rows as `Piece` objects,
-each built only when it is read.  Residue classes are not extracted.
+table that stores only period 0's rows and the window's powers tau^t:
+as P(tau q) = tau P(q), piece i of the window is row i mod P0 scaled
+by tau^t of its period.  `values_at`, the lazily built `pieces` and
+`export` read rows through that one lookup.  Residue classes are not
+extracted.
 
 Both evaluation and extraction read the lines above each subinterval
 from the period line table the graph carries (`RegularGraph.lines`,
@@ -132,31 +131,35 @@ class _PieceRows(Sequence):
         self._system = system
 
     def __len__(self) -> int:
-        return len(self._system.values)
+        return len(self._system.breakpoints) - 1
 
     def __getitem__(self, i):
         if isinstance(i, slice):
             return tuple(self[j] for j in range(len(self))[i])
         i = range(len(self))[i]  # negative indices, IndexError
         s = self._system
+        scale, p = s._row(i)
         return Piece(
             q_lo=float(s.breakpoints[i]),
             q_hi=float(s.breakpoints[i + 1]),
-            values=s.values[i],
-            slopes=s.slopes[i],
-            labels=tuple(s.alphabet[c] for c in s.labels[i]),
+            values=scale * s.values0[p],
+            slopes=s.slopes0[p],
+            labels=tuple(s.alphabet[c] for c in s.labels0[p]),
         )
 
 
 @dataclass(frozen=True, eq=False)
 class PiecewiseLinearSystem:
-    """The sorted component functions over a window, as a piece table.
+    """The sorted component functions over a window, as a view of period 0.
 
     grid holds the subinterval boundaries tau^t sigma_j including the
     window terminus; breakpoints additionally contains every interior
-    crossing abscissa.  Row i of the (P, n) arrays is the piece from
-    breakpoints[i] to breakpoints[i+1]: values are the components at its
-    left end, slopes their slopes and labels integer codes into alphabet.
+    crossing abscissa.  Row p of the (P0, n) arrays is piece p of period 0,
+    [1, tau): values0 are the components at its left end, slopes0 their
+    slopes and labels0 integer codes into alphabet.  power holds tau^t for
+    each period t of the window, and piece i of the window, from
+    breakpoints[i] to breakpoints[i+1], is row i mod P0 with its values
+    scaled by power[i // P0], as P(tau q) = tau P(q).
     """
 
     n: int
@@ -164,9 +167,10 @@ class PiecewiseLinearSystem:
     q_hi: float
     grid: np.ndarray
     breakpoints: np.ndarray
-    values: np.ndarray
-    slopes: np.ndarray
-    labels: np.ndarray
+    values0: np.ndarray
+    slopes0: np.ndarray
+    labels0: np.ndarray
+    power: np.ndarray
     alphabet: tuple[tuple[str, int], ...]
 
     @property
@@ -174,13 +178,20 @@ class PiecewiseLinearSystem:
         """The rows as Piece objects, built one at a time on access."""
         return _PieceRows(self)
 
+    def _row(self, i):
+        """The scale power[i // P0] and period-0 row i mod P0 of piece i (or
+        of each entry of an index array)."""
+        t, p = np.divmod(i, len(self.values0))
+        return self.power[t], p
+
     def values_at(self, q) -> np.ndarray:
         """Component values at q from the piece containing it (the first or
         last piece beyond the window); an array of abscissae gives one row
         of n values per entry, equal to the scalar calls."""
         idx = np.searchsorted(self.breakpoints, q, side="right") - 1
-        idx = np.clip(idx, 0, len(self.values) - 1)
-        return self.values[idx] + self.slopes[idx] * (
+        idx = np.clip(idx, 0, len(self.breakpoints) - 2)
+        scale, p = self._row(idx)
+        return scale[..., None] * self.values0[p] + self.slopes0[p] * (
             np.asarray(q) - self.breakpoints[idx])[..., None]
 
 
@@ -231,11 +242,9 @@ def _intercepts(lines) -> np.ndarray:
     return c
 
 
-def _window(g: RegularGraph, t_lo: int, t_hi: int):
-    """The window's powers tau^t_lo .. tau^(t_hi+1) and period 0 of the sorted
-    components as (power, breakpoints, values, slopes, codes): P0 left
-    breakpoints in [1, tau) and (P0, n) left-end values, slopes and
-    slope-label codes, from which every period t is the tau^t tile.
+def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinearSystem:
+    """Extract P_1 <= ... <= P_n over the window as a view of period 0, the
+    one period extracted (see PiecewiseLinearSystem).
 
     Within each grid subinterval the active lines are intersected pairwise;
     every interior crossing becomes a breakpoint, and on each resulting piece
@@ -246,9 +255,10 @@ def _window(g: RegularGraph, t_lo: int, t_hi: int):
     as distinct components in a stable order given by segment identity.
 
     Raises ConstructError when a power of tau bounding the window is not a
-    finite normal float, or a line intercept of period 0 or a tiled value or
-    breakpoint is not a finite float.  Only the last tile is tested: rounding
-    is monotone and tau^t grows with t, so it holds the largest of each.
+    finite normal float, or a line intercept of period 0 or a value or
+    breakpoint of the window is not a finite float.  Only the last period is
+    tested: rounding is monotone and tau^t grows with t, so it holds the
+    largest of each.
     """
     if t_lo > t_hi:
         raise EmptyWindow(f"t_lo={t_lo} exceeds t_hi={t_hi}")
@@ -281,40 +291,15 @@ def _window(g: RegularGraph, t_lo: int, t_hi: int):
     if not last_fits:
         raise ConstructError(
             f"window: component values over tau^{t_lo} .. tau^{t_hi + 1} leave the float range")
-    return power, p_lo, values, slopes, code[line]
-
-
-def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinearSystem:
-    """Extract P_1 <= ... <= P_n over the window as a piece table.
-
-    Period 0 is extracted (see _window); period t is its tau^t tile:
-    grid, breakpoints and values scaled, slopes and labels repeated.
-
-    Raises ConstructError when a power of tau bounding the window is not
-    a finite normal float, or a line intercept of period 0 or a tiled
-    value or breakpoint is not a finite float.
-    """
-    power, p_lo, values, slopes, codes = _window(g, t_lo, t_hi)
     scale, q_hi = power[:-1], power[-1]
-    grid = np.append(np.multiply.outer(scale, g.schedule.sigmas), q_hi)
+    grid = np.append(np.multiply.outer(scale, sig), q_hi)
     breakpoints = np.append(np.multiply.outer(scale, p_lo), q_hi)
-    values = np.multiply.outer(scale, values).reshape(-1, g.weights.n)
-    slopes = np.tile(slopes, (len(scale), 1))
-    labels = np.tile(codes, (len(scale), 1))
-    for a in (grid, breakpoints, values, slopes, labels):
+    labels = code[line]
+    for a in (grid, breakpoints, values, slopes, labels, scale):
         a.flags.writeable = False
-
     return PiecewiseLinearSystem(
-        n=g.weights.n,
-        q_lo=float(grid[0]),
-        q_hi=float(grid[-1]),
-        grid=grid,
-        breakpoints=breakpoints,
-        values=values,
-        slopes=slopes,
-        labels=labels,
-        alphabet=g.weights.slope_labels,
-    )
+        n=n, q_lo=float(grid[0]), q_hi=float(grid[-1]), grid=grid, breakpoints=breakpoints,
+        values0=values, slopes0=slopes, labels0=labels, power=scale, alphabet=w.slope_labels)
 
 
 __all__ = [

@@ -1,5 +1,7 @@
 """Shared fixtures: canonical instances and randomized instance builders."""
 
+import dataclasses
+from functools import cached_property
 from math import lcm
 
 import numpy as np
@@ -7,6 +9,7 @@ import pytest
 
 import regraph as rg
 from regraph.construct import RegularGraph
+from regraph.graph import Piece
 
 
 def make_instance(l, m, alpha, beta, rho) -> RegularGraph:
@@ -27,6 +30,44 @@ def random_instance(rng, l=None, m=None, rho_lo=1.05, rho_hi=3.0):
     beta *= alpha.sum() / beta.sum()
     rho = rng.uniform(rho_lo, rho_hi, size=lcm(l, m))
     return make_instance(l, m, alpha, beta, rho)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
+class WindowRows:
+    """A piece table as (P, n) arrays over its whole window: row i holds
+    piece i's left-end values, slopes and slope-label codes into alphabet."""
+
+    n: int
+    q_lo: float
+    q_hi: float
+    grid: np.ndarray
+    breakpoints: np.ndarray
+    values: np.ndarray
+    slopes: np.ndarray
+    labels: np.ndarray
+    alphabet: tuple
+
+    @cached_property
+    def pieces(self):
+        return [Piece(float(self.breakpoints[i]), float(self.breakpoints[i + 1]),
+                      self.values[i], self.slopes[i],
+                      tuple(self.alphabet[c] for c in self.labels[i]))
+                for i in range(len(self.values))]
+
+
+def window_rows(system) -> WindowRows:
+    """The window's (P, n) rows of a PiecewiseLinearSystem, stacked from its
+    pieces."""
+    code = {label: c for c, label in enumerate(system.alphabet)}
+    pieces = system.pieces
+    n = system.n
+    return WindowRows(
+        n=n, q_lo=system.q_lo, q_hi=system.q_hi,
+        grid=system.grid, breakpoints=system.breakpoints,
+        values=np.array([p.values for p in pieces]).reshape(-1, n),
+        slopes=np.array([p.slopes for p in pieces]).reshape(-1, n),
+        labels=np.array([[code[label] for label in p.labels] for p in pieces]).reshape(-1, n),
+        alphabet=system.alphabet)
 
 
 @pytest.fixture(scope="session")

@@ -16,6 +16,7 @@ from regraph.analyze import NOT_SUFFICIENT, PASS
 from regraph.cli import main
 from regraph.construct import chi
 
+from conftest import window_rows
 from reference_extraction import reference_extract, reference_table_values
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -145,7 +146,7 @@ def test_criterion_04_regularity(all_fixture_instances, announce):
         sys_ = rg.component_functions(g, 0, 2)
         bp = sys_.breakpoints
         qs = np.concatenate([bp, 0.5 * (bp[:-1] + bp[1:])])
-        w_max = float(np.max(np.abs(sys_.slopes)))
+        w_max = float(np.max(np.abs(window_rows(sys_).slopes)))
         for q, row in zip(qs, sys_.values_at(qs)):
             dev = float(np.max(np.abs(row - rg.evaluate(g, q))))
             worst = max(worst, dev / (q * w_max))

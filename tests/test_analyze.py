@@ -10,7 +10,7 @@ import regraph as rg
 from regraph import analyze, graph
 from regraph.cli import load_config
 
-from conftest import make_instance, random_instance
+from conftest import make_instance, random_instance, window_rows
 from test_piece_table import reference_check_proper_direct, reference_check_system
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -294,8 +294,10 @@ def test_subgraph_check_fails_on_nan_height(l4m2_instance, height):
 
 
 def close_period(sys, tau):
-    """The table with the next period's first piece appended: row 0 times tau,
-    as P(tau q) = tau P(q), so the period's end is an interior breakpoint."""
+    """The window's rows with the next period's first piece appended: row 0
+    times tau, as P(tau q) = tau P(q), so the period's end is an interior
+    breakpoint."""
+    sys = window_rows(sys)
     end = tau * sys.breakpoints[1]
     return dataclasses.replace(
         sys, q_hi=float(end), breakpoints=np.append(sys.breakpoints, end),
@@ -332,7 +334,7 @@ def test_run_all_checks_never_extracts(l4m2_instance, monkeypatch):
     def extract(*args):
         raise AssertionError("run_all_checks extracted a piece table")
 
-    monkeypatch.setattr(graph, "_window", extract)
+    monkeypatch.setattr(graph, "component_functions", extract)
     monkeypatch.setattr(analyze, "component_functions", extract, raising=False)
     assert rg.run_all_checks(l4m2_instance, t_base=3).ok
 

@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
@@ -398,6 +399,50 @@ def test_non_finite_weights_exit_two(text, group, command, tmp_path, capsys):
     assert captured.err.startswith(f"error: input: alpha/beta: {group}[0] = ")
     assert captured.err.endswith(" is not finite\n")
     assert captured.err.count("\n") == 1
+
+
+# a JSON integer too large for a float in each field load_config converts to one
+@pytest.mark.parametrize("field", ["alpha[0]", "beta[0]", "rho[0]", "rho[0].base"])
+def test_oversized_integer_exits_two(field, tmp_path, capsys):
+    doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [2],
+           "window": {"t_min": 0, "t_max": 0}}
+    if field == "rho[0].base":
+        doc["rho"] = [{"base": "BIG", "num": 1, "den": 1}]
+    else:
+        doc[field[:-3]] = ["BIG"]
+    cfg = tmp_path / "big.json"
+    cfg.write_text(json.dumps(doc).replace('"BIG"', "1" + "0" * 400))
+    with pytest.raises(ValidationError, match=f"^{re.escape(field)}: "):
+        load_config(str(cfg))
+    assert main(["check", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: input: {field}: integer too large for a float\n"
+
+
+def test_power_underflow_exits_two(tmp_path, capsys):
+    # num / den is beyond the float range; the power 2^(-10^400) is 0, not inf
+    doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1],
+           "rho": [{"base": 2, "num": "NUM", "den": 1}], "window": {"t_min": 0, "t_max": 0}}
+    cfg = tmp_path / "power.json"
+    cfg.write_text(json.dumps(doc).replace('"NUM"', "-1" + "0" * 400))
+    assert main(["check", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: input: rho[0]: power evaluates to 0.0, must exceed 1\n"
+
+
+def test_integer_past_digit_limit_exits_two(tmp_path, capsys):
+    # Python's json refuses integers of more than 4300 digits with a ValueError
+    # (where the interpreter limits them); either way one error line
+    doc = {"l": 1, "m": 1, "alpha": ["BIG"], "beta": [1], "rho": [2],
+           "window": {"t_min": 0, "t_max": 0}}
+    cfg = tmp_path / "digits.json"
+    cfg.write_text(json.dumps(doc).replace('"BIG"', "1" * 5000))
+    assert main(["check", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: input: ") and captured.err.count("\n") == 1
 
 
 @pytest.mark.parametrize("command", ["build", "check"])

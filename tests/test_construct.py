@@ -1,3 +1,4 @@
+import math
 import warnings
 
 import numpy as np
@@ -68,6 +69,20 @@ def test_invalid_factors():
 
 def test_power_form_value():
     assert abs(rg.PowerForm(2.0, 1, 3).value - 2 ** (1 / 3)) < 1e-15
+
+
+@pytest.mark.parametrize("base, num, want", [
+    (2.0, -10**400, 0.0),  # num / den is beyond the float range, the power underflows
+    (0.5, 10**400, 0.0),
+    (1.0, 10**400, 1.0),
+    (1.0, -10**400, 1.0),
+    (2.0, 10**400, math.inf),  # and overflows
+    (0.5, -10**400, math.inf),
+    (2.0, 5000, math.inf),
+    (2.0, -5000, 0.0),
+], ids=["2^-big", "0.5^big", "1^big", "1^-big", "2^big", "0.5^-big", "2^5000", "2^-5000"])
+def test_power_form_value_beyond_float_exponents(base, num, want):
+    assert rg.PowerForm(base, num, 3).value == want
 
 
 def test_schedule_length_checked():

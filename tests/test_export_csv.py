@@ -107,8 +107,8 @@ def test_writer_one_row_and_header():
 # ------------------------------------------------------ export, end to end
 
 def reference_export(config):
-    """export's CSV built the whole-table way: the tiled piece table of the
-    window, every sample's values read from it by values_at, and the table
+    """export's CSV built the whole-table way: the window's piece table,
+    every sample's values read from it by values_at, and the table
     written by np.savetxt(fmt="%.12g")."""
     cfg = load_config(config)
     system = component_functions(cfg.graph(), cfg.t_min, cfg.t_max)
@@ -208,7 +208,7 @@ def test_export_terminal_row_starts_a_block(tmp_path, capsys):
 
 
 def test_export_memory_does_not_grow_with_window_or_samples(tmp_path, capsys):
-    # the tiled table and the sample table are never built: a 20-period window
+    # no (P, n) table of the window and no sample table is built: a 20-period window
     # and 64 samples per piece peak within 1.5x of one period at 8
     rng = np.random.default_rng(19)
     alpha, beta = rng.uniform(0.05, 3.0, 7), rng.uniform(0.05, 3.0, 5)

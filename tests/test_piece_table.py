@@ -23,6 +23,7 @@ import dataclasses
 import functools
 import json
 import sys
+import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
 from math import floor, lcm, log
@@ -35,8 +36,9 @@ import regraph as rg
 from regraph import analyze, graph
 from regraph.cli import load_config, main
 
-from conftest import make_instance
+from conftest import make_instance, window_rows
 from reference_extraction import reference_active_lines, reference_dedupe, reference_extract
+from test_export_csv import ladder_l13m11
 
 N_INSTANCES = 50
 N_EXTRACT = 60
@@ -236,7 +238,7 @@ def reference_tile(g, sys0, t_lo, t_hi):
 def check_tiled_window(g, t_lo, t_hi):
     """Period 0 is the cell loop's, bit for bit; the window is its tiles, bit
     for bit; and the cell loop over the window agrees up to rounding."""
-    sys0 = rg.component_functions(g, 0, 0)
+    sys0 = window_rows(rg.component_functions(g, 0, 0))
     grid, bp, values, slopes, labels = reference_extract(g, 0, 0)
     assert same_bits(sys0.grid, grid)
     assert same_bits(sys0.breakpoints, bp)
@@ -244,7 +246,7 @@ def check_tiled_window(g, t_lo, t_hi):
     assert same_bits(sys0.slopes, slopes)
     assert [tuple(sys0.alphabet[c] for c in row) for row in sys0.labels] == labels
 
-    sys = rg.component_functions(g, t_lo, t_hi)
+    sys = window_rows(rg.component_functions(g, t_lo, t_hi))
     periods = t_hi - t_lo + 1
     grid, bp, values = reference_tile(g, sys0, t_lo, t_hi)
     assert same_bits(sys.grid, grid)
@@ -275,14 +277,33 @@ def test_extraction_matches_loop(all_fixture_instances):
     assert {g.weights.d for g, _, _ in cases} >= {1, 2}
 
 
+def test_window_memory_does_not_grow_with_periods():
+    # only period 0's rows are stored, and the window tiles just its 1-D grid
+    # and breakpoints: 20 periods of the ladder's (13,11) instance peak within
+    # 1.25x of one period
+    g = load_config(ladder_l13m11(1)).graph()
+
+    def peak(periods):
+        tracemalloc.start()
+        try:
+            rg.component_functions(g, 0, periods - 1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    base = peak(1)
+    assert peak(20) <= 1.25 * base
+
+
 def test_pieces_are_row_views(fig_instance):
     sys = rg.component_functions(fig_instance, 0, 1)
     rows = sys.pieces
-    assert len(rows) == len(sys.values) == len(sys.breakpoints) - 1
+    assert len(rows) == len(sys.values0) * len(sys.power) == len(sys.breakpoints) - 1
     last = rows[-1]
     assert (last.q_lo, last.q_hi) == (sys.breakpoints[-2], sys.q_hi)
-    assert np.shares_memory(last.values, sys.values)
-    assert not last.values.flags.writeable
+    # the last row of period 0, scaled by the window's last power of tau
+    assert same_bits(last.values, sys.power[-1] * sys.values0[-1])
+    assert np.shares_memory(last.slopes, sys.slopes0)
     assert [p.q_lo for p in rows[1:3]] == [rows[1].q_lo, rows[2].q_lo]
     with pytest.raises(IndexError):
         rows[len(rows)]
