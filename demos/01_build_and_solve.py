@@ -15,7 +15,7 @@ w = rg.validate_weights(3, 2, (0.5, 1.0, 1.5), (2.0, 1.0))
 sch = rg.ExpansionSchedule.from_factors([rg.PowerForm(2.0, 1, 3)] * w.k)
 
 print(f"l={w.l} m={w.m}  n={w.n} k={w.k} d={w.d}")
-print(f"slope alphabet: {np.round(w.slope_vector, 4)}")
+print(f"slope alphabet: {np.round(np.concatenate([w.alpha, -np.asarray(w.beta)]), 4)}")
 print(f"full-period ratio tau = {sch.tau}")
 
 g = rg.build_graph(w, sch)
@@ -41,4 +41,4 @@ print("\nchord slopes out of the first period:")
 for r in range(w.k):
     x0, x1 = sch.sigma_at(r), sch.sigma_at(r + w.l)
     rise = (x1 * g.v[(r + w.l) % w.k] - x0 * g.u[r]) / (x1 - x0)
-    print(f"  r={r}: rising chord slope {rise:+.6f} (weight {w.alpha_at(r + 1)})")
+    print(f"  r={r}: rising chord slope {rise:+.6f} (weight {w.alpha[r % w.l]})")

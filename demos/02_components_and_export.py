@@ -19,15 +19,18 @@ g = rg.build_graph(
     rg.ExpansionSchedule.from_factors([rg.PowerForm(2.0, 1, 3)] * 6),
 )
 
+# Over period 0 the table's rows are its pieces: piece p runs from
+# breakpoints[p] to breakpoints[p + 1] with left-end values values0[p].
 system = rg.component_functions(g, 0, 0)
-print(f"{len(system.pieces)} linearity pieces over q in [1, {g.tau:g}]")
-print(f"grid breakpoints: {np.round(system.grid, 4)}")
+bp = system.breakpoints
+print(f"{len(bp) - 1} linearity pieces over q in [1, {g.tau:g}]")
+print(f"grid breakpoints: {np.round(np.append(g.schedule.sigmas, g.tau), 4)}")
 
 print("\npiece table (slope labels, left endpoint values):")
-for piece in system.pieces:
-    labels = " ".join(f"{kind}{i}" for kind, i in piece.labels)
-    vals = " ".join(f"{v:+.4f}" for v in piece.values)
-    print(f"  q=[{piece.q_lo:.4f}, {piece.q_hi:.4f}]  {labels:20s}  {vals}")
+for q_lo, q_hi, codes, values in zip(bp[:-1], bp[1:], system.labels0, system.values0):
+    labels = " ".join(f"{kind}{i}" for kind, i in (system.alphabet[c] for c in codes))
+    vals = " ".join(f"{v:+.4f}" for v in values)
+    print(f"  q=[{q_lo:.4f}, {q_hi:.4f}]  {labels:20s}  {vals}")
 
 q = 1.9
 vals = rg.evaluate(g, q)

@@ -15,7 +15,6 @@ from .construct import (
     growth_terms,
     solve_uv,
     solve_uv_oracle,
-    propagate_v_from_u,
     build_graph,
 )
 from .graph import evaluate, component_functions
@@ -27,7 +26,7 @@ __version__ = "0.1.0"
 __all__ = [
     "validate_weights",
     "PowerForm", "ExpansionSchedule", "growth_terms",
-    "solve_uv", "solve_uv_oracle", "propagate_v_from_u",
+    "solve_uv", "solve_uv_oracle",
     "build_graph", "ConstructError",
     "evaluate", "component_functions",
     "run_all_checks",

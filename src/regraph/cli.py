@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import re
 import shutil
 import sys as _sys
 from dataclasses import dataclass
@@ -401,7 +402,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         cfg = load_config(args.config)
     except (ParseError, ValidationError, ConstructError) as exc:
-        print(f"error: input: {exc}", file=_sys.stderr)
+        # an integer of more than 20 digits is shown by its sign and digit count
+        msg = re.sub(r"\d{21,}", lambda d: f"<{len(d[0])} digits>", str(exc))
+        print(f"error: input: {msg}", file=_sys.stderr)
         return 2
     try:
         if args.command == "build":

@@ -259,25 +259,6 @@ def solve_uv_oracle(
     return u, v
 
 
-def propagate_v_from_u(
-    weights: Weights, schedule: ExpansionSchedule, u: np.ndarray
-) -> np.ndarray:
-    """Recover upper heights from lower ones along the rising segments.
-
-    The rising segment based at r climbs with slope alpha_{r+1} over l
-    steps, which forces v_{(r+l) mod k} = (u_r + alpha_{r+1} *
-    (psi(r, l) - 1)) / psi(r, l).  Solving the two systems separately
-    and comparing against this propagation is a consistency check on
-    the whole construction.
-    """
-    k, l = weights.k, weights.l
-    pl = growth_terms(weights, schedule)[0]
-    r = np.arange(k)
-    v = np.empty(k)
-    v[(r + l) % k] = (u + np.asarray(weights.alpha)[r % l] * (pl - 1.0)) / pl
-    return v
-
-
 @dataclass(frozen=True, eq=False)
 class LineTable:
     """The n lines above every grid subinterval j of one period, row j each.
@@ -375,7 +356,6 @@ __all__ = [
     "growth_terms",
     "solve_uv_oracle",
     "solve_uv",
-    "propagate_v_from_u",
     "LineTable",
     "RegularGraph",
     "build_graph",

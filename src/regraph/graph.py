@@ -152,12 +152,12 @@ class _PieceRows(Sequence):
 class PiecewiseLinearSystem:
     """The sorted component functions over a window, as a view of period 0.
 
-    grid holds the subinterval boundaries tau^t sigma_j including the
-    window terminus; breakpoints additionally contains every interior
-    crossing abscissa.  Row p of the (P0, n) arrays is piece p of period 0,
-    [1, tau): values0 are the components at its left end, slopes0 their
-    slopes and labels0 integer codes into alphabet.  power holds tau^t for
-    each period t of the window, and piece i of the window, from
+    breakpoints holds the subinterval boundaries tau^t sigma_j, every
+    interior crossing abscissa and the window terminus; q_lo and q_hi are
+    its first and last entries.  Row p of the (P0, n) arrays is piece p of
+    period 0, [1, tau): values0 are the components at its left end, slopes0
+    their slopes and labels0 integer codes into alphabet.  power holds
+    tau^t for each period t of the window, and piece i of the window, from
     breakpoints[i] to breakpoints[i+1], is row i mod P0 with its values
     scaled by power[i // P0], as P(tau q) = tau P(q).
     """
@@ -165,7 +165,6 @@ class PiecewiseLinearSystem:
     n: int
     q_lo: float
     q_hi: float
-    grid: np.ndarray
     breakpoints: np.ndarray
     values0: np.ndarray
     slopes0: np.ndarray
@@ -291,14 +290,13 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
     if not last_fits:
         raise ConstructError(
             f"window: component values over tau^{t_lo} .. tau^{t_hi + 1} leave the float range")
-    scale, q_hi = power[:-1], power[-1]
-    grid = np.append(np.multiply.outer(scale, sig), q_hi)
-    breakpoints = np.append(np.multiply.outer(scale, p_lo), q_hi)
+    scale = power[:-1]
+    breakpoints = np.append(np.multiply.outer(scale, p_lo), power[-1])
     labels = code[line]
-    for a in (grid, breakpoints, values, slopes, labels, scale):
+    for a in (breakpoints, values, slopes, labels, scale):
         a.flags.writeable = False
     return PiecewiseLinearSystem(
-        n=n, q_lo=float(grid[0]), q_hi=float(grid[-1]), grid=grid, breakpoints=breakpoints,
+        n=n, q_lo=float(breakpoints[0]), q_hi=float(breakpoints[-1]), breakpoints=breakpoints,
         values0=values, slopes0=slopes, labels0=labels, power=scale, alphabet=w.slope_labels)
 
 

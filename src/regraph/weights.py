@@ -1,4 +1,4 @@
-"""Balanced weight systems and cyclic index arithmetic.
+"""Balanced weight systems and their slope alphabet.
 
 A weight system is two ordered groups of non-negative reals whose sums
 agree.  It fixes the slope alphabet used by every graph built on top of
@@ -12,8 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, isfinite, lcm
 from typing import Sequence
-
-import numpy as np
 
 DEFAULT_BALANCE_TOL = 1e-12
 
@@ -38,10 +36,6 @@ class LengthMismatch(WeightError):
     pass
 
 
-class IndexOutOfRange(IndexError):
-    """Cyclic weight subscripts are 1-based; r must be >= 1."""
-
-
 @dataclass(frozen=True)
 class Weights:
     """Validated weight data plus the derived integer/extremal constants.
@@ -63,33 +57,12 @@ class Weights:
     pair_sum_max: float  # max over i,j of alpha_i + beta_j
     pair_sum_min: float  # min over i,j of alpha_i + beta_j
 
-    def alpha_at(self, r: int) -> float:
-        """Cyclic alpha subscript: alpha_r = alpha_i for r = i (mod l), 1-based."""
-        if r < 1:
-            raise IndexOutOfRange(f"subscript must be >= 1, got {r}")
-        return self.alpha[(r - 1) % self.l]
-
-    def beta_at(self, r: int) -> float:
-        """Cyclic beta subscript with period m, 1-based."""
-        if r < 1:
-            raise IndexOutOfRange(f"subscript must be >= 1, got {r}")
-        return self.beta[(r - 1) % self.m]
-
-    @property
-    def slope_vector(self) -> np.ndarray:
-        """The n-component slope alphabet (alpha_1..alpha_l, -beta_1..-beta_m)."""
-        return np.concatenate([np.asarray(self.alpha), -np.asarray(self.beta)])
-
     @property
     def slope_labels(self) -> tuple[tuple[str, int], ...]:
         """Symbolic slope alphabet: ('A', i) rises with alpha_i, ('B', j) falls with beta_j."""
         return tuple(("A", i) for i in range(1, self.l + 1)) + tuple(
             ("B", j) for j in range(1, self.m + 1)
         )
-
-    def label_value(self, label: tuple[str, int]) -> float:
-        kind, i = label
-        return self.alpha[i - 1] if kind == "A" else -self.beta[i - 1]
 
     def class_labels(self, f: int) -> tuple[tuple[str, int], ...]:
         """Slope alphabet of the residue class f: segments with index = f (mod d)
@@ -100,7 +73,8 @@ class Weights:
 
     def class_gamma(self, f: int) -> float:
         """Sum of the class-f slope alphabet; the classwise analogue of the zero sum."""
-        return float(sum(self.label_value(lab) for lab in self.class_labels(f)))
+        return float(sum(self.alpha[i - 1] if kind == "A" else -self.beta[i - 1]
+                         for kind, i in self.class_labels(f)))
 
 
 def validate_weights(

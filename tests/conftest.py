@@ -40,7 +40,6 @@ class WindowRows:
     n: int
     q_lo: float
     q_hi: float
-    grid: np.ndarray
     breakpoints: np.ndarray
     values: np.ndarray
     slopes: np.ndarray
@@ -56,18 +55,21 @@ class WindowRows:
 
 
 def window_rows(system) -> WindowRows:
-    """The window's (P, n) rows of a PiecewiseLinearSystem, stacked from its
-    pieces."""
-    code = {label: c for c, label in enumerate(system.alphabet)}
-    pieces = system.pieces
-    n = system.n
+    """The window's (P, n) rows of a PiecewiseLinearSystem: piece i is period
+    0's row i mod P0 with its values times power[i // P0]."""
+    t, p = np.divmod(np.arange(len(system.breakpoints) - 1), len(system.values0))
     return WindowRows(
-        n=n, q_lo=system.q_lo, q_hi=system.q_hi,
-        grid=system.grid, breakpoints=system.breakpoints,
-        values=np.array([p.values for p in pieces]).reshape(-1, n),
-        slopes=np.array([p.slopes for p in pieces]).reshape(-1, n),
-        labels=np.array([[code[label] for label in p.labels] for p in pieces]).reshape(-1, n),
-        alphabet=system.alphabet)
+        n=system.n, q_lo=system.q_lo, q_hi=system.q_hi, breakpoints=system.breakpoints,
+        values=system.power[t][:, None] * system.values0[p],
+        slopes=system.slopes0[p], labels=system.labels0[p], alphabet=system.alphabet)
+
+
+def window_grid(g, system) -> np.ndarray:
+    """The subinterval boundaries tau^t sigma_j of the system's window and its
+    terminus, each of them a breakpoint of the system."""
+    grid = np.append(np.multiply.outer(system.power, g.schedule.sigmas), system.q_hi)
+    assert np.isin(grid, system.breakpoints).all()
+    return grid
 
 
 @pytest.fixture(scope="session")

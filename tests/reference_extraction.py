@@ -27,10 +27,10 @@ def reference_active_lines(g, t, j):
             x0 = g.schedule.tau**tt * g.schedule.sigma_at(r)
             if kind == "A":
                 y0 = x0 * float(g.u[r])
-                slope, label = w.alpha_at(r + 1), ("A", (r % w.l) + 1)
+                slope, label = w.alpha[r % w.l], ("A", (r % w.l) + 1)
             else:
                 y0 = x0 * float(g.v[r])
-                slope, label = -w.beta_at(r + 1), ("B", (r % w.m) + 1)
+                slope, label = -w.beta[r % w.m], ("B", (r % w.m) + 1)
             lines.append((kind, r, tt, x0, y0, slope, label))
     return lines
 

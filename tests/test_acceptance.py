@@ -55,17 +55,20 @@ def graph_validity(g, t_lo=0, t_hi=2, tol=1e-9):
     if g.tau ** (t_hi + 1) > 1e3:
         t_lo, t_hi = -3, -1
     sys_ = rg.component_functions(g, t_lo, t_hi)
+    rows = window_rows(sys_)
     alphabet = sorted(sys_.alphabet)
-    worst_sum = 0.0
-    worst_jump = 0.0
-    for piece in sys_.pieces:
-        if sorted(piece.labels) != alphabet:
-            return False, f"label multiset broken at q={piece.q_lo:.6g}"
-        for q in (piece.q_lo, 0.5 * (piece.q_lo + piece.q_hi), piece.q_hi):
-            worst_sum = max(worst_sum, abs(float(np.sum(piece.values_at(q)))))
-    for left, right in zip(sys_.pieces, sys_.pieces[1:]):
-        jump = float(np.max(np.abs(left.values_at(right.q_lo) - right.values)))
-        worst_jump = max(worst_jump, jump)
+    lo, hi = sys_.breakpoints[:-1], sys_.breakpoints[1:]
+    for q_lo, codes in zip(lo, rows.labels):
+        if sorted(sys_.alphabet[c] for c in codes) != alphabet:
+            return False, f"label multiset broken at q={q_lo:.6g}"
+    # piece i's components at q are values[i] + slopes[i] * (q - lo[i]), at
+    # both ends and the midpoint of the piece, and the left piece's at each
+    # interior breakpoint against the right piece's values there
+    sums = [np.sum(rows.values + rows.slopes * (q - lo)[:, None], axis=1)
+            for q in (lo, 0.5 * (lo + hi), hi)]
+    worst_sum = float(np.max(np.abs(sums)))
+    jump = rows.values[:-1] + rows.slopes[:-1] * (lo[1:] - lo[:-1])[:, None] - rows.values[1:]
+    worst_jump = float(np.max(np.abs(jump), initial=0.0))
     ok = worst_sum <= tol and worst_jump <= tol
     return ok, f"max |sum residual| {worst_sum:.3g}, max jump {worst_jump:.3g}"
 
@@ -254,8 +257,8 @@ def test_criterion_08_schedule_designer(announce):
             w = rg.validate_weights(l, m, tuple(alpha), (float(l),))
             factors = []
             for r in range(1, l + 1):
-                a_r = w.alpha_at(r)
-                a_next = w.alpha_at(r + 1)
+                a_r = w.alpha[r - 1]
+                a_next = w.alpha[r % l]
                 bound = (a_r + l) / (a_next + l)
                 factors.append(max(bound * (1.0 + delta), 1.0 + 1e-6))
             sch = rg.ExpansionSchedule.from_factors(factors)
@@ -292,10 +295,10 @@ def test_criterion_09_subgraph_partition(l2m2_instance, l4m2_instance, announce)
                     res = abs(float(np.sum(reference_table_values(part, q))) - gammas[f] * q)
                     worst_sum = max(worst_sum, res)
         # the two halves together reproduce the full system
-        for piece in full.pieces:
-            q = 0.5 * (piece.q_lo + piece.q_hi)
+        mids = 0.5 * (full.breakpoints[:-1] + full.breakpoints[1:])
+        for q, row in zip(mids, full.values_at(mids)):
             merged = np.sort(np.concatenate([reference_table_values(p, q) for p in parts]))
-            assert np.allclose(merged, piece.values_at(q), rtol=1e-12, atol=1e-12)
+            assert np.allclose(merged, row, rtol=1e-12, atol=1e-12)
         ok_full, detail = graph_validity(g)
         assert ok_full, detail
     ok = worst_sum <= 1e-9

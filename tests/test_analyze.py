@@ -10,7 +10,7 @@ import regraph as rg
 from regraph import analyze, graph
 from regraph.cli import load_config
 
-from conftest import make_instance, random_instance, window_rows
+from conftest import make_instance, random_instance, window_grid, window_rows
 from test_piece_table import reference_check_proper_direct, reference_check_system
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -454,7 +454,8 @@ def test_grid_route_matches_table_route():
     for g in graphs:
         for t_base in (-20, 0, 10):
             report = rg.run_all_checks(g, tol, t_base)
-            closed = close_period(rg.component_functions(g, t_base, t_base), g.schedule.tau)
+            table = rg.component_functions(g, t_base, t_base)
+            closed = close_period(table, g.schedule.tau)
             if t_base == 0:
                 for got, reference in ((report.entry("system"), reference_check_system),
                                        (report.entry("proper-direct"),
@@ -468,8 +469,9 @@ def test_grid_route_matches_table_route():
             w_max = np.max(np.abs(g.lines.slope))
             grid_open = ~(gap <= tol * w_max * x[1][:, None])
             want_slack, want_open = table_slack(closed, tol)
-            rows = np.searchsorted(closed.breakpoints, closed.grid[1:]) - 1
-            assert np.array_equal(closed.breakpoints[rows + 1], closed.grid[1:])
+            grid = window_grid(g, table)
+            rows = np.searchsorted(closed.breakpoints, grid[1:]) - 1
+            assert np.array_equal(closed.breakpoints[rows + 1], grid[1:])
             both = grid_open & want_open[rows]
             assert np.abs(slack - want_slack[rows])[both].max(initial=0.0) <= 1e-12
             compared += int(both.sum())

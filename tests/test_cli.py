@@ -13,6 +13,8 @@ import pytest
 import regraph as rg
 from regraph.cli import ParseError, ValidationError, load_config, main
 
+from conftest import window_grid
+
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 FIG = str(CONFIG_DIR / "l3m2_cuberoot.json")
 CLASSICAL = str(CONFIG_DIR / "l1m1_classical.json")
@@ -284,7 +286,7 @@ def test_cmd_plot_svg_contract(tmp_path, capsys):
     sys1 = rg.component_functions(g, cfg.t_min, cfg.t_max)
     # 2k chords per period plus the n - 2 protruding from the period before
     assert svg.count('class="seg seg-') == (cfg.t_max - cfg.t_min + 1) * 2 * w.k + (w.n - 2)
-    assert svg.count('class="tick"') == len(sys1.grid)
+    assert svg.count('class="tick"') == len(window_grid(g, sys1))
     assert svg.count("node-a") >= g.weights.k
     assert svg.count("node-b") >= g.weights.k
     assert "http" not in svg.replace("http://www.w3.org/2000/svg", "")
@@ -302,7 +304,7 @@ def test_cmd_export_csv_contract(tmp_path, capsys):
     cfg = load_config(FIG)
     g = cfg.graph()
     sys1 = rg.component_functions(g, cfg.t_min, cfg.t_max)
-    assert len(lines) == 1 + len(sys1.pieces) * (1 + cfg.samples_per_piece) + 1
+    assert len(lines) == 1 + (len(sys1.breakpoints) - 1) * (1 + cfg.samples_per_piece) + 1
     prev_q = -1.0
     for line in lines[1:]:
         cells = [float(x) for x in line.split(",")]
@@ -443,6 +445,29 @@ def test_integer_past_digit_limit_exits_two(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: input: ") and captured.err.count("\n") == 1
+
+
+# the one error line gives an integer of more than 20 digits by its sign and
+# digit count; one of 20 digits is printed whole
+@pytest.mark.parametrize("field, big, message", [
+    ("window.t_min", "-1" + "0" * 400,
+     "window: tau^-<401 digits> .. tau^1 leave the float range (tau=2)"),
+    ("rho[0]", "-1" + "0" * 400, "rho[0]: factor -<401 digits> must exceed 1"),
+    ("rho[0]", "-1" + "0" * 19, "rho[0]: factor -1" + "0" * 19 + " must exceed 1"),
+], ids=["t_min", "rho", "rho-20-digits"])
+def test_huge_integer_shown_by_digit_count(field, big, message, tmp_path, capsys):
+    doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [2],
+           "window": {"t_min": 0, "t_max": 0}}
+    if field == "rho[0]":
+        doc["rho"] = ["BIG"]
+    else:
+        doc["window"]["t_min"] = "BIG"
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps(doc).replace('"BIG"', big))
+    assert main(["check", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: input: {message}\n"
 
 
 @pytest.mark.parametrize("command", ["build", "check"])

@@ -7,7 +7,7 @@ import regraph as rg
 from regraph.graph import EmptyWindow, NegativeAbscissa, NonFiniteAbscissa
 from regraph.render import _chords
 
-from conftest import make_instance, random_instance, window_rows
+from conftest import make_instance, random_instance, window_grid, window_rows
 from reference_extraction import reference_extract, reference_table_values
 
 
@@ -77,7 +77,7 @@ def test_segment_slopes_match_labels():
         g = random_instance(rng)
         w = g.weights
         for (kind, r, _), ((x0, y0), (x1, y1)) in chords(g, 0, 1).items():
-            want = w.alpha_at(r + 1) if kind == "A" else -w.beta_at(r + 1)
+            want = w.alpha[r % w.l] if kind == "A" else -w.beta[r % w.m]
             assert (y1 - y0) / (x1 - x0) == pytest.approx(want, abs=1e-9)
 
 
@@ -207,7 +207,7 @@ def test_grid_values_fig(fig_instance):
     sys1 = rg.component_functions(fig_instance, 0, 0)
     c = 2 ** (1 / 3)
     want = [1, c, c * c, 2, 2 * c, 2 * c * c, 4]
-    assert np.allclose(sys1.grid, want, rtol=1e-12)
+    assert np.allclose(window_grid(fig_instance, sys1), want, rtol=1e-12)
     assert sys1.q_lo == 1.0 and sys1.q_hi == 4.0
 
 

@@ -36,7 +36,7 @@ import regraph as rg
 from regraph import analyze, graph
 from regraph.cli import load_config, main
 
-from conftest import make_instance, window_rows
+from conftest import make_instance, window_grid, window_rows
 from reference_extraction import reference_active_lines, reference_dedupe, reference_extract
 from test_export_csv import ladder_l13m11
 
@@ -222,12 +222,12 @@ DEGENERATE = [
 ]
 
 
-def reference_tile(g, sys0, t_lo, t_hi):
+def reference_tile(g, grid0, sys0, t_lo, t_hi):
     """grid, breakpoints and values of the window: period 0's times tau^t, period by period."""
     tau = g.schedule.tau
     grid, bp, values = [], [], []
     for t in range(t_lo, t_hi + 1):
-        grid += [tau**t * q for q in sys0.grid[:-1]]
+        grid += [tau**t * q for q in grid0[:-1]]
         bp += [tau**t * q for q in sys0.breakpoints[:-1]]
         values += [tau**t * row for row in sys0.values]
     grid.append(tau ** (t_hi + 1))
@@ -238,18 +238,20 @@ def reference_tile(g, sys0, t_lo, t_hi):
 def check_tiled_window(g, t_lo, t_hi):
     """Period 0 is the cell loop's, bit for bit; the window is its tiles, bit
     for bit; and the cell loop over the window agrees up to rounding."""
-    sys0 = window_rows(rg.component_functions(g, 0, 0))
+    table0 = rg.component_functions(g, 0, 0)
+    sys0, grid0 = window_rows(table0), window_grid(g, table0)
     grid, bp, values, slopes, labels = reference_extract(g, 0, 0)
-    assert same_bits(sys0.grid, grid)
+    assert same_bits(grid0, grid)
     assert same_bits(sys0.breakpoints, bp)
     assert same_bits(sys0.values, values)
     assert same_bits(sys0.slopes, slopes)
     assert [tuple(sys0.alphabet[c] for c in row) for row in sys0.labels] == labels
 
-    sys = window_rows(rg.component_functions(g, t_lo, t_hi))
+    table = rg.component_functions(g, t_lo, t_hi)
+    sys, sys_grid = window_rows(table), window_grid(g, table)
     periods = t_hi - t_lo + 1
-    grid, bp, values = reference_tile(g, sys0, t_lo, t_hi)
-    assert same_bits(sys.grid, grid)
+    grid, bp, values = reference_tile(g, grid0, sys0, t_lo, t_hi)
+    assert same_bits(sys_grid, grid)
     assert same_bits(sys.breakpoints, bp)
     assert same_bits(sys.values, values)
     assert same_bits(sys.slopes, np.tile(sys0.slopes, (periods, 1)))
@@ -257,7 +259,7 @@ def check_tiled_window(g, t_lo, t_hi):
     assert (sys.q_lo, sys.q_hi) == (grid[0], grid[-1])
 
     grid, bp, values, slopes, labels = reference_extract(g, t_lo, t_hi)
-    assert same_bits(sys.grid, grid)
+    assert same_bits(sys_grid, grid)
     assert len(sys.breakpoints) == len(bp)
     assert [tuple(sys.alphabet[c] for c in row) for row in sys.labels] == labels
     assert same_bits(sys.slopes, slopes)

@@ -18,7 +18,7 @@ import regraph
 PUBLIC = {
     "validate_weights",
     "PowerForm", "ExpansionSchedule", "growth_terms",
-    "solve_uv", "solve_uv_oracle", "propagate_v_from_u",
+    "solve_uv", "solve_uv_oracle",
     "build_graph", "ConstructError",
     "evaluate", "component_functions",
     "run_all_checks",
@@ -28,7 +28,7 @@ PUBLIC = {
 
 HOME = {
     "weights": ("Weights", "WeightError", "NegativeWeight", "AllZero", "BalanceViolated",
-                "LengthMismatch", "IndexOutOfRange"),
+                "LengthMismatch"),
     "construct": ("InvalidFactor", "ScheduleMismatch", "SingularSystem", "chi", "RegularGraph"),
     "graph": ("NegativeAbscissa", "NonFiniteAbscissa", "EmptyWindow", "Piece",
               "PiecewiseLinearSystem"),
@@ -43,7 +43,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_all_is_exactly_the_pipeline():
     assert len(regraph.__all__) == len(set(regraph.__all__))
     assert set(regraph.__all__) == PUBLIC
-    assert sum(map(len, HOME.values())) == 27
+    assert sum(map(len, HOME.values())) == 26
     for name in PUBLIC:
         assert hasattr(regraph, name), name
 
