@@ -20,7 +20,7 @@ g = rg.build_graph(
     rg.ExpansionSchedule.from_factors([1.3, 1.2, 1.5, 1.25]),
 )
 w = g.weights
-print(f"l={w.l} m={w.m}: d={w.d} classes, each a graph on n'={w.n_prime} components")
+print(f"l={w.l} m={w.m}: d={w.d} classes, each a graph on n'={w.n // w.d} components")
 
 for f in range(w.d):
     labels = " ".join(f"{kind}{i}" for kind, i in w.class_labels(f))

@@ -153,10 +153,12 @@ def _proper_sufficient(w: Weights, terms) -> CheckResult:
     every r.  One-sided: when the inequality fails the result is
     'not-sufficient', not 'fail'.
     """
-    if w.pair_sum_min <= 0:
+    # the extremal pair sums, bit for bit, as float addition rounds monotonically
+    pair_min = min(w.alpha) + min(w.beta)
+    if pair_min <= 0:
         return CheckResult("proper-sufficient", NOT_APPLICABLE, 0.0, 0.0, None,
                            note="some pair sum alpha_i + beta_j is zero")
-    rhs = w.pair_sum_max / w.pair_sum_min
+    rhs = (max(w.alpha) + max(w.beta)) / pair_min
     pl, pm, pn, _, _ = terms
     lhs = (pn + 1.0) / (pl + pm)
     r = int((lhs - rhs).argmin())

@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import shutil
 import sys as _sys
 from dataclasses import dataclass
@@ -32,7 +31,7 @@ from .construct import (
 )
 from .graph import _check_window, component_functions, evaluate
 from .render import render_svg
-from .weights import WeightError, Weights, validate_weights
+from .weights import WeightError, Weights, _int_text, validate_weights
 
 
 class ParseError(ValueError):
@@ -101,7 +100,8 @@ def _rho_entry(entry, i: int) -> FactorLike:
         raise ValidationError(f"rho[{i}]: expected a number or power object")
     if isinstance(entry, (int, float)):
         if not entry > 1:
-            raise ValidationError(f"rho[{i}]: factor {entry} must exceed 1")
+            shown = _int_text(entry) if isinstance(entry, int) else entry
+            raise ValidationError(f"rho[{i}]: factor {shown} must exceed 1")
         return _float(entry, f"rho[{i}]")
     if isinstance(entry, dict):
         for key in ("base", "num", "den"):
@@ -167,7 +167,8 @@ def load_config(source: Union[str, Path, dict]) -> InstanceConfig:
     t_min = _require(window, "t_min", int, "window.t_min")
     t_max = _require(window, "t_max", int, "window.t_max")
     if t_min > t_max:
-        raise ValidationError(f"window: t_min={t_min} exceeds t_max={t_max}")
+        raise ValidationError(
+            f"window: t_min={_int_text(t_min)} exceeds t_max={_int_text(t_max)}")
     try:
         _check_window(tau, t_min, t_max + 1)
     except ConstructError as exc:
@@ -335,9 +336,9 @@ def cmd_export(cfg: InstanceConfig, out_path: str) -> int:
     folder = Path(out_path).absolute().parent
     need, free = 2 * rows * (n + 1), shutil.disk_usage(folder).free
     if need > free:  # each value prints as at least one character and a separator
-        print(f"error: input: samples_per_piece: {spp} samples per piece need at least"
-              f" {need} bytes, more than the {free} free in {folder}", file=_sys.stderr)
-        return 2
+        raise ValidationError(
+            f"samples_per_piece: {_int_text(spp)} samples per piece need at least"
+            f" {_int_text(need)} bytes, more than the {free} free in {folder}")
     block = max(1, _CSV_CHUNK // (n + 1))  # rows formatted and written at once
     table = np.empty((block, n + 1))
     separators = np.full((block, n + 1), ord(","), dtype=np.uint8)
@@ -397,38 +398,34 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _error(category: str, message) -> int:
+    """Print the one line `error: <category>: <message>` and return exit code 2."""
+    print(f"error: {category}: {message}", file=_sys.stderr)
+    return 2
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-    except (ParseError, ValidationError, ConstructError) as exc:
-        # an integer of more than 20 digits is shown by its sign and digit count
-        msg = re.sub(r"\d{21,}", lambda d: f"<{len(d[0])} digits>", str(exc))
-        print(f"error: input: {msg}", file=_sys.stderr)
-        return 2
-    try:
         if args.command == "build":
             return cmd_build(cfg)
         if args.command == "check":
             if args.tolerance is not None and not 0 < args.tolerance <= _sys.float_info.max:
-                print("error: usage: --tolerance must be finite and positive", file=_sys.stderr)
-                return 2
+                return _error("usage", "--tolerance must be finite and positive")
             return cmd_check(cfg, args.tolerance)
         if args.command == "eval":
             if not (np.isfinite(args.q) and args.q >= 0):
-                print("error: usage: --q must be finite and non-negative", file=_sys.stderr)
-                return 2
+                return _error("usage", "--q must be finite and non-negative")
             return cmd_eval(cfg, args.q)
         if args.command == "plot":
             return cmd_plot(cfg, args.out)
         if args.command == "export":
             return cmd_export(cfg, args.out)
-    except (WeightError, ConstructError) as exc:
-        print(f"error: input: {exc}", file=_sys.stderr)
-        return 2
+    except (ParseError, ValidationError, WeightError, ConstructError) as exc:
+        return _error("input", exc)
     except OSError as exc:
-        print(f"error: io: {exc}", file=_sys.stderr)
-        return 2
+        return _error("io", exc)
     raise AssertionError("unreachable command dispatch")
 
 

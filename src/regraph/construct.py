@@ -36,18 +36,6 @@ class ConstructError(ValueError):
     """Invalid construction input."""
 
 
-class InvalidFactor(ConstructError):
-    """Expansion factors must all exceed 1."""
-
-
-class ScheduleMismatch(ConstructError):
-    """Schedule length must equal lcm(l, m) of the paired weights."""
-
-
-class SingularSystem(ConstructError):
-    """The cyclic system has no unique solution."""
-
-
 @dataclass(frozen=True)
 class PowerForm:
     """An expansion factor given exactly as base ** (num / den).
@@ -63,9 +51,9 @@ class PowerForm:
 
     def __post_init__(self):
         if self.den <= 0:
-            raise InvalidFactor(f"exponent denominator must be positive, got {self.den}")
+            raise ConstructError(f"exponent denominator must be positive, got {self.den}")
         if self.base <= 0:
-            raise InvalidFactor(f"power base must be positive, got {self.base}")
+            raise ConstructError(f"power base must be positive, got {self.base}")
 
     @property
     def value(self) -> float:
@@ -105,7 +93,7 @@ class ExpansionSchedule:
         the exact product instead of the rounded running one.
         """
         if len(factors) == 0:
-            raise InvalidFactor("schedule needs at least one factor")
+            raise ConstructError("schedule needs at least one factor")
         values = []
         exponents: dict[float, Fraction] = {}
         plain = 1.0
@@ -117,7 +105,7 @@ class ExpansionSchedule:
                 val = float(f)
                 plain *= val
             if not val > 1.0:
-                raise InvalidFactor(f"factor {i} is {val}, must exceed 1")
+                raise ConstructError(f"factor {i} is {val}, must exceed 1")
             values.append(val)
         sigmas = [1.0]
         for val in values[:-1]:
@@ -131,7 +119,7 @@ class ExpansionSchedule:
             except OverflowError:
                 tau = math.inf
         if not math.isfinite(tau):
-            raise InvalidFactor(f"period ratio tau = {tau} is not a finite float")
+            raise ConstructError(f"period ratio tau = {tau} is not a finite float")
         return cls(factors=tuple(values), sigmas=tuple(sigmas), tau=tau)
 
     def __len__(self) -> int:
@@ -169,7 +157,7 @@ def growth_terms(
     """
     l, m, n, k = weights.l, weights.m, weights.n, weights.k
     if len(schedule) != k:
-        raise ScheduleMismatch(f"schedule has {len(schedule)} factors, weights require k={k}")
+        raise ConstructError(f"schedule has {len(schedule)} factors, weights require k={k}")
     try:
         powers = [schedule.tau**s for s in range((k + n - 1) // k + 1)]
     except OverflowError as exc:
@@ -222,7 +210,7 @@ def solve_uv(
     ConstructError when the coefficients are not finite floats.
     """
     k, d = weights.k, weights.d
-    kp, np_ = weights.k_prime, weights.n_prime
+    kp, np_ = k // d, weights.n // d
     _, _, mult, U, V = growth_terms(weights, schedule)
     if not np.isfinite([mult, U, V]).all():
         raise ConstructError("node system has non-finite coefficients")
@@ -255,7 +243,7 @@ def solve_uv_oracle(
         u = np.linalg.solve(M, -U)
         v = np.linalg.solve(M, -V)
     except np.linalg.LinAlgError as exc:
-        raise SingularSystem(str(exc)) from exc
+        raise ConstructError(str(exc)) from exc
     return u, v
 
 
@@ -347,9 +335,6 @@ def build_graph(weights: Weights, schedule: ExpansionSchedule) -> RegularGraph:
 
 __all__ = [
     "ConstructError",
-    "InvalidFactor",
-    "ScheduleMismatch",
-    "SingularSystem",
     "PowerForm",
     "ExpansionSchedule",
     "chi",

@@ -38,6 +38,7 @@ from math import floor, inf, isfinite, log
 import numpy as np
 
 from .construct import ConstructError, RegularGraph
+from .weights import _int_text
 
 CROSSING_REL_TOL = 1e-12
 
@@ -48,10 +49,6 @@ class NegativeAbscissa(ValueError):
 
 class NonFiniteAbscissa(ValueError):
     """Evaluation abscissa must be a finite number."""
-
-
-class EmptyWindow(ValueError):
-    """Period windows need t_lo <= t_hi."""
 
 
 def evaluate(g: RegularGraph, q: float) -> np.ndarray:
@@ -218,7 +215,8 @@ def _check_window(tau: float, t_lo: int, t_hi: int) -> None:
         in_range = False
     if not in_range:
         raise ConstructError(
-            f"window: tau^{t_lo} .. tau^{t_hi} leave the float range (tau={tau:g})")
+            f"window: tau^{_int_text(t_lo)} .. tau^{_int_text(t_hi)} leave the float range"
+            f" (tau={tau:g})")
 
 
 def _tau_powers(tau: float, t_lo: int, t_hi: int) -> np.ndarray:
@@ -253,14 +251,15 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
     right the shallower one).  Lines that coincide over a whole piece are kept
     as distinct components in a stable order given by segment identity.
 
-    Raises ConstructError when a power of tau bounding the window is not a
-    finite normal float, or a line intercept of period 0 or a value or
-    breakpoint of the window is not a finite float.  Only the last period is
-    tested: rounding is monotone and tau^t grows with t, so it holds the
-    largest of each.
+    Raises ConstructError when t_lo exceeds t_hi, a power of tau bounding the
+    window is not a finite normal float, or a line intercept of period 0 or a
+    value or breakpoint of the window is not a finite float.  Only the last
+    period is tested: rounding is monotone and tau^t grows with t, so it holds
+    the largest of each.
     """
     if t_lo > t_hi:
-        raise EmptyWindow(f"t_lo={t_lo} exceeds t_hi={t_hi}")
+        raise ConstructError(
+            f"window: t_lo={_int_text(t_lo)} exceeds t_hi={_int_text(t_hi)}")
     w, lines = g.weights, g.lines
     tau, n = g.schedule.tau, w.n
     power = _tau_powers(tau, t_lo, t_hi + 1)
@@ -303,7 +302,6 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
 __all__ = [
     "NegativeAbscissa",
     "NonFiniteAbscissa",
-    "EmptyWindow",
     "evaluate",
     "Piece",
     "PiecewiseLinearSystem",

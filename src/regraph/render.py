@@ -17,7 +17,8 @@ from math import isfinite
 import numpy as np
 
 from .construct import ConstructError, RegularGraph
-from .graph import EmptyWindow, _tau_powers
+from .graph import _tau_powers
+from .weights import _int_text
 
 _STYLE = """
   .seg { stroke-width: 2; fill: none; stroke-linecap: round; }
@@ -43,7 +44,8 @@ def _chords(g: RegularGraph, t_lo: int, t_hi: int) -> tuple[np.ndarray, ...]:
     x1, y1, ordered by period, then r, then rising before falling.
     """
     if t_lo > t_hi:
-        raise EmptyWindow(f"t_lo={t_lo} exceeds t_hi={t_hi}")
+        raise ConstructError(
+            f"window: t_lo={_int_text(t_lo)} exceeds t_hi={_int_text(t_hi)}")
     w, tau = g.weights, g.schedule.tau
     sig = np.array(g.schedule.sigmas)
     sig = np.concatenate([sig, tau * sig])  # sigma_r for 0 <= r < 2k
@@ -84,8 +86,8 @@ def render_svg(
 ) -> str:
     """Render the window [tau^t_lo, tau^(t_hi+1)] as an SVG document.
 
-    Raises ConstructError when a power of tau bounding the window is not a
-    finite normal float, or an ordinate to draw overflows a float.
+    Raises ConstructError when t_lo exceeds t_hi, a power of tau bounding the
+    window is not a finite normal float, or an ordinate to draw overflows a float.
     """
     periods, falls, x0, y0, x1, y1 = _chords(g, t_lo, t_hi)
     tau = g.schedule.tau

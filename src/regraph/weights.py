@@ -10,7 +10,7 @@ period, so the two groups only realign after lcm(l, m) steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isfinite, lcm
+from math import gcd, isfinite, lcm, log10
 from typing import Sequence
 
 DEFAULT_BALANCE_TOL = 1e-12
@@ -20,25 +20,24 @@ class WeightError(ValueError):
     """Invalid weight data."""
 
 
-class NegativeWeight(WeightError):
-    pass
-
-
-class AllZero(WeightError):
-    pass
-
-
-class BalanceViolated(WeightError):
-    pass
-
-
-class LengthMismatch(WeightError):
-    pass
+def _int_text(value: int) -> str:
+    """value in decimal; past 20 digits its sign and digit count, "-<401 digits>".
+    The one rule for input integers in error messages, shared by weights,
+    graph, render and cli.  Counts the digits without converting value to a
+    string, so it holds past int's string digit limit."""
+    a = abs(value)
+    if a < 10**20:
+        return str(value)
+    digits = int((a.bit_length() - 1) * log10(2))  # at most floor(log10 a)
+    while a >= 10**digits:
+        digits += 1
+    return f"{'-' if value < 0 else ''}<{digits} digits>"
 
 
 @dataclass(frozen=True)
 class Weights:
-    """Validated weight data plus the derived integer/extremal constants.
+    """Validated weight data plus its derived integers n = l + m,
+    k = lcm(l, m) and d = gcd(l, m).
 
     Ordering is significant: the graph construction depends on it, so no
     sorting or rescaling is ever applied.  Instances are immutable and
@@ -52,10 +51,6 @@ class Weights:
     n: int
     k: int
     d: int
-    n_prime: int
-    k_prime: int
-    pair_sum_max: float  # max over i,j of alpha_i + beta_j
-    pair_sum_min: float  # min over i,j of alpha_i + beta_j
 
     @property
     def slope_labels(self) -> tuple[tuple[str, int], ...]:
@@ -92,44 +87,29 @@ def validate_weights(
     alike.  Zero entries are allowed as long as not everything vanishes.
     """
     if l < 1 or m < 1:
-        raise LengthMismatch(f"group sizes must be positive, got l={l}, m={m}")
+        raise WeightError(
+            f"group sizes must be positive, got l={_int_text(l)}, m={_int_text(m)}")
     alpha = tuple(float(a) for a in alpha)
     beta = tuple(float(b) for b in beta)
     if len(alpha) != l:
-        raise LengthMismatch(f"expected {l} alpha entries, got {len(alpha)}")
+        raise WeightError(f"expected {_int_text(l)} alpha entries, got {len(alpha)}")
     if len(beta) != m:
-        raise LengthMismatch(f"expected {m} beta entries, got {len(beta)}")
+        raise WeightError(f"expected {_int_text(m)} beta entries, got {len(beta)}")
     for name, values in (("alpha", alpha), ("beta", beta)):
         for i, value in enumerate(values):
             if not isfinite(value):
                 raise WeightError(f"{name}[{i}] = {value} is not finite")
             if value < 0:
-                raise NegativeWeight(f"{name}[{i}] = {value} is negative")
+                raise WeightError(f"{name}[{i}] = {value} is negative")
     if max(alpha) == 0 and max(beta) == 0:
-        raise AllZero("all weights are zero")
+        raise WeightError("all weights are zero")
     total_alpha, total_beta = sum(alpha), sum(beta)
     if not (isfinite(total_alpha) and isfinite(total_beta)):
         raise WeightError(f"weight sums overflow a float: {total_alpha}, {total_beta}")
     imbalance, total = abs(total_alpha - total_beta), max(total_alpha, total_beta)
     if not imbalance <= DEFAULT_BALANCE_TOL * total:
-        raise BalanceViolated(
+        raise WeightError(
             f"weight sums differ: |{total_alpha} - {total_beta}| = {imbalance}"
             f" > {DEFAULT_BALANCE_TOL} * {total}"
         )
-    d = gcd(l, m)
-    k = lcm(l, m)
-    n = l + m
-    pairs = [a + b for a in alpha for b in beta]
-    return Weights(
-        l=l,
-        m=m,
-        alpha=alpha,
-        beta=beta,
-        n=n,
-        k=k,
-        d=d,
-        n_prime=n // d,
-        k_prime=k // d,
-        pair_sum_max=max(pairs),
-        pair_sum_min=min(pairs),
-    )
+    return Weights(l=l, m=m, alpha=alpha, beta=beta, n=l + m, k=lcm(l, m), d=gcd(l, m))

@@ -174,9 +174,9 @@ def test_criterion_05_product_identity(all_fixture_instances, announce):
         full = float(np.prod(chis))
         worst = max(worst, abs(full - sch.tau**w.n) / sch.tau**w.n)
         for f in range(w.d):
-            idx = {(f + j * w.n) % w.k for j in range(w.k_prime)}
+            idx = {(f + j * w.n) % w.k for j in range(w.k // w.d)}
             per_class = float(np.prod(chis[sorted(idx)]))
-            target = sch.tau**w.n_prime
+            target = sch.tau**(w.n // w.d)
             worst = max(worst, abs(per_class - target) / target)
     ok = worst <= 1e-12
     announce(

@@ -250,6 +250,16 @@ def test_subgraph_check(l2m2_instance, l4m2_instance, fig_instance):
         rg.run_all_checks(fig_instance).entry("subgraphs")
 
 
+def test_subgraph_check_fails_when_class_drifts_do_not_cancel():
+    # the two drifts differ by 1.5e-12: inside the weights' relative balance
+    # tolerance 1e-12 * 2, above the check's tol * W = 1e-15
+    g = make_instance(2, 2, [1.0, 1.0], [1.0, 1.0 + 1.5e-12], [1.5, 2.0])
+    res = rg.run_all_checks(g, tol=1e-15).entry("subgraphs")
+    assert res.status == "fail" and res.witness is None
+    assert res.note == "class drifts do not cancel"
+    assert res.margin == pytest.approx(-1.5e-12, rel=1e-3)
+
+
 def test_subgraph_check_detects_perturbed_height(l4m2_instance):
     # one u_r off moves only the lines of class r mod d
     graphs = [l4m2_instance, make_instance(3, 6, [1.0, 1.5, 0.5], [0.5] * 6,

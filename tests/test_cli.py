@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import regraph as rg
-from regraph.cli import ParseError, ValidationError, load_config, main
+from regraph.cli import ParseError, ValidationError, cmd_export, load_config, main
 
 from conftest import window_grid
 
@@ -107,6 +107,72 @@ def test_load_config_field_errors(tmp_path):
     doc = dict(base); doc["l"] = "2"
     with pytest.raises(ValidationError, match="l"):
         load_config(json.dumps(doc))
+
+
+# one schema fault per case: load_config raises ValidationError naming the
+# field, and main prints it as the one error line
+SCHEMA_FAULTS = {
+    "l-bool": ("l", True, "l: wrong type bool"),
+    "alpha-string": ("alpha", [1, "x"], "alpha[1]: expected a number"),
+    "rho-bool": ("rho", [True, 1.5], "rho[0]: expected a number or power object"),
+    "rho-string": ("rho", [1.5, "2"], "rho[1]: expected a number or power object"),
+    "base-zero": ("rho", [1.5, {"base": 0, "num": 1, "den": 1}],
+                  "rho[1].base: must be a positive number"),
+    "num-float": ("rho", [1.5, {"base": 2, "num": 1.5, "den": 1}],
+                  "rho[1].num: must be an integer"),
+    "den-zero": ("rho", [1.5, {"base": 2, "num": 1, "den": 0}],
+                 "rho[1].den: must be a positive integer"),
+    "den-negative": ("rho", [1.5, {"base": 2, "num": 1, "den": -3}],
+                     "rho[1].den: must be a positive integer"),
+    "spp-negative": ("samples_per_piece", -1,
+                     "samples_per_piece: must be a non-negative integer"),
+    "spp-bool": ("samples_per_piece", True,
+                 "samples_per_piece: must be a non-negative integer"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCHEMA_FAULTS))
+def test_schema_fault_exits_two(case, tmp_path, capsys):
+    field, value, message = SCHEMA_FAULTS[case]
+    doc = {"l": 2, "m": 1, "alpha": [1.0, 2.0], "beta": [3.0],
+           "rho": [1.5, 1.5], "window": {"t_min": 0, "t_max": 1}, field: value}
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_config(doc)
+    assert main(["build", write_config(tmp_path, "fault.json", doc)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: input: {message}\n"
+
+
+def test_config_file_root_not_object_exits_two(tmp_path, capsys):
+    cfg = tmp_path / "list.json"
+    cfg.write_text("[1, 2]")
+    with pytest.raises(ParseError, match="^config root must be an object$"):
+        load_config(str(cfg))
+    assert main(["check", str(cfg)]) == 2
+    assert capsys.readouterr().err == "error: input: config root must be an object\n"
+
+
+# a dict config holds integers past the interpreter's 4300-digit limit for
+# int-to-str conversion (JSON text stops at the parse); each one is named by
+# its sign and digit count, never formatted in full
+@pytest.mark.parametrize("field, value, message", [
+    ("rho", [-10**5000], "rho[0]: factor -<5001 digits> must exceed 1"),
+    ("window", {"t_min": -10**5000, "t_max": 0},
+     "window: tau^-<5001 digits> .. tau^1 leave the float range (tau=2)"),
+    ("window", {"t_min": 0, "t_max": 10**5000},
+     "window: tau^0 .. tau^<5001 digits> leave the float range (tau=2)"),
+    ("window", {"t_min": 10**5000, "t_max": -10**30},
+     "window: t_min=<5001 digits> exceeds t_max=-<31 digits>"),
+    ("l", 10**5000, "alpha/beta: expected <5001 digits> alpha entries, got 1"),
+    ("m", 10**5000, "alpha/beta: expected <5001 digits> beta entries, got 1"),
+    ("l", -10**5000, "alpha/beta: group sizes must be positive, got l=-<5001 digits>, m=1"),
+], ids=["rho", "t_min", "t_max", "window-order", "l", "m", "l-negative"])
+def test_dict_integer_past_digit_limit(field, value, message):
+    doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [2],
+           "window": {"t_min": 0, "t_max": 0}, field: value}
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        load_config(doc)
 
 
 # ------------------------------------------------------------------- build
@@ -494,7 +560,25 @@ def test_export_samples_beyond_memory_exit_two(spp, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: input: samples_per_piece: ")
     assert captured.err.count("\n") == 1
+    # integers of more than 20 digits are shown by their digit count
+    assert not re.search(r"\d{21}", captured.err)
+    if spp == 10**30:
+        assert captured.err.startswith("error: input: samples_per_piece: <31 digits> samples"
+                                       " per piece need at least <32 digits> bytes, more than")
     assert not out.exists()
+    with pytest.raises(ValidationError, match="^samples_per_piece: "):
+        cmd_export(load_config(cfg), str(out))
+    assert not out.exists()
+
+
+# the io line prints the OS text whole, digits in the path included
+@pytest.mark.parametrize("folder", ["missing", "123456789012345678901"])
+def test_plot_into_missing_directory_is_io_error(folder, tmp_path, capsys):
+    out = tmp_path / folder / "fig.svg"
+    assert main(["plot", FIG, "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: io: [Errno 2] No such file or directory: '{out}'\n"
 
 
 @pytest.mark.parametrize("l, m, rho", [

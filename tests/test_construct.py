@@ -6,7 +6,6 @@ import pytest
 
 import regraph as rg
 from regraph import construct
-from regraph.construct import InvalidFactor, ScheduleMismatch
 
 from conftest import make_instance, random_instance
 from test_growth_terms import reference_propagate
@@ -52,19 +51,24 @@ def test_sigma_strictly_increasing():
 
 
 def test_invalid_factors():
-    with pytest.raises(InvalidFactor):
+    with pytest.raises(rg.ConstructError, match=r"^factor 1 is 1\.0, must exceed 1$"):
         rg.ExpansionSchedule.from_factors([1.2, 1.0])
-    with pytest.raises(InvalidFactor):
+    with pytest.raises(rg.ConstructError, match=r"^factor 0 is 0\.9, must exceed 1$"):
         rg.ExpansionSchedule.from_factors([0.9])
-    with pytest.raises(InvalidFactor):
+    with pytest.raises(rg.ConstructError, match=r"^schedule needs at least one factor$"):
         rg.ExpansionSchedule.from_factors([])
-    with pytest.raises(InvalidFactor):
+    with pytest.raises(rg.ConstructError, match=r"^factor 0 is 0\.79\d*, must exceed 1$"):
         rg.ExpansionSchedule.from_factors([rg.PowerForm(2.0, -1, 3)])
-    with pytest.raises(InvalidFactor):
+    with pytest.raises(rg.ConstructError,
+                       match=r"^exponent denominator must be positive, got 0$"):
         rg.PowerForm(2.0, 1, 0)
-    with pytest.raises(InvalidFactor):  # tau = inf
+    with pytest.raises(rg.ConstructError, match=r"^power base must be positive, got 0$"):
+        rg.PowerForm(0, 1, 3)
+    with pytest.raises(rg.ConstructError,  # tau = inf
+                       match=r"^period ratio tau = inf is not a finite float$"):
         rg.ExpansionSchedule.from_factors([1e200, 1e200])
-    with pytest.raises(InvalidFactor):  # the factor itself overflows
+    with pytest.raises(rg.ConstructError,  # the factor itself overflows
+                       match=r"^period ratio tau = inf is not a finite float$"):
         rg.ExpansionSchedule.from_factors([rg.PowerForm(1e200, 3, 1)])
 
 
@@ -89,9 +93,10 @@ def test_power_form_value_beyond_float_exponents(base, num, want):
 def test_schedule_length_checked():
     w = rg.validate_weights(3, 2, (0.5, 1.0, 1.5), (2.0, 1.0))
     sch = rg.ExpansionSchedule.from_factors([1.5, 1.5])
-    with pytest.raises(ScheduleMismatch):
+    msg = r"^schedule has 2 factors, weights require k=6$"
+    with pytest.raises(rg.ConstructError, match=msg):
         rg.solve_uv(w, sch)
-    with pytest.raises(ScheduleMismatch):
+    with pytest.raises(rg.ConstructError, match=msg):
         rg.solve_uv_oracle(w, sch)
 
 
@@ -245,13 +250,14 @@ def test_product_identity_per_class():
         w, sch = g.weights, g.schedule
         if w.d == 1:
             continue
+        kp, np_ = w.k // w.d, w.n // w.d
         for f in range(w.d):
-            for h in range(w.k_prime):
+            for h in range(kp):
                 prod = 1.0
-                for j in range(w.k_prime):
-                    hh = (h + j * w.n_prime) % w.k_prime
+                for j in range(kp):
+                    hh = (h + j * np_) % kp
                     prod *= construct.chi(w, sch, f + w.d * hh)
-                assert prod == pytest.approx(sch.tau**w.n_prime, rel=1e-12)
+                assert prod == pytest.approx(sch.tau**np_, rel=1e-12)
 
 
 def test_node_slope_conditions():

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import regraph as rg
-from regraph.graph import EmptyWindow, NegativeAbscissa, NonFiniteAbscissa
+from regraph.graph import NegativeAbscissa, NonFiniteAbscissa
 from regraph.render import _chords
 
 from conftest import make_instance, random_instance, window_grid, window_rows
@@ -112,10 +112,16 @@ def test_segment_joints(fig_instance):
 
 
 def test_empty_window_rejected(fig_instance):
-    with pytest.raises(EmptyWindow):
+    with pytest.raises(rg.ConstructError, match=r"^window: t_lo=2 exceeds t_hi=1$"):
         rg.render_svg(fig_instance, 2, 1)
-    with pytest.raises(EmptyWindow):
+    with pytest.raises(rg.ConstructError, match=r"^window: t_lo=1 exceeds t_hi=0$"):
         rg.component_functions(fig_instance, 1, 0)
+    # an integer past the 4300-digit limit of int-to-str is named by its digit count
+    big = r"^window: t_lo=<5001 digits> exceeds t_hi=-1$"
+    with pytest.raises(rg.ConstructError, match=big):
+        rg.render_svg(fig_instance, 10**5000, -1)
+    with pytest.raises(rg.ConstructError, match=big):
+        rg.component_functions(fig_instance, 10**5000, -1)
 
 
 # -------------------------------------------------------------- evaluation
@@ -353,7 +359,7 @@ def test_subgraph_extraction(l4m2_instance):
         labels, gamma = w.class_labels(f), w.class_gamma(f)
         table = reference_extract(g, 0, 1, subgraph=f)
         grid, bp, values, _, piece_labels = table
-        assert values.shape == (len(bp) - 1, w.n_prime)
+        assert values.shape == (len(bp) - 1, w.n // w.d)
         for row in piece_labels:
             assert sorted(row) == sorted(labels)
         for q in rng.uniform(grid[0], grid[-1], size=12):

@@ -38,7 +38,7 @@ def reference_solve_uv(w, sch):
     mult = [construct.chi(w, sch, r) for r in range(w.k)]
     u, v = np.empty(w.k), np.empty(w.k)
     for f in range(w.d):
-        idx = [f + w.d * ((j * w.n_prime) % w.k_prime) for j in range(w.k_prime)]
+        idx = [f + w.d * ((j * (w.n // w.d)) % (w.k // w.d)) for j in range(w.k // w.d)]
         m = [mult[r] for r in idx]
         u[idx] = construct._solve_block([U[r] for r in idx], m)
         v[idx] = construct._solve_block([V[r] for r in idx], m)
@@ -64,10 +64,11 @@ def reference_propagate(w, sch, u):
 
 
 def reference_sufficient(w, sch, tol=0.0):
-    if w.pair_sum_min <= 0:
+    pairs = [a + b for a in w.alpha for b in w.beta]
+    if min(pairs) <= 0:
         return analyze.CheckResult("proper-sufficient", analyze.NOT_APPLICABLE, tol, 0.0, None,
                                    note="some pair sum alpha_i + beta_j is zero")
-    rhs = w.pair_sum_max / w.pair_sum_min
+    rhs = max(pairs) / min(pairs)
     best, wit = np.inf, None
     for r in range(w.k):
         lhs = (sch.psi(r, w.n) + 1.0) / (sch.psi(r, w.l) + sch.psi(r, w.m))

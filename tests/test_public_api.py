@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import regraph
+from regraph.weights import WeightError
 
 PUBLIC = {
     "validate_weights",
@@ -27,11 +28,9 @@ PUBLIC = {
 }
 
 HOME = {
-    "weights": ("Weights", "WeightError", "NegativeWeight", "AllZero", "BalanceViolated",
-                "LengthMismatch"),
-    "construct": ("InvalidFactor", "ScheduleMismatch", "SingularSystem", "chi", "RegularGraph"),
-    "graph": ("NegativeAbscissa", "NonFiniteAbscissa", "EmptyWindow", "Piece",
-              "PiecewiseLinearSystem"),
+    "weights": ("Weights", "WeightError"),
+    "construct": ("chi", "RegularGraph"),
+    "graph": ("NegativeAbscissa", "NonFiniteAbscissa", "Piece", "PiecewiseLinearSystem"),
     "analyze": ("PASS", "FAIL", "NOT_SUFFICIENT", "NOT_APPLICABLE", "CheckResult",
                 "CheckReport"),
     "cli": ("InstanceConfig", "ParseError", "ValidationError", "load_config"),
@@ -43,7 +42,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_all_is_exactly_the_pipeline():
     assert len(regraph.__all__) == len(set(regraph.__all__))
     assert set(regraph.__all__) == PUBLIC
-    assert sum(map(len, HOME.values())) == 26
+    assert sum(map(len, HOME.values())) == 18
     for name in PUBLIC:
         assert hasattr(regraph, name), name
 
@@ -55,12 +54,30 @@ def test_analyze_has_one_check_entry():
     assert [name for name in vars(analyze) if name.startswith("check_")] == []
 
 
+def test_one_error_class_per_layer():
+    # weights raises WeightError, and construct, graph and render raise
+    # ConstructError, for every fault: no module subclasses either
+    bases = (WeightError, regraph.ConstructError)
+    for module in ("weights", "construct", "graph", "analyze", "render", "cli"):
+        home = vars(importlib.import_module(f"regraph.{module}"))
+        assert [name for name, value in home.items() if isinstance(value, type)
+                and issubclass(value, bases) and value not in bases] == [], module
+
+
 @pytest.mark.parametrize("module", sorted(HOME))
 def test_other_names_live_in_their_module(module):
     home = importlib.import_module(f"regraph.{module}")
     for name in HOME[module]:
         assert not hasattr(regraph, name), name
         assert hasattr(home, name), name
+
+
+def test_readme_states_the_pipeline_count():
+    text = README.read_text()
+    counts = re.findall(r"`regraph\.__all__`, (\d+) names", text)
+    counts += re.findall(r"the (\d+) pipeline names of regraph\.__all__", text)
+    assert len(counts) == 2
+    assert {int(c) for c in counts} == {len(regraph.__all__)}
 
 
 def test_readme_library_block_runs():

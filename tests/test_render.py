@@ -16,7 +16,6 @@ import numpy as np
 
 import regraph as rg
 from regraph.cli import load_config
-from regraph.graph import EmptyWindow
 from regraph.render import _STYLE, _chords
 
 from conftest import make_instance
@@ -49,7 +48,7 @@ def reference_clip(x0, y0, x1, y1, lo, hi):
 def reference_segments(g, t_lo, t_hi):
     """(kind, r, t, start, end) of every chord meeting the window, clipped to it."""
     if t_lo > t_hi:
-        raise EmptyWindow(f"t_lo={t_lo} exceeds t_hi={t_hi}")
+        raise rg.ConstructError(f"window: t_lo={t_lo} exceeds t_hi={t_hi}")
     w = g.weights
     w_lo = g.schedule.tau**t_lo
     w_hi = g.schedule.tau ** (t_hi + 1)
