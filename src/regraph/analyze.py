@@ -17,16 +17,17 @@ not flag an otherwise healthy instance.
 
 run_all_checks is the one public check: it runs every check below on one
 graph, in a fixed order, and extracts no piece table.  It reads the
-graph's line table once, at the k grid abscissae of one period closed by
-the next period's first subinterval, in O(k n log n); system,
-proper-direct and (when d > 1) subgraphs are decided there.  Between
-grid abscissae the active lines are fixed, and at a crossing the order
-of the components changes only among lines tied there, whose gaps are
-exempt.  Thresholds scale with W, the largest |slope|, and proper-m1
-normalises the weights to beta_1 = l, so weights times c, which give the
-graph times c, move no verdict.  A non-finite line value makes
-run_all_checks raise ConstructError before any check runs; the
-non-finite FAIL paths of _regular and _subgraphs are kept as safety code.
+graph's line table once, at the k grid abscissae of one period and its
+closing point, in O(k n log n); system, proper-direct and (when d > 1)
+subgraphs are decided there.  Between grid abscissae the active lines
+are fixed, and at a crossing the order of the components changes only
+among lines tied there, whose gaps are exempt.  Thresholds scale with
+W, the largest |slope|, and proper-m1 normalises the weights to
+beta_1 = l, so weights times c, which give the graph times c, move no
+verdict.  A period whose values leave the float range makes
+run_all_checks raise ConstructError before any check runs, by the rule
+export shares (graph._window_ends); the non-finite FAIL paths of
+_regular and _subgraphs are kept as safety code.
 """
 
 from __future__ import annotations
@@ -37,8 +38,8 @@ from typing import Optional
 
 import numpy as np
 
-from .construct import ConstructError, ExpansionSchedule, RegularGraph, growth_terms
-from .graph import _check_window, _intercepts
+from .construct import ExpansionSchedule, RegularGraph, growth_terms
+from .graph import _window_ends
 from .weights import Weights
 
 PASS = "pass"
@@ -211,7 +212,8 @@ def _subgraphs(g: RegularGraph, x: np.ndarray, ends: np.ndarray, w_max: float,
 
     The class drifts gamma_f must cancel to tol * W, W the largest
     |slope|, and above every subinterval j of the line table the lines of
-    class f (r = f mod d) must sum to gamma_f * x at both ends x of _grid.
+    class f (r = f mod d) must sum to gamma_f * x at both ends x of its
+    subinterval (graph._window_ends).
     A residual fails above tol * W * x, with margin residual / (W x); a
     non-finite term fails.
     """
@@ -232,35 +234,10 @@ def _subgraphs(g: RegularGraph, x: np.ndarray, ends: np.ndarray, w_max: float,
                            ("class lines off the class drift", "non-finite class line value"))
 
 
-def _grid(g: RegularGraph, t_base: int) -> tuple[np.ndarray, np.ndarray]:
-    """Row j of the line table at both ends of its subinterval, sigma_j and
-    sigma_{j+1} (sigma_k = tau): (2, k) abscissae and (2, k, n) values in
-    period 0, to be read in period t_base, as P(tau q) = tau P(q).
-
-    Raises ConstructError unless tau^t_base .. tau^(t_base+1) are normal
-    floats, the line intercepts fit as for export (graph._intercepts), and
-    the abscissae and values of this grid fit in period t_base closed by the
-    next period's first subinterval, row 0 times tau.
-    """
-    tau, lines = g.schedule.tau, g.lines
-    _check_window(tau, t_base, t_base + 1)
-    _intercepts(lines)
-    sig = np.asarray(g.schedule.sigmas)
-    x = np.stack([sig, np.append(sig[1:], tau)])
-    scale = tau**t_base
-    with np.errstate(over="ignore", invalid="ignore"):
-        ends = lines.y0 + lines.slope * (x[..., None] - lines.x0)
-        closing = tau * np.append(x[:, 0], ends[:, 0])
-        fits = np.isfinite(scale * ends).all() and np.isfinite(scale * closing).all()
-    if not fits:
-        raise ConstructError(f"window: period {t_base} closed by the next period's "
-                             "first subinterval leaves the float range")
-    return x, ends
-
-
 def _grid_slack(g: RegularGraph, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The (k, n - 1) slacks and gaps of proper-direct at the grid abscissae
-    sigma_1 .. sigma_{k-1}, tau of _grid's ends, index i + 1 in column i.
+    sigma_1 .. sigma_{k-1}, tau of the grid ends (graph._window_ends), index
+    i + 1 in column i.
 
     Just left of sigma_j is row j - 1, ordered by (value, -slope); just right
     is row j, ordered by (value, slope); at tau it is row 0 times tau.  The
@@ -323,14 +300,15 @@ def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> Check
     """Run the full verification suite, the one public check of this module.
 
     system, proper-direct and, when d > 1, subgraphs read the line table at
-    the grid abscissae of period t_base, closed by the next period's first
-    subinterval (see _grid); t_base only places witnesses and sets the float
-    range.  No piece table is extracted.  Raises ValueError unless
-    0 < tol <= the largest float.
+    the grid abscissae of period t_base and its closing point tau^(t_base+1);
+    t_base only places witnesses and sets the float range.  No piece table
+    is extracted.  Raises ConstructError where exporting the window (t_base,
+    t_base) would (graph._window_ends), and ValueError unless 0 < tol <= the
+    largest float.
     """
     if not 0 < tol <= sys.float_info.max:
         raise ValueError(f"tol: must be a finite positive number, got {tol!r}")
-    x, ends = _grid(g, t_base)
+    x, ends = _window_ends(g, t_base, t_base)
     scale, w_max = g.schedule.tau**t_base, float(np.max(np.abs(g.lines.slope)))
     w = g.weights
     terms = growth_terms(w, g.schedule)

@@ -225,18 +225,35 @@ def _tau_powers(tau: float, t_lo: int, t_hi: int) -> np.ndarray:
     return np.array([tau**t for t in range(t_lo, t_hi + 1)])
 
 
-def _intercepts(lines) -> np.ndarray:
-    """The (k, n) intercepts y0 - slope * x0 of the period-0 lines.  Raises
-    ConstructError unless the intercepts of each row and any two's difference
-    are finite floats: the float range of period 0, for check and export alike.
-    The largest difference of a row is its max minus its min, as rounding is
-    monotone."""
+def _window_ends(g: RegularGraph, t_lo: int, t_hi: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row j of the line table at both ends of its subinterval, sigma_j and
+    sigma_{j+1} (sigma_k = tau): (2, k) abscissae and (2, k, n) values in
+    period 0, as P(tau q) = tau P(q).
+
+    The one float-range rule for a window's values, shared by check and
+    export.  Raises ConstructError unless tau^t_lo .. tau^(t_hi+1) are normal
+    floats (_check_window), the period-0 line intercepts y0 - slope * x0 of
+    each row and any two's difference are finite (the largest difference is
+    max minus min, as rounding is monotone), and tau^t_hi times the largest
+    |value| here is finite.  Every line is linear on its subinterval, so its
+    largest |value| lies at an end, and tau^t grows with t, so this bounds
+    every component value of the window; its closing point tau^(t_hi+1) is
+    row k - 1's right end.
+    """
+    tau, lines = g.schedule.tau, g.lines
+    _check_window(tau, t_lo, t_hi + 1)
+    sig = np.asarray(g.schedule.sigmas)
+    x = np.stack([sig, np.append(sig[1:], tau)])
     with np.errstate(over="ignore", invalid="ignore"):
         c = lines.y0 - lines.slope * lines.x0
-        spread = c.max(axis=1) - c.min(axis=1)
-    if not np.isfinite(spread).all():
-        raise ConstructError("window: line intercepts in period 0 leave the float range")
-    return c
+        if not np.isfinite(c.max(axis=1) - c.min(axis=1)).all():
+            raise ConstructError("window: line intercepts in period 0 leave the float range")
+        ends = lines.y0 + lines.slope * (x[..., None] - lines.x0)
+        fits = np.isfinite(tau**t_hi * np.max(np.abs(ends)))
+    if not fits:
+        raise ConstructError(f"window: component values over tau^{_int_text(t_lo)} .."
+                             f" tau^{_int_text(t_hi + 1)} leave the float range")
+    return x, ends
 
 
 def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinearSystem:
@@ -251,25 +268,21 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
     right the shallower one).  Lines that coincide over a whole piece are kept
     as distinct components in a stable order given by segment identity.
 
-    Raises ConstructError when t_lo exceeds t_hi, a power of tau bounding the
-    window is not a finite normal float, or a line intercept of period 0 or a
-    value or breakpoint of the window is not a finite float.  Only the last
-    period is tested: rounding is monotone and tau^t grows with t, so it holds
-    the largest of each.
+    Raises ConstructError when t_lo exceeds t_hi or the window's values leave
+    the float range (_window_ends, the rule check shares).
     """
     if t_lo > t_hi:
         raise ConstructError(
             f"window: t_lo={_int_text(t_lo)} exceeds t_hi={_int_text(t_hi)}")
+    sig, hi = _window_ends(g, t_lo, t_hi)[0]  # each subinterval's two ends
     w, lines = g.weights, g.lines
     tau, n = g.schedule.tau, w.n
     power = _tau_powers(tau, t_lo, t_hi + 1)
     x0, y0, slope = lines.x0, lines.y0, lines.slope
     code = lines.label.astype(np.min_scalar_type(-n))
-    sig = np.asarray(g.schedule.sigmas)
     ia, ib = np.triu_indices(n, 1)
-    c = _intercepts(lines)
+    c = y0 - slope * x0
     ds = slope[:, ia] - slope[:, ib]
-    hi = np.append(sig[1:], tau)
     with np.errstate(divide="ignore", invalid="ignore"):
         qx = (c[:, ib] - c[:, ia]) / ds
         tol = CROSSING_REL_TOL * np.abs(qx)
@@ -284,11 +297,6 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
     line = (cell[:, None], order)
     slopes = slope[line]
     values = y0[line] + slopes * (p_lo[:, None] - x0[line])
-    with np.errstate(over="ignore", invalid="ignore"):
-        last_fits = np.isfinite(power[-2] * p_lo).all() and np.isfinite(power[-2] * values).all()
-    if not last_fits:
-        raise ConstructError(
-            f"window: component values over tau^{t_lo} .. tau^{t_hi + 1} leave the float range")
     scale = power[:-1]
     breakpoints = np.append(np.multiply.outer(scale, p_lo), power[-1])
     labels = code[line]

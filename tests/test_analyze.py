@@ -278,7 +278,7 @@ def test_subgraph_check_detects_perturbed_height(l4m2_instance):
 
 def subgraphs(g, tol=1e-9):
     """The subgraphs check on its own, on the line table at the grid ends
-    evaluated here, as _grid does, but without its float-range test:
+    evaluated here, as graph._window_ends does, but without its float-range test:
     run_all_checks raises ConstructError on a non-finite line value before
     subgraphs runs, so its non-finite FAIL path is reached only here."""
     lines, sig = g.lines, np.asarray(g.schedule.sigmas)
@@ -368,22 +368,22 @@ class SealedLines:
 
     def __getattr__(self, name):
         if self.sealed and name in ("x0", "y0"):
-            raise AssertionError(f"line table evaluated again: {name} read after _grid")
+            raise AssertionError(f"line table evaluated again: {name} read after _window_ends")
         return getattr(self.lines, name)
 
 
 @pytest.mark.parametrize("instance", ["fig_instance", "l4m2_instance"])
 def test_run_all_checks_evaluates_grid_once(instance, request, monkeypatch):
-    # _grid evaluates the line table at the grid ends once per report and no
+    # _window_ends evaluates the line table at the grid ends once per report and no
     # check evaluates it again; growth_terms is computed once.  d = 1 and d > 1
     g = dataclasses.replace(request.getfixturevalue(instance))
     watched = SealedLines(g.lines)
     object.__setattr__(g, "lines", watched)
-    calls = {"_grid": 0, "growth_terms": 0}
-    real_grid, real_terms = analyze._grid, analyze.growth_terms
+    calls = {"_window_ends": 0, "growth_terms": 0}
+    real_grid, real_terms = analyze._window_ends, analyze.growth_terms
 
     def grid(*args):
-        calls["_grid"] += 1
+        calls["_window_ends"] += 1
         out = real_grid(*args)
         watched.sealed = True
         return out
@@ -392,12 +392,12 @@ def test_run_all_checks_evaluates_grid_once(instance, request, monkeypatch):
         calls["growth_terms"] += 1
         return real_terms(*args)
 
-    monkeypatch.setattr(analyze, "_grid", grid)
+    monkeypatch.setattr(analyze, "_window_ends", grid)
     monkeypatch.setattr(analyze, "growth_terms", terms)
     report = rg.run_all_checks(g)
     assert report.ok
     assert ("subgraphs" in [r.name for r in report.results]) == (g.weights.d > 1)
-    assert calls == {"_grid": 1, "growth_terms": 1}
+    assert calls == {"_window_ends": 1, "growth_terms": 1}
 
 
 def test_report_lines_and_entry(fig_instance):
@@ -474,7 +474,7 @@ def test_grid_route_matches_table_route():
                     assert got.status == want.status, (g.weights, got, want)
                     statuses.add((got.name, got.status))
             # the slacks of every (q, i) both routes test, q a grid abscissa
-            x, ends = analyze._grid(g, t_base)
+            x, ends = analyze._window_ends(g, t_base, t_base)
             slack, gap = analyze._grid_slack(g, ends)
             w_max = np.max(np.abs(g.lines.slope))
             grid_open = ~(gap <= tol * w_max * x[1][:, None])

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from math import floor, lcm, log
 from pathlib import Path
 
 import numpy as np
@@ -68,7 +69,7 @@ def test_load_config_parse_error():
         load_config("{not json")
     with pytest.raises(ParseError):
         load_config("/nonexistent/path/config.json")
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^config root must be an object$"):
         load_config("[1, 2]")
 
 
@@ -641,12 +642,13 @@ def test_last_period_below_largest_float_accepted(command, tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("command, code", [
-    ("build", 0), ("check", 2), ("eval", 0), ("plot", 2), ("export", 0)])
+    ("build", 0), ("check", 0), ("eval", 0), ("plot", 2), ("export", 0)])
 def test_check_closing_piece_past_largest_float(command, code, tmp_path, capsys):
-    # tau = 3: the period 3^645 .. 3^646 fits, but the piece after it, which
-    # check reads to close the period, ends at 2 * 3^646 and does not.  check
-    # exits 2 with one error line, never a failed check or a traceback; plot
-    # exits 2 because its padded ordinate range overflows
+    # tau = 3: the period 3^645 .. 3^646 fits, though the piece after it ends
+    # at 2 * 3^646 past the largest float.  check reads the period only up to
+    # its closing point 3^646, by the window rule it shares with export, so
+    # both run; plot exits 2 with one error line because its padded ordinate
+    # range overflows
     doc = {"l": 1, "m": 1, "alpha": [1], "beta": [1], "rho": [3],
            "window": {"t_min": 645, "t_max": 645}}
     extra = {"eval": ["--q", "1"], "plot": ["--out", str(tmp_path / "g.svg")],
@@ -673,7 +675,7 @@ def test_window_near_largest_float(weight, end, command, tmp_path, capsys):
     # windows load_config accepts, whose graph values may still overflow a
     # float: either a clean run with finite output or one error line (the
     # graph is proper, so a failing check would be spurious).  check and
-    # export read the same piece table, so they accept the same windows;
+    # export share one window rule, so they accept the same windows;
     # up to end = 1022 all three subcommands do, and with weight 1 also
     # at end = 1023.
     doc = {"l": 1, "m": 1, "alpha": [weight], "beta": [weight], "rho": [2],
@@ -693,6 +695,54 @@ def test_window_near_largest_float(weight, end, command, tmp_path, capsys):
         assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
     if command == "plot":
         assert "nan" not in out.read_text()
+
+
+def near_top_instances(count=60, seed=5):
+    """default_rng(seed): l, m in 1..4, alpha ~ U[0.2, 3] with beta balanced
+    onto sum(alpha), both times 10^U[0, 300], and rho ~ U[1.05, 3]."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        l, m = (int(x) for x in rng.integers(1, 5, size=2))
+        alpha, beta = rng.uniform(0.2, 3.0, size=l), rng.uniform(0.2, 3.0, size=m)
+        beta *= alpha.sum() / beta.sum()
+        scale = 10 ** rng.uniform(0, 300)
+        yield {"l": l, "m": m, "alpha": (alpha * scale).tolist(),
+               "beta": (beta * scale).tolist(),
+               "rho": rng.uniform(1.05, 3.0, size=lcm(l, m)).tolist()}
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_check_and_export_accept_same_windows_near_largest_float(tmp_path, capsys):
+    # one float-range rule for a window's values: on the single-period windows
+    # either side of the last one export accepts, check runs (exit 0 or 1)
+    # exactly where export does, export writes only finite values, and a
+    # rejected window gives one error line
+    out = tmp_path / "g.csv"
+
+    def run(command, doc, t):
+        extra = ["--out", str(out)] if command == "export" else []
+        code = main([command, json.dumps(dict(doc, window={"t_min": t, "t_max": t})), *extra])
+        err = capsys.readouterr().err
+        if code == 2:
+            assert err.startswith("error: input: window:") and err.count("\n") == 1, err
+        else:
+            assert err == ""
+        return code
+
+    for doc in near_top_instances():
+        g = load_config(dict(doc, window={"t_min": 0, "t_max": 0})).graph()
+        tau, height = g.schedule.tau, max(np.abs(g.u).max(), np.abs(g.v).max())
+        # period t reaches about tau^(t+1) * height, so start near the last fit
+        t = floor(log(sys.float_info.max / height) / log(tau)) - 1
+        while run("export", doc, t) == 0:
+            t += 1
+        while run("export", doc, t) != 0:
+            t -= 1
+        for window in (t, t + 1):
+            exported = run("export", doc, window) == 0
+            assert (run("check", doc, window) in (0, 1)) == exported, (doc, window)
+            if exported:
+                assert np.isfinite(np.loadtxt(out, delimiter=",", skiprows=1)).all()
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -716,7 +766,7 @@ def test_weights_near_largest_float_exit_two(command, tmp_path, capsys):
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("weight, end, message", [
-    (8, 1023, "values at tau^1023"),  # the closing row at 2^1023 overflows
+    (8, 1023, "values over tau^1020 .. tau^1023"),  # the closing row at 2^1023 overflows
     (8e300, 1000, "values over tau^997 .. tau^1000"),  # the last tile overflows
 ])
 def test_export_overflowing_window_writes_nothing(weight, end, message, tmp_path, capsys):
