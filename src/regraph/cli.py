@@ -20,6 +20,7 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
+from . import construct
 from .analyze import run_all_checks
 from .construct import (
     ConstructError,
@@ -47,24 +48,23 @@ class ValidationError(ValueError):
 
 @dataclass(frozen=True)
 class InstanceConfig:
-    l: int
-    m: int
-    alpha: tuple[float, ...]
-    beta: tuple[float, ...]
+    """One instance, its weights validated and schedule built once by load_config;
+    rho keeps the factors as given, power forms included."""
+
+    weights: Weights
     rho: tuple[FactorLike, ...]
+    schedule: ExpansionSchedule
     t_min: int
     t_max: int
     tolerance: float
     samples_per_piece: int
-
-    def weights(self) -> Weights:
-        return validate_weights(self.l, self.m, self.alpha, self.beta)
-
-    def schedule(self) -> ExpansionSchedule:
-        return ExpansionSchedule.from_factors(self.rho)
+    l = property(lambda self: self.weights.l)
+    m = property(lambda self: self.weights.m)
+    alpha = property(lambda self: self.weights.alpha)
+    beta = property(lambda self: self.weights.beta)
 
     def graph(self) -> RegularGraph:
-        return build_graph(self.weights(), self.schedule())
+        return build_graph(self.weights, self.schedule)
 
 
 def _require(raw: dict, field: str, kinds, path: str):
@@ -161,7 +161,7 @@ def load_config(source: Union[str, Path, dict]) -> InstanceConfig:
             f"rho: expected lcm(l, m) = {w.k} factors, got {len(rho_raw)}"
         )
     rho = tuple(_rho_entry(entry, i) for i, entry in enumerate(rho_raw))
-    tau = ExpansionSchedule.from_factors(rho).tau
+    schedule = ExpansionSchedule.from_factors(rho)
 
     window = _require(raw, "window", dict, "window")
     t_min = _require(window, "t_min", int, "window.t_min")
@@ -170,7 +170,7 @@ def load_config(source: Union[str, Path, dict]) -> InstanceConfig:
         raise ValidationError(
             f"window: t_min={_int_text(t_min)} exceeds t_max={_int_text(t_max)}")
     try:
-        _check_window(tau, t_min, t_max + 1)
+        _check_window(schedule.tau, t_min, t_max + 1)
     except ConstructError as exc:
         raise ValidationError(str(exc)) from exc
 
@@ -184,24 +184,20 @@ def load_config(source: Union[str, Path, dict]) -> InstanceConfig:
         raise ValidationError("samples_per_piece: must be a non-negative integer")
 
     return InstanceConfig(
-        l=l, m=m, alpha=alpha, beta=beta, rho=rho,
+        weights=w, rho=rho, schedule=schedule,
         t_min=t_min, t_max=t_max,
         tolerance=float(tolerance), samples_per_piece=spp,
     )
 
 
 def cmd_build(cfg: InstanceConfig) -> int:
-    g = cfg.graph()
-    doc = {
-        "k": g.weights.k,
-        "d": g.weights.d,
-        "tau": g.schedule.tau,
-        "u": [float(x) for x in g.u],
-        "v": [float(x) for x in g.v],
-    }
-    if g.weights.d > 1:
-        doc["subgraphs"] = [{"f": f, "gamma": g.weights.class_gamma(f)}
-                            for f in range(g.weights.d)]
+    w = cfg.weights
+    # the solve alone, no line table; construct.solve_uv is looked up at call
+    # time, as build_graph looks it up, so a substitute for it reaches build too
+    u, v = construct.solve_uv(w, cfg.schedule)
+    doc = {"k": w.k, "d": w.d, "tau": cfg.schedule.tau, "u": u.tolist(), "v": v.tolist()}
+    if w.d > 1:
+        doc["subgraphs"] = [{"f": f, "gamma": w.class_gamma(f)} for f in range(w.d)]
     print(json.dumps(doc, indent=2))
     return 0
 

@@ -17,7 +17,7 @@ from math import isfinite
 import numpy as np
 
 from .construct import ConstructError, RegularGraph
-from .graph import _tau_powers
+from .graph import _tau_powers, _window_ends
 from .weights import _int_text
 
 _STYLE = """
@@ -86,10 +86,12 @@ def render_svg(
 ) -> str:
     """Render the window [tau^t_lo, tau^(t_hi+1)] as an SVG document.
 
-    Raises ConstructError when t_lo exceeds t_hi, a power of tau bounding the
-    window is not a finite normal float, or an ordinate to draw overflows a float.
+    Raises ConstructError when t_lo exceeds t_hi, the window's values leave the
+    float range (_window_ends, the rule check and export share), or an ordinate
+    to draw overflows a float.
     """
     periods, falls, x0, y0, x1, y1 = _chords(g, t_lo, t_hi)
+    _window_ends(g, t_lo, t_hi)
     tau = g.schedule.tau
     k = g.weights.k
 

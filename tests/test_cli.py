@@ -12,7 +12,9 @@ import numpy as np
 import pytest
 
 import regraph as rg
+import regraph.cli as cli
 from regraph.cli import ParseError, ValidationError, cmd_export, load_config, main
+from regraph.construct import LineTable
 
 from conftest import window_grid
 
@@ -41,7 +43,7 @@ IMPROPER_DOC = {
 def test_load_fig_config():
     cfg = load_config(FIG)
     assert (cfg.l, cfg.m) == (3, 2)
-    assert cfg.schedule().tau == 4.0
+    assert cfg.schedule.tau == 4.0
     assert cfg.tolerance == 1e-9
     assert cfg.samples_per_piece == 8
     assert (cfg.t_min, cfg.t_max) == (0, 2)
@@ -61,7 +63,7 @@ def test_load_config_power_object():
            "rho": [{"base": 2, "num": 1, "den": 3}],
            "window": {"t_min": 0, "t_max": 0}}
     cfg = load_config(json.dumps(doc))
-    assert abs(cfg.schedule().factors[0] - 2 ** (1 / 3)) < 1e-15
+    assert abs(cfg.schedule.factors[0] - 2 ** (1 / 3)) < 1e-15
 
 
 def test_load_config_parse_error():
@@ -195,6 +197,43 @@ def test_cmd_build_subgraphs(capsys):
     assert gammas == [-1.0, 1.0]
 
 
+def build_doc(i):
+    """Instance i: l, m <= 5 (d > 1 in some), weights ~ U[0.2, 3] each zeroed
+    with probability 0.3, balanced onto sum(alpha), and rho ~ U[1.05, 3] with
+    each factor a power object base^(num/den) with probability 0.3."""
+    rng = np.random.default_rng(4100 + i)
+    l, m = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+    alpha, beta = rng.uniform(0.2, 3.0, size=l), rng.uniform(0.2, 3.0, size=m)
+    alpha[rng.random(l) < 0.3] = 0.0
+    beta[rng.random(m) < 0.3] = 0.0
+    alpha[0], beta[-1] = max(alpha[0], 0.5), max(beta[-1], 0.5)  # neither all zero
+    beta *= alpha.sum() / beta.sum()
+    rho = [{"base": float(rng.uniform(1.5, 4.0)), "num": int(rng.integers(1, 3)),
+            "den": int(rng.integers(1, 4))} if rng.random() < 0.3
+           else float(rng.uniform(1.05, 3.0)) for _ in range(lcm(l, m))]
+    return {"l": l, "m": m, "alpha": alpha.tolist(), "beta": beta.tolist(), "rho": rho,
+            "window": {"t_min": 0, "t_max": 0}}
+
+
+def test_cmd_build_matches_solved_graph(capsys):
+    # build prints the solve without deriving the graph: the same document,
+    # byte for byte, as one written from build_graph's u and v
+    covered = np.zeros(3, dtype=bool)  # d > 1, a zero weight, a power-form factor
+    for i in range(60):
+        doc = build_doc(i)
+        assert main(["build", json.dumps(doc)]) == 0
+        w = rg.validate_weights(doc["l"], doc["m"], doc["alpha"], doc["beta"])
+        rho = [rg.PowerForm(**f) if isinstance(f, dict) else f for f in doc["rho"]]
+        g = rg.build_graph(w, rg.ExpansionSchedule.from_factors(rho))
+        want = {"k": w.k, "d": w.d, "tau": g.schedule.tau,
+                "u": [float(x) for x in g.u], "v": [float(x) for x in g.v]}
+        if w.d > 1:
+            want["subgraphs"] = [{"f": f, "gamma": w.class_gamma(f)} for f in range(w.d)]
+        assert capsys.readouterr().out == json.dumps(want, indent=2) + "\n", doc
+        covered |= [w.d > 1, 0.0 in w.alpha + w.beta, any(isinstance(f, dict) for f in doc["rho"])]
+    assert covered.all()
+
+
 # ------------------------------------------------------------------- check
 
 def test_cmd_check_fig_exits_zero(capsys):
@@ -277,6 +316,34 @@ def test_tolerance_flag_only_on_check(command, tmp_path, capsys):
         main([command, FIG, *extra.get(command, []), "--tolerance", "1e-6"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --tolerance" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build", "check", "eval", "plot", "export"])
+def test_main_validates_and_schedules_once(command, tmp_path, monkeypatch, capsys):
+    # load_config validates the weights and builds the schedule, and the
+    # subcommand reads both from the config; build derives no line table
+    calls = {"validate_weights": 0, "from_factors": 0, "LineTable.build": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, rg.weights):
+        monkeypatch.setattr(module, "validate_weights",
+                            counted("validate_weights", rg.weights.validate_weights))
+    schedule, table = rg.ExpansionSchedule.from_factors, LineTable.build
+    monkeypatch.setattr(rg.ExpansionSchedule, "from_factors",
+                        classmethod(counted("from_factors", schedule.__func__)))
+    monkeypatch.setattr(LineTable, "build",
+                        classmethod(counted("LineTable.build", table.__func__)))
+    out = str(tmp_path / "out")
+    extra = {"eval": ["--q", "1.0"], "plot": ["--out", out], "export": ["--out", out]}
+    assert main([command, FIG, *extra.get(command, [])]) == 0
+    capsys.readouterr()
+    assert calls["validate_weights"] == 1 and calls["from_factors"] == 1
+    assert calls["LineTable.build"] == (0 if command == "build" else 1)
 
 
 # -------------------------------------------------------------------- eval
@@ -746,19 +813,20 @@ def test_check_and_export_accept_same_windows_near_largest_float(tmp_path, capsy
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
-@pytest.mark.parametrize("command", ["check", "export"])
+@pytest.mark.parametrize("command", ["check", "export", "plot"])
 def test_weights_near_largest_float_exit_two(command, tmp_path, capsys):
     # the values of periods -3 .. -1 fit a float, but the line intercepts
     # of period 0, from which every window is tiled, do not: an error,
-    # not a table missing a crossing
+    # not a table missing a crossing, and plot applies the same rule
     doc = {"l": 1, "m": 1, "alpha": [8e307], "beta": [8e307], "rho": [2],
            "window": {"t_min": -3, "t_max": -1}}
-    out = tmp_path / "g.csv"
+    out = tmp_path / "g.out"
     extra = [] if command == "check" else ["--out", str(out)]
     assert main([command, write_config(tmp_path, "huge.json", doc), *extra]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: input: window:") and captured.err.count("\n") == 1
+    assert captured.err == ("error: input: window: line intercepts in period 0"
+                            " leave the float range\n")
     assert not out.exists()
     with pytest.raises(rg.ConstructError, match="^window: line intercepts in period 0"):
         rg.component_functions(load_config(doc).graph(), -3, -1)
