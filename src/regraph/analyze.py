@@ -26,7 +26,7 @@ W, the largest |slope|, and proper-m1 normalises the weights to
 beta_1 = l, so weights times c, which give the graph times c, move no
 verdict.  A period whose values leave the float range makes
 run_all_checks raise ConstructError before any check runs, by the rule
-export shares (graph._window_ends); the non-finite FAIL paths of
+export and plot share (graph._window_ends); the non-finite FAIL paths of
 _regular and _subgraphs are kept as safety code.
 """
 
@@ -308,8 +308,8 @@ def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> Check
     """
     if not 0 < tol <= sys.float_info.max:
         raise ValueError(f"tol: must be a finite positive number, got {tol!r}")
-    x, ends = _window_ends(g, t_base, t_base)
-    scale, w_max = g.schedule.tau**t_base, float(np.max(np.abs(g.lines.slope)))
+    x, ends, power = _window_ends(g, t_base, t_base)
+    scale, w_max = float(power[0]), float(np.max(np.abs(g.lines.slope)))
     w = g.weights
     terms = growth_terms(w, g.schedule)
     results = [

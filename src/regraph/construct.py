@@ -158,10 +158,12 @@ def growth_terms(
     l, m, n, k = weights.l, weights.m, weights.n, weights.k
     if len(schedule) != k:
         raise ConstructError(f"schedule has {len(schedule)} factors, weights require k={k}")
+    top = (k + n - 1) // k  # tau^0 .. tau^top; tau is finite, so only tau^top can overflow
     try:
-        powers = [schedule.tau**s for s in range((k + n - 1) // k + 1)]
-    except OverflowError as exc:
-        raise ConstructError(f"node system overflows a float: {exc}") from exc
+        powers = [schedule.tau**s for s in range(top + 1)]
+    except OverflowError:
+        raise ConstructError(
+            f"node system: tau^{top} overflows a float (tau={schedule.tau:g})") from None
     sig = np.array(schedule.sigmas)
     # a[i] = alpha_{i+1}, b[i] = beta_{i+1} for i < k + m and i < k + l
     a = np.array(weights.alpha * ((k + m) // l + 1))

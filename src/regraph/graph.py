@@ -219,29 +219,29 @@ def _check_window(tau: float, t_lo: int, t_hi: int) -> None:
             f" (tau={tau:g})")
 
 
-def _tau_powers(tau: float, t_lo: int, t_hi: int) -> np.ndarray:
-    """tau^t for t = t_lo .. t_hi, after _check_window."""
-    _check_window(tau, t_lo, t_hi)
-    return np.array([tau**t for t in range(t_lo, t_hi + 1)])
-
-
-def _window_ends(g: RegularGraph, t_lo: int, t_hi: int) -> tuple[np.ndarray, np.ndarray]:
+def _window_ends(g: RegularGraph, t_lo: int,
+                 t_hi: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Row j of the line table at both ends of its subinterval, sigma_j and
     sigma_{j+1} (sigma_k = tau): (2, k) abscissae and (2, k, n) values in
-    period 0, as P(tau q) = tau P(q).
+    period 0, as P(tau q) = tau P(q), and the window's powers tau^t_lo ..
+    tau^(t_hi+1).
 
-    The one float-range rule for a window's values, shared by check and
-    export.  Raises ConstructError unless tau^t_lo .. tau^(t_hi+1) are normal
-    floats (_check_window), the period-0 line intercepts y0 - slope * x0 of
-    each row and any two's difference are finite (the largest difference is
-    max minus min, as rounding is monotone), and tau^t_hi times the largest
-    |value| here is finite.  Every line is linear on its subinterval, so its
-    largest |value| lies at an end, and tau^t grows with t, so this bounds
-    every component value of the window; its closing point tau^(t_hi+1) is
-    row k - 1's right end.
+    The one float-range rule for a window's values, shared by check, export
+    and plot.  Raises ConstructError unless t_lo <= t_hi, tau^t_lo ..
+    tau^(t_hi+1) are normal floats (_check_window), the period-0 line
+    intercepts y0 - slope * x0 of each row and any two's difference are
+    finite (the largest difference is max minus min, as rounding is
+    monotone), and tau^t_hi times the largest |value| here is finite.  Every
+    line is linear on its subinterval, so its largest |value| lies at an end,
+    and tau^t grows with t, so this bounds every component value of the
+    window; its closing point tau^(t_hi+1) is row k - 1's right end.
     """
+    if t_lo > t_hi:
+        raise ConstructError(
+            f"window: t_lo={_int_text(t_lo)} exceeds t_hi={_int_text(t_hi)}")
     tau, lines = g.schedule.tau, g.lines
     _check_window(tau, t_lo, t_hi + 1)
+    power = np.array([tau**t for t in range(t_lo, t_hi + 2)])
     sig = np.asarray(g.schedule.sigmas)
     x = np.stack([sig, np.append(sig[1:], tau)])
     with np.errstate(over="ignore", invalid="ignore"):
@@ -249,11 +249,11 @@ def _window_ends(g: RegularGraph, t_lo: int, t_hi: int) -> tuple[np.ndarray, np.
         if not np.isfinite(c.max(axis=1) - c.min(axis=1)).all():
             raise ConstructError("window: line intercepts in period 0 leave the float range")
         ends = lines.y0 + lines.slope * (x[..., None] - lines.x0)
-        fits = np.isfinite(tau**t_hi * np.max(np.abs(ends)))
+        fits = np.isfinite(power[-2] * np.max(np.abs(ends)))
     if not fits:
         raise ConstructError(f"window: component values over tau^{_int_text(t_lo)} .."
                              f" tau^{_int_text(t_hi + 1)} leave the float range")
-    return x, ends
+    return x, ends, power
 
 
 def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinearSystem:
@@ -269,21 +269,18 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
     as distinct components in a stable order given by segment identity.
 
     Raises ConstructError when t_lo exceeds t_hi or the window's values leave
-    the float range (_window_ends, the rule check shares).
+    the float range (_window_ends, the rule check and plot share).
     """
-    if t_lo > t_hi:
-        raise ConstructError(
-            f"window: t_lo={_int_text(t_lo)} exceeds t_hi={_int_text(t_hi)}")
-    sig, hi = _window_ends(g, t_lo, t_hi)[0]  # each subinterval's two ends
+    (sig, hi), _, power = _window_ends(g, t_lo, t_hi)  # each subinterval's two ends
     w, lines = g.weights, g.lines
     tau, n = g.schedule.tau, w.n
-    power = _tau_powers(tau, t_lo, t_hi + 1)
     x0, y0, slope = lines.x0, lines.y0, lines.slope
     code = lines.label.astype(np.min_scalar_type(-n))
     ia, ib = np.triu_indices(n, 1)
     c = y0 - slope * x0
     ds = slope[:, ia] - slope[:, ib]
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # a crossing beyond the float range (inf) lies in no subinterval
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         qx = (c[:, ib] - c[:, ia]) / ds
         tol = CROSSING_REL_TOL * np.abs(qx)
         inside = (ds != 0.0) & (sig[:, None] + tol < qx) & (qx < hi[:, None] - tol)

@@ -12,13 +12,12 @@ assets.
 from __future__ import annotations
 
 from itertools import groupby
-from math import isfinite
+from math import frexp, ldexp
 
 import numpy as np
 
-from .construct import ConstructError, RegularGraph
-from .graph import _tau_powers, _window_ends
-from .weights import _int_text
+from .construct import RegularGraph
+from .graph import _window_ends
 
 _STYLE = """
   .seg { stroke-width: 2; fill: none; stroke-linecap: round; }
@@ -34,47 +33,47 @@ _STYLE = """
 """
 
 
-def _chords(g: RegularGraph, t_lo: int, t_hi: int) -> tuple[np.ndarray, ...]:
+def _chords(g: RegularGraph, t_lo: int, power: np.ndarray,
+            unit: float) -> tuple[np.ndarray, ...]:
     """The chords meeting [tau^t_lo, tau^(t_hi+1)], clipped to it, as flat arrays.
 
+    power holds the window's powers tau^t_lo .. tau^(t_hi+1) (_window_ends).
     Node r of period t sits at x = tau^t sigma_r, y = x u_r (lower) or
     x v_r (upper).  Periods t_lo - 1 .. t_hi each base k rising chords,
-    from lower node r to upper node r + l, and k falling ones, from
-    upper node r to lower node r + m.  Returns period, falls, x0, y0,
-    x1, y1, ordered by period, then r, then rising before falling.
+    from lower node r to upper node r + l with slope alpha_(r mod l), and k
+    falling ones, from upper node r to lower node r + m with slope
+    -beta_(r mod m).  A chord's end outside the window is moved onto the
+    window's end along its slope from its other node, which lies inside.
+    Ordinates are in units of unit, a power of two.  Returns period, falls,
+    x0, y0, x1, y1, ordered by period, then r, then rising before falling.
     """
-    if t_lo > t_hi:
-        raise ConstructError(
-            f"window: t_lo={_int_text(t_lo)} exceeds t_hi={_int_text(t_hi)}")
     w, tau = g.weights, g.schedule.tau
-    sig = np.array(g.schedule.sigmas)
-    sig = np.concatenate([sig, tau * sig])  # sigma_r for 0 <= r < 2k
-    periods = range(t_lo - 1, t_hi + 1)
+    r = np.arange(w.k)
+    slope = np.column_stack([np.asarray(w.alpha)[r % w.l], -np.asarray(w.beta)[r % w.m]]) * unit
+    height = np.column_stack([g.u, g.v]) * unit
     # period t_lo - 1 only lends chords that reach into the window, so its power
     # may be subnormal
-    power = np.insert(_tau_powers(tau, t_lo, t_hi + 1), 0, tau ** (t_lo - 1))
-    lo, hi = power[1], power[-1]
-    power = power[:-1, None, None]
-    start = np.repeat(np.arange(w.k)[:, None], 2, axis=1)  # columns: rising, falling
+    lo, hi = power[0], power[-1]
+    scale = np.insert(power[:-1], 0, tau ** (t_lo - 1))[:, None, None]
+    start = np.repeat(r[:, None], 2, axis=1)  # columns: rising, falling
     end = start + [w.l, w.m]
-    height = np.column_stack([g.u, g.v])
     with np.errstate(over="ignore", invalid="ignore"):
-        x0, x1 = power * sig[start], power * sig[end]
+        sig = np.array(g.schedule.sigmas)
+        sig = np.concatenate([sig, tau * sig])  # sigma_r for 0 <= r < 2k
+        x0, x1 = scale * sig[start], scale * sig[end]
         y0, y1 = x0 * height, x1 * height[end % w.k, [1, 0]]
         # strict overlap with a relative guard: a chord whose far end only
         # touches the window boundary (up to rounding of tau powers)
         # carries no extent inside it
         keep = (x1 > lo * (1.0 + 1e-12)) & (x0 < hi * (1.0 - 1e-12))
-        period = np.broadcast_to(np.array(periods)[:, None, None], keep.shape)[keep]
+        period = np.broadcast_to((np.arange(len(scale)) + t_lo - 1)[:, None, None],
+                                 keep.shape)[keep]
         falls = np.broadcast_to([False, True], keep.shape)[keep]
+        s = np.broadcast_to(slope, keep.shape)[keep]
         x0, y0, x1, y1 = x0[keep], y0[keep], x1[keep], y1[keep]
-        cut = x0 < lo
-        y0 = np.where(cut, y0 + (y1 - y0) * (lo - x0) / (x1 - x0), y0)
-        x0 = np.where(cut, lo, x0)
-        cut = x1 > hi
-        y1 = np.where(cut, y0 + (y1 - y0) * (hi - x0) / (x1 - x0), y1)
-        x1 = np.where(cut, hi, x1)
-    return period, falls, x0, y0, x1, y1
+        cut0, cut1 = x0 < lo, x1 > hi
+        y0, y1 = np.where(cut0, y1 - s * (x1 - lo), y0), np.where(cut1, y0 + s * (hi - x0), y1)
+    return period, falls, np.where(cut0, lo, x0), y0, np.where(cut1, hi, x1), y1
 
 
 def render_svg(
@@ -86,36 +85,32 @@ def render_svg(
 ) -> str:
     """Render the window [tau^t_lo, tau^(t_hi+1)] as an SVG document.
 
-    Raises ConstructError when t_lo exceeds t_hi, the window's values leave the
-    float range (_window_ends, the rule check and export share), or an ordinate
-    to draw overflows a float.
+    Raises ConstructError when t_lo exceeds t_hi or the window's values leave
+    the float range (_window_ends, the rule check and export share).
     """
-    periods, falls, x0, y0, x1, y1 = _chords(g, t_lo, t_hi)
-    _window_ends(g, t_lo, t_hi)
-    tau = g.schedule.tau
+    _, ends, power = _window_ends(g, t_lo, t_hi)
+    # ordinates and their padded range are formed in a power-of-two unit at or
+    # above tau^t_hi max|ends|, the rule's bound on every value of the window,
+    # so none overflows; the scaling rounds nothing above the smallest normal
+    # float, far below one pixel, so the drawing is the one in plain units
+    unit = ldexp(1.0, -max(frexp(power[-2] * np.max(np.abs(ends)))[1], 0))
+    periods, falls, x0, y0, x1, y1 = _chords(g, t_lo, power, unit)
     k = g.weights.k
 
-    q_lo, q_hi = tau**t_lo, tau ** (t_hi + 1)
+    q_lo, q_hi = power[[0, -1]].tolist()
     # the grid holds the abscissae of node r of periods t_lo .. t_hi, then
     # of node 0 of period t_hi + 1
-    grid = [tau**t * g.schedule.sigmas[j] for t in range(t_lo, t_hi + 1) for j in range(k)]
-    grid.append(q_hi)
-    r = np.append(np.tile(np.arange(k), t_hi - t_lo + 1), 0)
-    nx = np.array(grid)
-    with np.errstate(over="ignore"):
-        na, nb = nx * g.u[r], nx * g.v[r]
-    finite = np.isfinite(np.concatenate([y0, y1, na, nb])).all()
-    periods, falls, x0, y0, x1, y1, na, nb = (
-        a.tolist() for a in (periods, falls, x0, y0, x1, y1, na, nb))
+    nx = np.append(np.multiply.outer(power[:-1], g.schedule.sigmas), q_hi)
+    r = np.append(np.tile(np.arange(k), len(power) - 1), 0)
+    na, nb = nx * (g.u[r] * unit), nx * (g.v[r] * unit)
+    grid, periods, falls, x0, y0, x1, y1, na, nb = (
+        a.tolist() for a in (nx, periods, falls, x0, y0, x1, y1, na, nb))
 
     ys = y0 + y1 + [0.0]
     y_min, y_max = min(ys), max(ys)
     pad = 0.08 * (y_max - y_min or 1.0)
     y_min -= pad
     y_max += pad
-    if not (finite and isfinite(y_max - y_min)):
-        raise ConstructError(
-            f"window: ordinates over tau^{t_lo} .. tau^{t_hi + 1} leave the float range")
 
     ml, mr, mt, mb = 55, 20, 20, 42
     iw, ih = width - ml - mr, height - mt - mb

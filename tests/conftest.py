@@ -9,7 +9,8 @@ import pytest
 
 import regraph as rg
 from regraph.construct import RegularGraph
-from regraph.graph import Piece
+from regraph.graph import Piece, _window_ends
+from regraph.render import _chords
 
 
 def make_instance(l, m, alpha, beta, rho) -> RegularGraph:
@@ -70,6 +71,12 @@ def window_grid(g, system) -> np.ndarray:
     grid = np.append(np.multiply.outer(system.power, g.schedule.sigmas), system.q_hi)
     assert np.isin(grid, system.breakpoints).all()
     return grid
+
+
+def window_chords(g, t_lo, t_hi):
+    """render's chord arrays over the window (render._chords), with the
+    ordinates in plain units rather than render's power-of-two unit."""
+    return _chords(g, t_lo, _window_ends(g, t_lo, t_hi)[2], 1.0)
 
 
 @pytest.fixture(scope="session")

@@ -474,7 +474,7 @@ def test_grid_route_matches_table_route():
                     assert got.status == want.status, (g.weights, got, want)
                     statuses.add((got.name, got.status))
             # the slacks of every (q, i) both routes test, q a grid abscissa
-            x, ends = analyze._window_ends(g, t_base, t_base)
+            x, ends, _ = analyze._window_ends(g, t_base, t_base)
             slack, gap = analyze._grid_slack(g, ends)
             w_max = np.max(np.abs(g.lines.slope))
             grid_open = ~(gap <= tol * w_max * x[1][:, None])

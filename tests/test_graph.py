@@ -5,9 +5,8 @@ import pytest
 
 import regraph as rg
 from regraph.graph import NegativeAbscissa, NonFiniteAbscissa
-from regraph.render import _chords
 
-from conftest import make_instance, random_instance, window_grid, window_rows
+from conftest import make_instance, random_instance, window_chords, window_grid, window_rows
 from reference_extraction import reference_extract, reference_table_values
 
 
@@ -24,7 +23,7 @@ def chord_ids(g, t_lo, t_hi):
 
 def chords(g, t_lo, t_hi):
     """{(kind, r, t): (start, end)} of the chords render_svg draws."""
-    t, falls, x0, y0, x1, y1 = _chords(g, t_lo, t_hi)
+    t, falls, x0, y0, x1, y1 = window_chords(g, t_lo, t_hi)
     ids = chord_ids(g, t_lo, t_hi)
     assert [(kind, tt) for kind, _, tt in ids] == list(zip(np.where(falls, "B", "A"), t))
     return {i: ((a, b), (c, d)) for i, a, b, c, d in zip(ids, x0, y0, x1, y1)}
@@ -50,7 +49,7 @@ def test_node_period_wrap(fig_instance):
 
 def test_segment_counts(fig_instance):
     g = fig_instance
-    t, falls, x0, *_ = _chords(g, 0, 0)
+    t, falls, x0, *_ = window_chords(g, 0, 0)
     assert len(t) == 15  # 6 rising + 6 falling + 3 clipped protruders
     assert (t == 0).sum() == 12
     prot = t == -1

@@ -4,11 +4,16 @@ The reference functions below are the per-segment forms render used to
 draw from: `lower_node` and `upper_node` (one node point per call),
 `_clip`, the triple loop `segments_in_window` that built one `Segment`
 per chord, and the render body that grouped those segments by period.
-The array form does the same float operations in the same order, so the
-chord endpoints must agree bit for bit and the SVG byte for byte.
+A chord end outside the window is moved onto the window's end along the
+chord's slope from its other node.  The array form does the same float
+operations in the same order, so the chord endpoints must agree bit for
+bit.  render forms its ordinates in a power-of-two unit, which rounds
+nothing, so the SVG must agree byte for byte with the reference drawn in
+plain units.
 """
 
 import json
+from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
@@ -16,9 +21,9 @@ import numpy as np
 
 import regraph as rg
 from regraph.cli import load_config
-from regraph.render import _STYLE, _chords
+from regraph.render import _STYLE
 
-from conftest import make_instance
+from conftest import make_instance, window_chords
 from test_piece_table import DEGENERATE, same_bits
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
@@ -35,18 +40,18 @@ def reference_upper_node(g, r, t):
     return (x, x * float(g.v[r % g.weights.k]))
 
 
-def reference_clip(x0, y0, x1, y1, lo, hi):
+def reference_clip(x0, y0, x1, y1, slope, lo, hi):
+    """Each end outside [lo, hi] moved onto it along the slope from the other end."""
+    cx0, cy0, cx1, cy1 = x0, y0, x1, y1
     if x0 < lo:
-        y0 = y0 + (y1 - y0) * (lo - x0) / (x1 - x0)
-        x0 = lo
+        cx0, cy0 = lo, y1 - slope * (x1 - lo)
     if x1 > hi:
-        y1 = y0 + (y1 - y0) * (hi - x0) / (x1 - x0)
-        x1 = hi
-    return x0, y0, x1, y1
+        cx1, cy1 = hi, y0 + slope * (hi - x0)
+    return cx0, cy0, cx1, cy1
 
 
-def reference_segments(g, t_lo, t_hi):
-    """(kind, r, t, start, end) of every chord meeting the window, clipped to it."""
+def reference_chords(g, t_lo, t_hi):
+    """(kind, r, t, slope, start, end) of every chord meeting the window, unclipped."""
     if t_lo > t_hi:
         raise rg.ConstructError(f"window: t_lo={t_lo} exceeds t_hi={t_hi}")
     w = g.weights
@@ -59,13 +64,24 @@ def reference_segments(g, t_lo, t_hi):
                 if kind == "A":
                     x0, y0 = reference_lower_node(g, r, t)
                     x1, y1 = reference_upper_node(g, r + span, t)
+                    slope = w.alpha[r % w.l]
                 else:
                     x0, y0 = reference_upper_node(g, r, t)
                     x1, y1 = reference_lower_node(g, r + span, t)
+                    slope = -w.beta[r % w.m]
                 if not (x1 > w_lo * (1.0 + 1e-12) and x0 < w_hi * (1.0 - 1e-12)):
                     continue
-                cx0, cy0, cx1, cy1 = reference_clip(x0, y0, x1, y1, w_lo, w_hi)
-                out.append((kind, r, t, (cx0, cy0), (cx1, cy1)))
+                out.append((kind, r, t, slope, (x0, y0), (x1, y1)))
+    return out
+
+
+def reference_segments(g, t_lo, t_hi):
+    """(kind, r, t, start, end) of every chord meeting the window, clipped to it."""
+    lo, hi = g.schedule.tau**t_lo, g.schedule.tau ** (t_hi + 1)
+    out = []
+    for kind, r, t, slope, (x0, y0), (x1, y1) in reference_chords(g, t_lo, t_hi):
+        cx0, cy0, cx1, cy1 = reference_clip(x0, y0, x1, y1, slope, lo, hi)
+        out.append((kind, r, t, (cx0, cy0), (cx1, cy1)))
     return out
 
 
@@ -167,13 +183,35 @@ def test_chords_match_reference_segments():
     """The chord arrays hold the reference endpoints bit for bit, in order."""
     for g, t_lo, t_hi in render_cases():
         ref = reference_segments(g, t_lo, t_hi)
-        t, falls, x0, y0, x1, y1 = _chords(g, t_lo, t_hi)
+        t, falls, x0, y0, x1, y1 = window_chords(g, t_lo, t_hi)
         assert t.tolist() == [s[2] for s in ref]
         assert ["AB"[f] for f in falls.tolist()] == [s[0] for s in ref]
         assert same_bits(x0, [s[3][0] for s in ref])
         assert same_bits(y0, [s[3][1] for s in ref])
         assert same_bits(x1, [s[4][0] for s in ref])
         assert same_bits(y1, [s[4][1] for s in ref])
+
+
+def test_clipped_chord_ends_lie_on_their_lines():
+    """A clipped end is within 4 eps (|y| + |s| |e - x|) of the exact value at
+    the window end e of the line through the chord's in-window node (x, y)
+    with the chord's slope s, eps the unit roundoff: the bound of the three
+    roundings of y + s (e - x)."""
+    eps = Fraction(1, 2**53)
+    clipped = 0
+    for g, t_lo, t_hi in render_cases():
+        lo, hi = g.schedule.tau**t_lo, g.schedule.tau ** (t_hi + 1)
+        _, _, _, y0, _, y1 = window_chords(g, t_lo, t_hi)
+        for (*_, s, start, end), got0, got1 in zip(reference_chords(g, t_lo, t_hi), y0, y1):
+            for node, e, got, cut in ((end, lo, got0, start[0] < lo),
+                                      (start, hi, got1, end[0] > hi)):
+                if cut:
+                    x, y = (Fraction(v) for v in node)
+                    exact = y + Fraction(s) * (Fraction(e) - x)
+                    bound = 4 * eps * (abs(y) + abs(Fraction(s)) * abs(Fraction(e) - x))
+                    assert abs(Fraction(got) - exact) <= bound, (g.weights, t_lo, t_hi)
+                    clipped += 1
+    assert clipped > 1000
 
 
 def test_render_matches_reference():
