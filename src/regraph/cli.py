@@ -35,14 +35,10 @@ from .render import render_svg
 from .weights import WeightError, Weights, _int_text, validate_weights
 
 
-class ParseError(ValueError):
-    """Config text is not well-formed JSON."""
-
-
 class ValidationError(ValueError):
-    """Config is structurally valid JSON but violates the schema.
+    """A config that cannot be read, is not a JSON object or violates the schema.
 
-    The message starts with the offending field path, e.g. "rho[2]".
+    A schema message starts with the offending field path, e.g. "rho[2]".
     """
 
 
@@ -125,10 +121,11 @@ def load_config(source: Union[str, Path, dict]) -> InstanceConfig:
     """Parse and validate an instance description.
 
     Accepts a dict, a JSON text (anything starting with '{' or '['), or
-    a path to a JSON file.  Raises ParseError for malformed JSON,
-    ValidationError (with a field path in the message) for schema
-    violations (including everything the weight validator rejects and
-    windows outside the float range), and ConstructError when tau overflows.
+    a path to a JSON file.  Raises ValidationError for an unreadable file,
+    malformed JSON, a root that is not an object and schema violations
+    (with a field path in the message), including everything the weight
+    validator rejects and windows outside the float range, and
+    ConstructError when tau overflows.
     """
     if isinstance(source, dict):
         raw = source
@@ -138,13 +135,13 @@ def load_config(source: Union[str, Path, dict]) -> InstanceConfig:
             try:
                 text = Path(source).read_text()
             except OSError as exc:
-                raise ParseError(f"cannot read config: {exc}") from exc
+                raise ValidationError(f"cannot read config: {exc}") from exc
         try:
             raw = json.loads(text)
         except ValueError as exc:  # JSONDecodeError, or an integer past int's digit limit
-            raise ParseError(f"invalid JSON: {exc}") from exc
+            raise ValidationError(f"invalid JSON: {exc}") from exc
     if not isinstance(raw, dict):
-        raise ParseError("config root must be an object")
+        raise ValidationError("config root must be an object")
 
     l = _require(raw, "l", int, "l")
     m = _require(raw, "m", int, "m")
@@ -414,7 +411,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_plot(cfg, args.out)
         if args.command == "export":
             return cmd_export(cfg, args.out)
-    except (ParseError, ValidationError, WeightError, ConstructError) as exc:
+    except (ValidationError, ConstructError) as exc:
         return _error("input", exc)
     except OSError as exc:
         return _error("io", exc)
@@ -426,7 +423,6 @@ def run() -> None:
 
 
 __all__ = [
-    "ParseError",
     "ValidationError",
     "InstanceConfig",
     "load_config",

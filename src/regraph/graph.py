@@ -43,21 +43,13 @@ from .weights import _int_text
 CROSSING_REL_TOL = 1e-12
 
 
-class NegativeAbscissa(ValueError):
-    """Evaluation abscissa must be non-negative."""
-
-
-class NonFiniteAbscissa(ValueError):
-    """Evaluation abscissa must be a finite number."""
-
-
 def evaluate(g: RegularGraph, q: float) -> np.ndarray:
     """Sorted ordinates of the n graph points above abscissa q.
 
-    Defined for finite q >= 0; at q = 0 all components vanish, and up
-    to the largest float they stay finite wherever they fit one.  Not
-    limited to any materialized window: as P(tau^s x) = tau^s P(x), the
-    n values are row j of the graph's period line table at x = q / tau^s
+    Defined for finite q >= 0, ValueError otherwise; at q = 0 all components
+    vanish, and up to the largest float they stay finite wherever they fit
+    one.  Not limited to any materialized window: as P(tau^s x) = tau^s P(x),
+    the n values are row j of the graph's period line table at x = q / tau^s
     in period 0, scaled by tau^s = a * b in two halves that stay in the
     float range.  Where log q / log tau rounds across a power of tau, x
     lands outside [1, tau) and s steps by one.  An x that rounds just
@@ -67,10 +59,8 @@ def evaluate(g: RegularGraph, q: float) -> np.ndarray:
     terms are at most max|slope| and so finite, and scaled by tau^(s+1).
     Costs O(log k + n log n) per call.
     """
-    if not isfinite(q):
-        raise NonFiniteAbscissa(f"q = {q}")
-    if q < 0:
-        raise NegativeAbscissa(f"q = {q}")
+    if not isfinite(q) or q < 0:
+        raise ValueError(f"q = {q}")
     if q == 0:
         return np.zeros(g.weights.n)
     tau = g.schedule.tau
@@ -305,8 +295,6 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
 
 
 __all__ = [
-    "NegativeAbscissa",
-    "NonFiniteAbscissa",
     "evaluate",
     "Piece",
     "PiecewiseLinearSystem",

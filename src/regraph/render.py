@@ -51,22 +51,23 @@ def _chords(g: RegularGraph, t_lo: int, power: np.ndarray,
     r = np.arange(w.k)
     slope = np.column_stack([np.asarray(w.alpha)[r % w.l], -np.asarray(w.beta)[r % w.m]]) * unit
     height = np.column_stack([g.u, g.v]) * unit
-    # period t_lo - 1 only lends chords that reach into the window, so its power
-    # may be subnormal
     lo, hi = power[0], power[-1]
-    scale = np.insert(power[:-1], 0, tau ** (t_lo - 1))[:, None, None]
     start = np.repeat(r[:, None], 2, axis=1)  # columns: rising, falling
     end = start + [w.l, w.m]
     with np.errstate(over="ignore", invalid="ignore"):
         sig = np.array(g.schedule.sigmas)
-        sig = np.concatenate([sig, tau * sig])  # sigma_r for 0 <= r < 2k
-        x0, x1 = scale * sig[start], scale * sig[end]
+        # tau^t sigma_r for 0 <= r < 2k, one row per period; period t_lo - 1,
+        # whose own power may underflow, is formed in units of tau^t_lo, as
+        # LineTable forms wrapped anchors: tau^-1 sigma_r, then sigma_(r-k)
+        x = np.vstack([lo * np.concatenate([tau**-1 * sig, sig]),
+                       np.multiply.outer(power[:-1], np.concatenate([sig, tau * sig]))])
+        x0, x1 = x[:, start], x[:, end]
         y0, y1 = x0 * height, x1 * height[end % w.k, [1, 0]]
         # strict overlap with a relative guard: a chord whose far end only
         # touches the window boundary (up to rounding of tau powers)
         # carries no extent inside it
         keep = (x1 > lo * (1.0 + 1e-12)) & (x0 < hi * (1.0 - 1e-12))
-        period = np.broadcast_to((np.arange(len(scale)) + t_lo - 1)[:, None, None],
+        period = np.broadcast_to((np.arange(len(x)) + t_lo - 1)[:, None, None],
                                  keep.shape)[keep]
         falls = np.broadcast_to([False, True], keep.shape)[keep]
         s = np.broadcast_to(slope, keep.shape)[keep]

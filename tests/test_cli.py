@@ -13,7 +13,7 @@ import pytest
 
 import regraph as rg
 import regraph.cli as cli
-from regraph.cli import ParseError, ValidationError, cmd_export, load_config, main
+from regraph.cli import ValidationError, cmd_export, load_config, main
 from regraph.construct import LineTable
 
 from conftest import window_grid
@@ -67,11 +67,11 @@ def test_load_config_power_object():
 
 
 def test_load_config_parse_error():
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError):
         load_config("{not json")
-    with pytest.raises(ParseError):
+    with pytest.raises(ValidationError):
         load_config("/nonexistent/path/config.json")
-    with pytest.raises(ParseError, match="^config root must be an object$"):
+    with pytest.raises(ValidationError, match="^config root must be an object$"):
         load_config("[1, 2]")
 
 
@@ -150,7 +150,7 @@ def test_schema_fault_exits_two(case, tmp_path, capsys):
 def test_config_file_root_not_object_exits_two(tmp_path, capsys):
     cfg = tmp_path / "list.json"
     cfg.write_text("[1, 2]")
-    with pytest.raises(ParseError, match="^config root must be an object$"):
+    with pytest.raises(ValidationError, match="^config root must be an object$"):
         load_config(str(cfg))
     assert main(["check", str(cfg)]) == 2
     assert capsys.readouterr().err == "error: input: config root must be an object\n"

@@ -30,10 +30,10 @@ PUBLIC = {
 HOME = {
     "weights": ("Weights", "WeightError"),
     "construct": ("chi", "RegularGraph"),
-    "graph": ("NegativeAbscissa", "NonFiniteAbscissa", "Piece", "PiecewiseLinearSystem"),
+    "graph": ("Piece", "PiecewiseLinearSystem"),
     "analyze": ("PASS", "FAIL", "NOT_SUFFICIENT", "NOT_APPLICABLE", "CheckResult",
                 "CheckReport"),
-    "cli": ("InstanceConfig", "ParseError", "ValidationError", "load_config"),
+    "cli": ("InstanceConfig", "ValidationError", "load_config"),
 }
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -42,7 +42,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_all_is_exactly_the_pipeline():
     assert len(regraph.__all__) == len(set(regraph.__all__))
     assert set(regraph.__all__) == PUBLIC
-    assert sum(map(len, HOME.values())) == 18
+    assert sum(map(len, HOME.values())) == 15
     for name in PUBLIC:
         assert hasattr(regraph, name), name
 
@@ -55,13 +55,21 @@ def test_analyze_has_one_check_entry():
 
 
 def test_one_error_class_per_layer():
-    # weights raises WeightError, and construct, graph and render raise
-    # ConstructError, for every fault: no module subclasses either
+    # weights raises WeightError, construct, graph and render raise
+    # ConstructError, and cli raises ValidationError, for every fault; a bad
+    # argument (tol, q) is a plain ValueError: no module subclasses either
+    # base or defines another exception class
     bases = (WeightError, regraph.ConstructError)
+    defined = set()
     for module in ("weights", "construct", "graph", "analyze", "render", "cli"):
         home = vars(importlib.import_module(f"regraph.{module}"))
         assert [name for name, value in home.items() if isinstance(value, type)
                 and issubclass(value, bases) and value not in bases] == [], module
+        defined |= {f"{module}.{name}" for name, value in home.items()
+                    if isinstance(value, type) and issubclass(value, BaseException)
+                    and value.__module__ == f"regraph.{module}"}
+    assert defined == {"weights.WeightError", "construct.ConstructError",
+                       "cli.ValidationError"}
 
 
 @pytest.mark.parametrize("module", sorted(HOME))

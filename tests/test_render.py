@@ -30,13 +30,25 @@ CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 N_RANDOM = 120
 
 
-def reference_lower_node(g, r, t):
-    x = g.schedule.tau**t * g.schedule.sigma_at(r)
+def reference_x(g, r, t, t_lo):
+    """Abscissa of node r of period t.  For t = t_lo - 1, whose power may
+    underflow, it is formed in units of tau^t_lo: tau^t_lo (tau^-1 sigma_r)
+    for 0 <= r < k, as the line table forms wrapped anchors, and tau^t_lo
+    sigma_(r-k), the window's own node, for r >= k."""
+    tau, k = g.schedule.tau, g.weights.k
+    if t == t_lo - 1:
+        return tau**t_lo * (g.schedule.sigma_at(r - k) if r >= k
+                            else tau**-1 * g.schedule.sigma_at(r))
+    return tau**t * g.schedule.sigma_at(r)
+
+
+def reference_lower_node(g, r, t, t_lo):
+    x = reference_x(g, r, t, t_lo)
     return (x, x * float(g.u[r % g.weights.k]))
 
 
-def reference_upper_node(g, r, t):
-    x = g.schedule.tau**t * g.schedule.sigma_at(r)
+def reference_upper_node(g, r, t, t_lo):
+    x = reference_x(g, r, t, t_lo)
     return (x, x * float(g.v[r % g.weights.k]))
 
 
@@ -62,12 +74,12 @@ def reference_chords(g, t_lo, t_hi):
         for r in range(w.k):
             for kind, span in (("A", w.l), ("B", w.m)):
                 if kind == "A":
-                    x0, y0 = reference_lower_node(g, r, t)
-                    x1, y1 = reference_upper_node(g, r + span, t)
+                    x0, y0 = reference_lower_node(g, r, t, t_lo)
+                    x1, y1 = reference_upper_node(g, r + span, t, t_lo)
                     slope = w.alpha[r % w.l]
                 else:
-                    x0, y0 = reference_upper_node(g, r, t)
-                    x1, y1 = reference_lower_node(g, r + span, t)
+                    x0, y0 = reference_upper_node(g, r, t, t_lo)
+                    x1, y1 = reference_lower_node(g, r + span, t, t_lo)
                     slope = -w.beta[r % w.m]
                 if not (x1 > w_lo * (1.0 + 1e-12) and x0 < w_hi * (1.0 - 1e-12)):
                     continue
@@ -141,10 +153,10 @@ def reference_render_svg(g, t_lo, t_hi, width=960, height=600):
     nodes = []
     for t in range(t_lo, t_hi + 1):
         for r in range(k):
-            nodes.append(("a", reference_lower_node(g, r, t)))
-            nodes.append(("b", reference_upper_node(g, r, t)))
-    nodes.append(("a", reference_lower_node(g, 0, t_hi + 1)))
-    nodes.append(("b", reference_upper_node(g, 0, t_hi + 1)))
+            nodes.append(("a", reference_lower_node(g, r, t, t_lo)))
+            nodes.append(("b", reference_upper_node(g, r, t, t_lo)))
+    nodes.append(("a", reference_lower_node(g, 0, t_hi + 1, t_lo)))
+    nodes.append(("b", reference_upper_node(g, 0, t_hi + 1, t_lo)))
     for cls, (x, y) in nodes:
         parts.append(
             f'<circle class="node node-{cls}" cx="{sx(x):.2f}" cy="{sy(y):.2f}" r="3"/>'
