@@ -15,6 +15,13 @@ codes: the ratio test and the per-factor bound for a single falling
 weight only ever certify properness, so their inequality failing must
 not flag an otherwise healthy instance.
 
+Two rules decide, and NaN passes neither: system, regular and subgraphs
+pass when their first largest relative residual is at most tol
+(_worst_residual), and the proper-* checks when their first least slack is
+at least -tol * W for proper-direct and 0 otherwise (_least_slack).  A slack
+past the float range reads +-inf with its sign; sums are formed in a power
+of two in which none overflows.
+
 run_all_checks is the one public check: it runs every check below on one
 graph, in a fixed order, and extracts no piece table.  It reads the
 graph's line table once, at the k grid abscissae of one period and its
@@ -34,6 +41,7 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass
+from math import frexp, ldexp
 from typing import Optional
 
 import numpy as np
@@ -103,14 +111,25 @@ def _rel(x, q, w):
 
 def _worst_residual(name: str, rel: np.ndarray, tol: float, witness_at, notes) -> CheckResult:
     """PASS or FAIL on the first largest relative residual in rel, inf where a
-    term is non-finite; witness_at maps its index to the witness, and notes
-    says why a finite and a non-finite residual fail."""
+    term is non-finite or it is NaN; witness_at maps its index to the witness,
+    and notes says why a finite and a non-finite residual fail."""
+    rel[np.isnan(rel)] = np.inf
     at = tuple(int(i) for i in np.unravel_index(np.argmax(rel), rel.shape))
     worst = float(rel[at])
     witness = witness_at(*at) if worst > 0.0 else None
     if worst > tol:
         return CheckResult(name, FAIL, tol, worst, witness, note=notes[worst == np.inf])
     return CheckResult(name, PASS, tol, worst, witness)
+
+
+def _least_slack(name: str, slack: np.ndarray, witness_at, below: str = FAIL,
+                 tol: float = 0.0, w_max: float = 1.0) -> CheckResult:
+    """PASS if the first least entry of slack is at or above -tol * W, status
+    below otherwise (NaN included); witness_at maps its index to the witness."""
+    at = tuple(int(i) for i in np.unravel_index(np.argmin(slack), slack.shape))
+    least = float(slack[at])
+    return CheckResult(name, PASS if least >= -tol * w_max else below, tol, least,
+                       witness_at(*at))
 
 
 def _regular(g: RegularGraph, terms, tol: float) -> CheckResult:
@@ -137,12 +156,7 @@ def _regular(g: RegularGraph, terms, tol: float) -> CheckResult:
 def _proper_nodes(g: RegularGraph) -> CheckResult:
     """Node-ordering properness test: every upper node at or above the
     lower node of the same index (v_r >= u_r)."""
-    diff = np.asarray(g.v) - np.asarray(g.u)
-    r = int(diff.argmin())
-    margin = float(diff[r])
-    return CheckResult(
-        "proper-nodes", PASS if margin >= 0 else FAIL, 0.0, margin, {"r": r}
-    )
+    return _least_slack("proper-nodes", g.v - g.u, lambda r: {"r": r})
 
 
 def _proper_sufficient(w: Weights, terms) -> CheckResult:
@@ -162,9 +176,8 @@ def _proper_sufficient(w: Weights, terms) -> CheckResult:
     rhs = (max(w.alpha) + max(w.beta)) / pair_min
     pl, pm, pn, _, _ = terms
     lhs = (pn + 1.0) / (pl + pm)
-    r = int((lhs - rhs).argmin())
-    return _one_sided("proper-sufficient", lhs[r] - rhs,
-                      {"r": r, "lhs": float(lhs[r]), "rhs": rhs})
+    return _least_slack("proper-sufficient", lhs - rhs,
+                        lambda r: {"r": r, "lhs": float(lhs[r]), "rhs": rhs}, NOT_SUFFICIENT)
 
 
 def _proper_termwise(terms) -> CheckResult:
@@ -175,9 +188,7 @@ def _proper_termwise(terms) -> CheckResult:
     certifies, never refutes.
     """
     _, _, _, U, V = terms
-    slack = V - U
-    r = int(slack.argmin())
-    return _one_sided("proper-termwise", slack[r], {"r": r})
+    return _least_slack("proper-termwise", V - U, lambda r: {"r": r}, NOT_SUFFICIENT)
 
 
 def _proper_m1(w: Weights, schedule: ExpansionSchedule) -> CheckResult:
@@ -194,20 +205,12 @@ def _proper_m1(w: Weights, schedule: ExpansionSchedule) -> CheckResult:
                            note="requires m = 1 and beta_1 = l")
     alpha = np.array(w.alpha + w.alpha[:1])  # alpha_1 .. alpha_{l+1}
     bound = (alpha[:-1] + w.beta[0]) / (alpha[1:] + w.beta[0])
-    slack = np.asarray(schedule.factors[:w.l]) - bound
-    i = int(slack.argmin())
-    return _one_sided("proper-m1", slack[i], {"r": i + 1, "bound": float(bound[i])})
-
-
-def _one_sided(name: str, margin: float, witness: dict) -> CheckResult:
-    """A sufficient condition's result: its worst slack (the first minimum)
-    certifies properness when non-negative, and is 'not-sufficient' otherwise."""
-    status = PASS if margin >= 0.0 else NOT_SUFFICIENT
-    return CheckResult(name, status, 0.0, float(margin), witness)
+    return _least_slack("proper-m1", np.asarray(schedule.factors[:w.l]) - bound,
+                        lambda i: {"r": i + 1, "bound": float(bound[i])}, NOT_SUFFICIENT)
 
 
 def _subgraphs(g: RegularGraph, x: np.ndarray, ends: np.ndarray, w_max: float,
-               tol: float) -> CheckResult:
+               tol: float, unit: float = 1.0) -> CheckResult:
     """Residue-class decomposition consistency for non-coprime sizes (d > 1).
 
     The class drifts gamma_f must cancel to tol * W, W the largest
@@ -215,10 +218,10 @@ def _subgraphs(g: RegularGraph, x: np.ndarray, ends: np.ndarray, w_max: float,
     class f (r = f mod d) must sum to gamma_f * x at both ends x of its
     subinterval (graph._window_ends).
     A residual fails above tol * W * x, with margin residual / (W x); a
-    non-finite term fails.
+    non-finite term fails.  ends, w_max and gamma are in units of unit.
     """
     w = g.weights
-    gamma = np.array([w.class_gamma(f) for f in range(w.d)])
+    gamma = unit * np.array([w.class_gamma(f) for f in range(w.d)])
     gamma_sum = float(sum(gamma))
     if abs(gamma_sum) > tol * w_max:
         return CheckResult("subgraphs", FAIL, tol, gamma_sum / w_max, None,
@@ -263,7 +266,8 @@ def _grid_system(g: RegularGraph, x: np.ndarray, ends: np.ndarray, scale: float,
     alphabet, its lines sum to 0 * x at both ends x of its subinterval
     (failing above tol * W * x, margin the largest residual / (W x)), and row
     0 at x = 1 is consistent with vanishing at 0, |P_i(1)| <= W (1 + tol).
-    Witness abscissae are scale * x."""
+    ends and w_max may be in any power-of-two unit.  Witness abscissae are
+    scale * x."""
     bad = np.any(np.sort(g.lines.label, axis=1) != np.arange(g.weights.n), axis=1)
     if bad.any():
         j = int(np.argmax(bad))
@@ -287,13 +291,11 @@ def _grid_proper_direct(g: RegularGraph, x: np.ndarray, ends: np.ndarray, scale:
     slack, gap = _grid_slack(g, ends)
     # components tied at x are exempt; a NaN gap is not tied, so it counts
     open_gap = ~(gap <= tol * w_max * x[1][:, None])
-    if open_gap.any():
-        b, i = np.unravel_index(np.argmin(np.where(open_gap, slack, np.inf)), slack.shape)
-        best, witness = float(slack[b, i]), {"q": float(scale * x[1, b]), "i": int(i) + 1}
-    else:
-        best, witness = 0.0, None  # no open gaps anywhere: vacuously proper
-    status = PASS if best >= -tol * w_max else FAIL
-    return CheckResult("proper-direct", status, tol, best, witness)
+    if not open_gap.any():  # no open gaps anywhere: vacuously proper
+        return CheckResult("proper-direct", PASS, tol, 0.0, None)
+    return _least_slack("proper-direct", np.where(open_gap, slack, np.inf),
+                        lambda b, i: {"q": float(scale * x[1, b]), "i": i + 1},
+                        tol=tol, w_max=w_max)
 
 
 def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> CheckReport:
@@ -312,17 +314,23 @@ def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> Check
     scale, w_max = float(power[0]), float(np.max(np.abs(g.lines.slope)))
     w = g.weights
     terms = growth_terms(w, g.schedule)
-    results = [
-        _grid_system(g, x, ends, scale, w_max, tol),
-        _regular(g, terms, tol),
-        _grid_proper_direct(g, x, ends, scale, w_max, tol),
-        _proper_nodes(g),
-        _proper_sufficient(w, terms),
-        _proper_termwise(terms),
-        _proper_m1(w, g.schedule),
-    ]
-    if w.d > 1:
-        results.append(_subgraphs(g, x, ends, w_max, tol))
+    # system and subgraphs sum in units of 2^-e, e = 0 unless n values of the
+    # largest |end| could overflow; the scaling is exact, so margins keep their bits
+    e = frexp(float(np.max(np.abs(ends))))[1] + w.n.bit_length() - 1023
+    unit = ldexp(1.0, -max(e, 0))
+    in_unit = ends if unit == 1.0 else ends * unit
+    with np.errstate(over="ignore", invalid="ignore"):  # a slack past the float range is +-inf
+        results = [
+            _grid_system(g, x, in_unit, scale, w_max * unit, tol),
+            _regular(g, terms, tol),
+            _grid_proper_direct(g, x, ends, scale, w_max, tol),
+            _proper_nodes(g),
+            _proper_sufficient(w, terms),
+            _proper_termwise(terms),
+            _proper_m1(w, g.schedule),
+        ]
+        if w.d > 1:
+            results.append(_subgraphs(g, x, in_unit, w_max * unit, tol, unit))
     return CheckReport(results=tuple(results))
 
 

@@ -199,10 +199,8 @@ def cmd_build(cfg: InstanceConfig) -> int:
     return 0
 
 
-def cmd_check(cfg: InstanceConfig, tolerance: Optional[float]) -> int:
-    g = cfg.graph()
-    tol = tolerance if tolerance is not None else cfg.tolerance
-    report = run_all_checks(g, tol=tol, t_base=cfg.t_min)
+def cmd_check(cfg: InstanceConfig) -> int:
+    report = run_all_checks(cfg.graph(), tol=cfg.tolerance, t_base=cfg.t_min)
     for line in report.lines():
         print(line)
     print("all applicable checks passed" if report.ok else "CHECK FAILURES")
@@ -376,9 +374,6 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, help_ in specs.items():
         p = sub.add_parser(name, help=help_)
         p.add_argument("config", help="path to a JSON instance config")
-        if name == "check":
-            p.add_argument("--tolerance", type=float, default=None,
-                           help="override the config tolerance")
         if name == "eval":
             p.add_argument("--q", type=float, required=True,
                            help="abscissa to evaluate at (finite, non-negative)")
@@ -400,9 +395,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "build":
             return cmd_build(cfg)
         if args.command == "check":
-            if args.tolerance is not None and not 0 < args.tolerance <= _sys.float_info.max:
-                return _error("usage", "--tolerance must be finite and positive")
-            return cmd_check(cfg, args.tolerance)
+            return cmd_check(cfg)
         if args.command == "eval":
             if not (np.isfinite(args.q) and args.q >= 0):
                 return _error("usage", "--q must be finite and non-negative")
@@ -429,7 +422,3 @@ __all__ = [
     "main",
     "run",
 ]
-
-
-if __name__ == "__main__":
-    run()

@@ -351,7 +351,7 @@ def test_run_all_checks_never_extracts(l4m2_instance, monkeypatch):
 
 @pytest.mark.parametrize("tol", [np.nan, np.inf, -np.inf, 0.0, -1.0])
 def test_run_all_checks_rejects_bad_tolerance(tol):
-    # the rule of load_config and --tolerance: 0 < tol <= the largest float.
+    # the rule of load_config: 0 < tol <= the largest float.
     # A NaN tol would PASS system, regular and subgraphs on this broken graph
     g = load_config(CONFIG_DIR / "l4m2_interleaved.json").graph()
     u = g.u.copy()
@@ -529,6 +529,19 @@ def test_grid_system_detects_broken_graph(fig_instance):
     res = rg.run_all_checks(with_lines(g, y0=y0)).entry("system")
     assert res.status == "fail"
     assert res.note == "first-period values inconsistent with vanishing at 0"
+
+
+def test_nan_residual_fails():
+    # finite terms whose partial sums overflow to +inf and -inf leave a NaN
+    # residual; it fails with its witness and the non-finite note, never passes
+    with np.errstate(over="ignore", invalid="ignore"):
+        halves = np.array([[1e308, 1e308], [-1e308, -1e308]]).sum(axis=1)
+        rel = np.array([0.0, 1e-17, abs(halves.sum()), 1e-16])
+    assert np.isnan(rel[2])
+    res = analyze._worst_residual("system", rel, 1e-9, lambda i: {"i": i},
+                                  ("finite", "non-finite"))
+    assert res.status == "fail" and res.margin == np.inf
+    assert res.witness == {"i": 2} and res.note == "non-finite"
 
 
 def test_run_all_checks_memory_large_k():

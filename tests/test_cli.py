@@ -262,17 +262,15 @@ def test_cmd_check_improper_exits_one(tmp_path, capsys):
     assert "proper-nodes: FAIL" in out
 
 
+def fig_text(**fields):
+    """The JSON text of the FIG config with fields replaced."""
+    return json.dumps(dict(json.loads(Path(FIG).read_text()), **fields))
+
+
 def test_cmd_check_tolerance_flag(capsys):
-    assert main(["check", FIG, "--tolerance", "1e-6"]) == 0
+    # the config's tolerance field is check's one tolerance; JSON text sets it per call
+    assert main(["check", fig_text(tolerance=1e-6)]) == 0
     assert "tol=1e-06" in capsys.readouterr().out
-
-
-@pytest.mark.parametrize("value", ["inf", "-inf", "nan", "0", "-1", "1e400"])
-def test_cmd_check_bad_tolerance_flag_exits_two(value, capsys):
-    assert main(["check", FIG, f"--tolerance={value}"]) == 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: usage: --tolerance must be finite and positive\n"
 
 
 # JSON text of the tolerance field; Python's json reads NaN and Infinity,
@@ -294,11 +292,11 @@ def test_bad_config_tolerance_exits_two(text, tmp_path, capsys):
 
 def test_main_calls_share_no_arguments(capsys):
     # the parser is built once per process; each call parses its own argv
-    assert main(["check", FIG, "--tolerance", "1e-3"]) == 0
+    assert main(["check", fig_text(tolerance=1e-3)]) == 0
     assert "tol=0.001" in capsys.readouterr().out
-    assert main(["check", FIG]) == 0
+    assert main(["check", fig_text(tolerance=1e-6)]) == 0
     out = capsys.readouterr().out
-    assert "tol=1e-09" in out and "tol=0.001" not in out
+    assert "tol=1e-06" in out and "tol=0.001" not in out
     values = []
     for q in (1.0, 2.7):
         assert main(["eval", FIG, "--q", str(q)]) == 0
@@ -308,8 +306,9 @@ def test_main_calls_share_no_arguments(capsys):
                       for q in (1.0, 2.7)]
 
 
-@pytest.mark.parametrize("command", ["build", "eval", "plot", "export"])
-def test_tolerance_flag_only_on_check(command, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["build", "check", "eval", "plot", "export"])
+def test_no_command_takes_tolerance_flag(command, tmp_path, capsys):
+    # the config's tolerance field is the one source of check's tolerance
     out = str(tmp_path / "out")
     extra = {"eval": ["--q", "1.0"], "plot": ["--out", out], "export": ["--out", out]}
     with pytest.raises(SystemExit) as exc:
@@ -860,6 +859,16 @@ FAR_CROSSING_DOC = {"l": 1, "m": 3, "alpha": [0.5], "beta": [0.5, 0, 1.390671161
 # tau * sigma_r overflows for the chords of the period after the window's last
 HUGE_FACTOR_DOC = {"l": 3, "m": 2, "alpha": [1, 1, 1], "beta": [1.5, 1.5],
                    "rho": [2, 2, 2, 2, 1e300, 2], "window": {"t_min": 0, "t_max": 0}}
+# V - U = 9e307 - (-9e307) of proper-termwise overflows to +inf, its exact sign
+TERMWISE_OVERFLOW_DOC = {"l": 1, "m": 1, "alpha": [1e307], "beta": [1e307], "rho": [4],
+                         "window": {"t_min": 0, "t_max": 0}}
+# system's component sums in plain units overflow to +-inf, and here to NaN
+SUM_NAN_DOC = {"l": 5, "m": 3, "alpha": [5.3e299, 3.5e299, 6.9e299, 16.5e299, 0],
+               "beta": [11.8e299, 8.7e299, 11.7e299],
+               "rho": [3.5, 2.4, 4.1, 2.4, 4.7, 3.1, 4.7, 4.6, 3.5, 2.7, 3.6, 3.8, 4.1, 3.0, 1.8],
+               "window": {"t_min": -4, "t_max": -2}}
+SUM_OVERFLOW_DOC = {"l": 3, "m": 4, "alpha": [1e302, 2e302, 3e302], "beta": [1.5e302] * 4,
+                    "rho": [3] * 12, "window": {"t_min": -1, "t_max": -1}}
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -930,8 +939,10 @@ def extreme_configs(count, seed=11):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_contract_on_extreme_configs(tmp_path, capsys):
     # every subcommand exits 0 or 1 with nothing on stderr, or 2 with one
-    # error line: never a traceback or a leaked numpy warning
-    docs = [(FAR_CROSSING_DOC, 1.0), (HUGE_FACTOR_DOC, 1.0), *extreme_configs(200)]
+    # error line: never a traceback, a leaked numpy warning or a NaN margin
+    pinned = [FAR_CROSSING_DOC, HUGE_FACTOR_DOC, TERMWISE_OVERFLOW_DOC, SUM_NAN_DOC,
+              SUM_OVERFLOW_DOC]
+    docs = [*((doc, 1.0) for doc in pinned), *extreme_configs(200)]
     codes = set()
     for doc, q in docs:
         text = json.dumps(doc)
@@ -947,9 +958,26 @@ def test_cli_contract_on_extreme_configs(tmp_path, capsys):
                 assert re.fullmatch(r"error: [^\n]*\n", captured.err), (command, text)
             else:
                 assert code in (0, 1) and captured.err == "", (command, text, captured.err)
+            assert "margin=nan" not in captured.out, (command, text)
             codes.add((command, code))
     assert {(c, 0) for c in ("build", "check", "eval", "plot", "export")} <= codes
     assert ("export", 2) in codes and ("plot", 2) in codes
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("doc,name", [(TERMWISE_OVERFLOW_DOC, "proper-termwise"),
+                                      (SUM_NAN_DOC, "system"), (SUM_OVERFLOW_DOC, "system")],
+                         ids=["termwise-overflow", "sum-nan", "sum-overflow"])
+def test_check_passes_near_largest_float(doc, name, capsys):
+    # a slack past the float range reads +inf with its sign, and n component
+    # values that each fit a float are summed in a power of two, so check
+    # passes these graphs, whose windows plot and export accept
+    cfg = load_config(doc)
+    res = rg.run_all_checks(cfg.graph(), t_base=cfg.t_min).entry(name)
+    assert res.status == "pass"
+    assert res.margin == np.inf if name == "proper-termwise" else 0 <= res.margin < 1e-15
+    assert main(["check", json.dumps(doc)]) == 0
+    assert capsys.readouterr().err == ""
 
 
 def _console_script(name):
