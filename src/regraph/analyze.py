@@ -210,7 +210,7 @@ def _proper_m1(w: Weights, schedule: ExpansionSchedule) -> CheckResult:
 
 
 def _subgraphs(g: RegularGraph, x: np.ndarray, ends: np.ndarray, w_max: float,
-               tol: float, unit: float = 1.0) -> CheckResult:
+               tol: float, unit: float) -> CheckResult:
     """Residue-class decomposition consistency for non-coprime sizes (d > 1).
 
     The class drifts gamma_f must cancel to tol * W, W the largest
@@ -318,7 +318,7 @@ def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> Check
     # largest |end| could overflow; the scaling is exact, so margins keep their bits
     e = frexp(float(np.max(np.abs(ends))))[1] + w.n.bit_length() - 1023
     unit = ldexp(1.0, -max(e, 0))
-    in_unit = ends if unit == 1.0 else ends * unit
+    in_unit = ends * unit
     with np.errstate(over="ignore", invalid="ignore"):  # a slack past the float range is +-inf
         results = [
             _grid_system(g, x, in_unit, scale, w_max * unit, tol),

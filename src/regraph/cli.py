@@ -20,7 +20,6 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from . import construct
 from .analyze import run_all_checks
 from .construct import (
     ConstructError,
@@ -188,11 +187,8 @@ def load_config(source: Union[str, Path, dict]) -> InstanceConfig:
 
 
 def cmd_build(cfg: InstanceConfig) -> int:
-    w = cfg.weights
-    # the solve alone, no line table; construct.solve_uv is looked up at call
-    # time, as build_graph looks it up, so a substitute for it reaches build too
-    u, v = construct.solve_uv(w, cfg.schedule)
-    doc = {"k": w.k, "d": w.d, "tau": cfg.schedule.tau, "u": u.tolist(), "v": v.tolist()}
+    w, g = cfg.weights, cfg.graph()  # the solve alone: build reads no line table
+    doc = {"k": w.k, "d": w.d, "tau": cfg.schedule.tau, "u": g.u.tolist(), "v": g.v.tolist()}
     if w.d > 1:
         doc["subgraphs"] = [{"f": f, "gamma": w.class_gamma(f)} for f in range(w.d)]
     print(json.dumps(doc, indent=2))

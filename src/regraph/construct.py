@@ -23,7 +23,8 @@ as the cross-check in verification.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Sequence, Union
 
@@ -303,10 +304,10 @@ class RegularGraph:
     node rays based at segment index r; the actual plane points carry
     the sigma_r scale and a tau^t period factor on top (see the graph
     module).  lines is the period line table, derived from the other
-    fields on construction (also by dataclasses.replace); u and v are
-    read-only copies so that it cannot go stale.  Residue class f of
-    the d subgraphs is the lines of that table with r = f (mod d), with
-    slope alphabet weights.class_labels(f) and drift
+    fields on its first read, so a caller that needs only u and v builds
+    none; u and v are read-only copies so that it cannot go stale.
+    Residue class f of the d subgraphs is the lines of that table with
+    r = f (mod d), with slope alphabet weights.class_labels(f) and drift
     weights.class_gamma(f).
     """
 
@@ -314,15 +315,16 @@ class RegularGraph:
     schedule: ExpansionSchedule
     u: np.ndarray
     v: np.ndarray
-    lines: LineTable = field(init=False, repr=False)
 
     def __post_init__(self):
         for name in ("u", "v"):
             a = np.array(getattr(self, name), dtype=float)
             a.flags.writeable = False
             object.__setattr__(self, name, a)
-        object.__setattr__(
-            self, "lines", LineTable.build(self.weights, self.schedule, self.u, self.v))
+
+    @cached_property
+    def lines(self) -> LineTable:
+        return LineTable.build(self.weights, self.schedule, self.u, self.v)
 
     @property
     def tau(self) -> float:

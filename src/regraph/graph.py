@@ -11,13 +11,12 @@ P_n.  This module evaluates the component values at arbitrary q and
 extracts the sorted system over an integer period window as a piece
 table that stores only period 0's rows and the window's powers tau^t:
 as P(tau q) = tau P(q), piece i of the window is row i mod P0 scaled
-by tau^t of its period.  `values_at`, the lazily built `pieces` and
-`export` read rows through that one lookup.  Residue classes are not
-extracted.
+by tau^t of its period.  `values_at` and `export` read rows through
+that one lookup.  Residue classes are not extracted.
 
 Both evaluation and extraction read the lines above each subinterval
 from the period line table the graph carries (`RegularGraph.lines`,
-built once with the graph), where each line is its slope and its
+built on its first read), where each line is its slope and its
 anchor (x0, y0) in period 0.  `evaluate` is the same view of period 0:
 it maps q to x = q / tau^s in [1, tau), finds the subinterval by
 bisection over sigma and scales that row's values back by tau^s, so a
@@ -31,7 +30,6 @@ from __future__ import annotations
 
 import sys
 from bisect import bisect_right
-from collections.abc import Sequence
 from dataclasses import dataclass
 from math import floor, inf, isfinite, log
 
@@ -92,50 +90,6 @@ def evaluate(g: RegularGraph, q: float) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Piece:
-    """One maximal interval on which the sorted components are all linear.
-
-    values[i] is P_{i+1} at the left end q_lo; slopes[i] its slope;
-    labels[i] the symbolic slope label.  Component i on the piece is
-    values[i] + slopes[i] * (q - q_lo).
-    """
-
-    q_lo: float
-    q_hi: float
-    values: np.ndarray
-    slopes: np.ndarray
-    labels: tuple[tuple[str, int], ...]
-
-    def values_at(self, q: float) -> np.ndarray:
-        return self.values + self.slopes * (q - self.q_lo)
-
-
-class _PieceRows(Sequence):
-    """Read-only sequence of Piece views of a system's rows; a row's Piece is
-    built when it is read, so len() builds nothing."""
-
-    def __init__(self, system: "PiecewiseLinearSystem"):
-        self._system = system
-
-    def __len__(self) -> int:
-        return len(self._system.breakpoints) - 1
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return tuple(self[j] for j in range(len(self))[i])
-        i = range(len(self))[i]  # negative indices, IndexError
-        s = self._system
-        scale, p = s._row(i)
-        return Piece(
-            q_lo=float(s.breakpoints[i]),
-            q_hi=float(s.breakpoints[i + 1]),
-            values=scale * s.values0[p],
-            slopes=s.slopes0[p],
-            labels=tuple(s.alphabet[c] for c in s.labels0[p]),
-        )
-
-
-@dataclass(frozen=True, eq=False)
 class PiecewiseLinearSystem:
     """The sorted component functions over a window, as a view of period 0.
 
@@ -160,9 +114,10 @@ class PiecewiseLinearSystem:
     alphabet: tuple[tuple[str, int], ...]
 
     @property
-    def pieces(self) -> Sequence[Piece]:
-        """The rows as Piece objects, built one at a time on access."""
-        return _PieceRows(self)
+    def pieces(self) -> range:
+        """The window's piece indices, kept for bench/workloads.py, which reads
+        len(pieces), until the benchmark's next change drops it."""
+        return range(len(self.breakpoints) - 1)
 
     def _row(self, i):
         """The scale power[i // P0] and period-0 row i mod P0 of piece i (or
@@ -296,7 +251,6 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
 
 __all__ = [
     "evaluate",
-    "Piece",
     "PiecewiseLinearSystem",
     "component_functions",
 ]

@@ -9,7 +9,7 @@ import pytest
 
 import regraph as rg
 from regraph.construct import RegularGraph
-from regraph.graph import Piece, _window_ends
+from regraph.graph import _window_ends
 from regraph.render import _chords
 
 
@@ -34,6 +34,22 @@ def random_instance(rng, l=None, m=None, rho_lo=1.05, rho_hi=3.0):
 
 
 @dataclasses.dataclass(frozen=True, eq=False)
+class Row:
+    """One maximal interval on which the sorted components are all linear:
+    values[i] is P_{i+1} at q_lo, slopes[i] its slope and labels[i] its
+    symbolic slope label."""
+
+    q_lo: float
+    q_hi: float
+    values: np.ndarray
+    slopes: np.ndarray
+    labels: tuple
+
+    def values_at(self, q: float) -> np.ndarray:
+        return self.values + self.slopes * (q - self.q_lo)
+
+
+@dataclasses.dataclass(frozen=True, eq=False)
 class WindowRows:
     """A piece table as (P, n) arrays over its whole window: row i holds
     piece i's left-end values, slopes and slope-label codes into alphabet."""
@@ -49,9 +65,9 @@ class WindowRows:
 
     @cached_property
     def pieces(self):
-        return [Piece(float(self.breakpoints[i]), float(self.breakpoints[i + 1]),
-                      self.values[i], self.slopes[i],
-                      tuple(self.alphabet[c] for c in self.labels[i]))
+        return [Row(float(self.breakpoints[i]), float(self.breakpoints[i + 1]),
+                    self.values[i], self.slopes[i],
+                    tuple(self.alphabet[c] for c in self.labels[i]))
                 for i in range(len(self.values))]
 
 

@@ -285,7 +285,7 @@ def subgraphs(g, tol=1e-9):
     x = np.stack([sig, np.append(sig[1:], g.tau)])
     with np.errstate(over="ignore", invalid="ignore"):
         ends = lines.y0 + lines.slope * (x[..., None] - lines.x0)
-    return analyze._subgraphs(g, x, ends, float(np.max(np.abs(lines.slope))), tol)
+    return analyze._subgraphs(g, x, ends, float(np.max(np.abs(lines.slope))), tol, 1.0)
 
 
 @pytest.mark.parametrize("height", ["u", "v"])

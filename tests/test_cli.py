@@ -216,8 +216,8 @@ def build_doc(i):
 
 
 def test_cmd_build_matches_solved_graph(capsys):
-    # build prints the solve without deriving the graph: the same document,
-    # byte for byte, as one written from build_graph's u and v
+    # build prints the solved graph's u and v without deriving its line table: the
+    # same document, byte for byte, as one written from build_graph's u and v
     covered = np.zeros(3, dtype=bool)  # d > 1, a zero weight, a power-form factor
     for i in range(60):
         doc = build_doc(i)

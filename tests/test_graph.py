@@ -230,11 +230,12 @@ def test_grid_values_fig(fig_instance):
 
 def test_pieces_tile_window(fig_instance):
     sys1 = rg.component_functions(fig_instance, 0, 2)
-    assert sys1.pieces[0].q_lo == sys1.q_lo
-    assert sys1.pieces[-1].q_hi == pytest.approx(sys1.q_hi, rel=1e-15)
-    for left, right in zip(sys1.pieces[:-1], sys1.pieces[1:]):
+    pieces = window_rows(sys1).pieces
+    assert pieces[0].q_lo == sys1.q_lo
+    assert pieces[-1].q_hi == pytest.approx(sys1.q_hi, rel=1e-15)
+    for left, right in zip(pieces[:-1], pieces[1:]):
         assert left.q_hi == right.q_lo
-    assert len(sys1.breakpoints) == len(sys1.pieces) + 1
+    assert len(sys1.breakpoints) == len(pieces) + 1
 
 
 def test_piece_slopes_are_label_permutation():
@@ -243,7 +244,7 @@ def test_piece_slopes_are_label_permutation():
         g = random_instance(rng)
         sys1 = rg.component_functions(g, 0, 1)
         alphabet = sorted(g.weights.slope_labels)
-        for piece in sys1.pieces:
+        for piece in window_rows(sys1).pieces:
             assert sorted(piece.labels) == alphabet
             for lab, s in zip(piece.labels, piece.slopes):
                 kind, i = lab
@@ -256,7 +257,7 @@ def test_components_sorted_and_zero_sum():
     for _ in range(12):
         g = random_instance(rng)
         sys1 = rg.component_functions(g, 0, 1)
-        for piece in sys1.pieces:
+        for piece in window_rows(sys1).pieces:
             for q in (piece.q_lo, 0.5 * (piece.q_lo + piece.q_hi), piece.q_hi):
                 vals = piece.values_at(q)
                 assert np.all(np.diff(vals) >= -1e-9 * max(1.0, q))
@@ -267,8 +268,8 @@ def test_component_continuity():
     rng = np.random.default_rng(31339)
     for _ in range(12):
         g = random_instance(rng)
-        sys1 = rg.component_functions(g, 0, 1)
-        for left, right in zip(sys1.pieces[:-1], sys1.pieces[1:]):
+        pieces = window_rows(rg.component_functions(g, 0, 1)).pieces
+        for left, right in zip(pieces[:-1], pieces[1:]):
             jump = np.abs(left.values_at(left.q_hi) - right.values)
             assert jump.max() <= 1e-9 * max(1.0, right.q_lo)
 
@@ -291,22 +292,24 @@ def test_self_similarity_of_extraction(fig_instance):
     tau = g.schedule.tau
     s0 = rg.component_functions(g, 0, 0)
     s1 = rg.component_functions(g, 1, 1)
-    assert len(s0.pieces) == len(s1.pieces)
+    p0, p1 = window_rows(s0).pieces, window_rows(s1).pieces
+    assert len(p0) == len(p1)
     assert np.allclose(s1.breakpoints, tau * s0.breakpoints, rtol=1e-9)
-    for a, b in zip(s0.pieces, s1.pieces):
+    for a, b in zip(p0, p1):
         assert np.array_equal(a.slopes, b.slopes)
         assert np.allclose(b.values, tau * a.values, rtol=1e-9, atol=1e-12)
 
 
 def test_two_component_instance(classical_instance):
     sys1 = rg.component_functions(classical_instance, 0, 0)
+    pieces = window_rows(sys1).pieces
     # one interior crossing splits the single period into two pieces
-    assert len(sys1.pieces) == 2
+    assert len(pieces) == 2
     cross = sys1.breakpoints[1]
     assert 1.0 < cross < 3.0
-    assert np.array_equal(sys1.pieces[0].slopes, [1.0, -1.0])
-    assert np.array_equal(sys1.pieces[1].slopes, [-1.0, 1.0])
-    for piece in sys1.pieces:
+    assert np.array_equal(pieces[0].slopes, [1.0, -1.0])
+    assert np.array_equal(pieces[1].slopes, [-1.0, 1.0])
+    for piece in pieces:
         for q in (piece.q_lo, piece.q_hi):
             vals = piece.values_at(q)
             assert vals[1] == pytest.approx(-vals[0], abs=1e-12)
@@ -318,7 +321,7 @@ def test_coincident_lines_survive_extraction():
     g = make_instance(2, 2, (1.0, 1.0), (1.0, 1.0), [1.5, 1.5])
     sys1 = rg.component_functions(g, 0, 1)
     alphabet = sorted(g.weights.slope_labels)
-    for piece in sys1.pieces:
+    for piece in window_rows(sys1).pieces:
         assert sorted(piece.labels) == alphabet
 
 

@@ -1,8 +1,9 @@
 """The array-backed piece table against the per-piece loops it replaces.
 
-The reference functions are the loop forms that walked `Piece` objects
-one at a time: the per-subinterval extraction (all-pairs crossings, one
-sort per piece, in `reference_extraction`), and below `cmd_export`.
+The reference functions are the loop forms that work one piece at a
+time: the per-subinterval extraction (all-pairs crossings, one sort per
+piece, in `reference_extraction`), and below `cmd_export`; those that
+read a piece table walk the rows of `conftest.WindowRows.pieces`.
 Beside them is `evaluate` without the period line table: a linear scan
 over sigma and the active lines rebuilt on every call.  The array forms
 do the same float operations in the same order, so results must agree
@@ -127,7 +128,7 @@ def reference_check_proper_direct(sys, tol=1e-9):
 
 
 def reference_export(cfg) -> bytes:
-    sys_ = rg.component_functions(cfg.graph(), cfg.t_min, cfg.t_max)
+    sys_ = window_rows(rg.component_functions(cfg.graph(), cfg.t_min, cfg.t_max))
     rows = []
     for piece in sys_.pieces:
         rows.append((piece.q_lo, *piece.values))
@@ -174,11 +175,11 @@ def test_values_at_array_equals_scalar(instances):
             0.5 * (bp[:-1] + bp[1:]),
             [0.0, 0.5 * sys.q_lo, 2.0 * sys.q_hi, sys.q_hi * 1e6],  # outside the window
         ])
-        rows = sys.values_at(qs)
+        rows, reference = sys.values_at(qs), window_rows(sys)
         assert rows.shape == (len(qs), sys.n)
         for q, row in zip(qs, rows):
             assert np.array_equal(row, sys.values_at(q))
-            assert np.array_equal(row, reference_values_at(sys, q))
+            assert np.array_equal(row, reference_values_at(reference, q))
         assert sys.values_at(np.array([])).shape == (0, sys.n)
 
 
@@ -297,18 +298,16 @@ def test_window_memory_does_not_grow_with_periods():
     assert peak(20) <= 1.25 * base
 
 
-def test_pieces_are_row_views(fig_instance):
-    sys = rg.component_functions(fig_instance, 0, 1)
-    rows = sys.pieces
-    assert len(rows) == len(sys.values0) * len(sys.power) == len(sys.breakpoints) - 1
-    last = rows[-1]
-    assert (last.q_lo, last.q_hi) == (sys.breakpoints[-2], sys.q_hi)
-    # the last row of period 0, scaled by the window's last power of tau
-    assert same_bits(last.values, sys.power[-1] * sys.values0[-1])
-    assert np.shares_memory(last.slopes, sys.slopes0)
-    assert [p.q_lo for p in rows[1:3]] == [rows[1].q_lo, rows[2].q_lo]
-    with pytest.raises(IndexError):
-        rows[len(rows)]
+def test_pieces_are_the_window_indices(fig_instance):
+    # pieces is the window's piece indices, and piece i reads period 0's row
+    # i mod P0 times the power of its period, the row rule of values_at
+    for t_hi in (0, 2):
+        sys = rg.component_functions(fig_instance, 0, t_hi)
+        assert sys.pieces == range(len(sys.breakpoints) - 1)
+        p0 = len(sys.values0)
+        for i in sys.pieces:
+            assert np.array_equal(sys.values_at(sys.breakpoints[i]),
+                                  sys.power[i // p0] * sys.values0[i % p0])
 
 
 def test_dedupe_compares_with_last_kept():

@@ -2,8 +2,8 @@
 
 `regraph` exports the pipeline weights -> schedule -> solve ->
 extract/evaluate -> check/render and nothing else; the typed errors,
-the check statuses and result records, and the piece and config records
-are imported from their submodules.  `run_all_checks` is the only check:
+the check statuses and result records, the piece table and the config
+record are imported from their submodules.  `run_all_checks` is the only check:
 `regraph.analyze` has no single-check functions.
 """
 
@@ -30,7 +30,7 @@ PUBLIC = {
 HOME = {
     "weights": ("Weights", "WeightError"),
     "construct": ("chi", "RegularGraph"),
-    "graph": ("Piece", "PiecewiseLinearSystem"),
+    "graph": ("PiecewiseLinearSystem",),
     "analyze": ("PASS", "FAIL", "NOT_SUFFICIENT", "NOT_APPLICABLE", "CheckResult",
                 "CheckReport"),
     "cli": ("InstanceConfig", "ValidationError", "load_config"),
@@ -42,7 +42,7 @@ README = Path(__file__).resolve().parent.parent / "README.md"
 def test_all_is_exactly_the_pipeline():
     assert len(regraph.__all__) == len(set(regraph.__all__))
     assert set(regraph.__all__) == PUBLIC
-    assert sum(map(len, HOME.values())) == 15
+    assert sum(map(len, HOME.values())) == 14
     for name in PUBLIC:
         assert hasattr(regraph, name), name
 
