@@ -5,9 +5,9 @@ slope sum of the bottom group on the left never exceeds the one on the
 right — can be confirmed several ways, and the battery reports each route
 separately:
 
-  * the direct definition, read off the graph's line table at the grid
-    abscissae of one period,
-  * the node ordering v_r > u_r,
+  * the direct definition, decided by the node ordering v_r >= u_r at
+    every node r whose weight pair alpha_{r mod l} + beta_{r mod m} is
+    positive, the only places where a bottom slope sum can fall,
   * a one-sided ratio test on the expansion schedule,
   * a per-step termwise bound,
   * a closed-form per-factor bound available when m = 1.

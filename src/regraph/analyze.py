@@ -18,20 +18,32 @@ not flag an otherwise healthy instance.
 Two rules decide, and NaN passes neither: system, regular and subgraphs
 pass when their first largest relative residual is at most tol
 (_worst_residual), and the proper-* checks when their first least slack is
-at least -tol * W for proper-direct and 0 otherwise (_least_slack).  A slack
+at least -tol for proper-direct and 0 otherwise (_least_slack).  A slack
 past the float range reads +-inf with its sign; sums are formed in a power
 of two in which none overflows.
 
+The graph is proper when, wherever P_i < P_{i+1}, the slope sum of the
+bottom i components never falls.  Between grid abscissae the active lines
+are fixed, and at a crossing the order changes only among lines tied
+there, whose gaps are exempt; so only the sigma_j can fail.  At sigma_j
+only the lines through the two nodes of index j change: at the lower node
+the falling line of slope -beta_{j mod m} ends and the rising line of
+slope alpha_{j mod l} starts, at the upper node the reverse, and the line
+that ends at a node meets the one that starts there.  So the sorted values
+left and right of sigma_j are the same, and with c_j = alpha_{j mod l} +
+beta_{j mod m} the bottom-i slack is +c_j where only the lower node is
+among the bottom i, -c_j where only the upper node is, and 0 otherwise.
+A -c_j at an open gap occurs exactly when v_j < u_j and c_j > 0, so
+proper-direct is the node test at the nodes that bend the graph: it reads
+u, v and the weights alone, in O(k).
+
 run_all_checks is the one public check: it runs every check below on one
-graph, in a fixed order, and extracts no piece table.  It reads the
-graph's line table once, at the k grid abscissae of one period and its
-closing point, in O(k n log n); system, proper-direct and (when d > 1)
-subgraphs are decided there.  Between grid abscissae the active lines
-are fixed, and at a crossing the order of the components changes only
-among lines tied there, whose gaps are exempt.  Thresholds scale with
-W, the largest |slope|, and proper-m1 normalises the weights to
-beta_1 = l, so weights times c, which give the graph times c, move no
-verdict.  A period whose values leave the float range makes
+graph, in a fixed order, and extracts no piece table.  system and (when
+d > 1) subgraphs read the graph's line table once, at the k grid
+abscissae of one period and its closing point, in O(k n log n).
+Thresholds scale with W, the largest |slope|, and proper-m1 normalises
+the weights to beta_1 = l, so weights times c, which give the graph times
+c, move no verdict.  A period whose values leave the float range makes
 run_all_checks raise ConstructError before any check runs, by the rule
 export and plot share (graph._window_ends); the non-finite FAIL paths of
 _regular and _subgraphs are kept as safety code.
@@ -123,13 +135,12 @@ def _worst_residual(name: str, rel: np.ndarray, tol: float, witness_at, notes) -
 
 
 def _least_slack(name: str, slack: np.ndarray, witness_at, below: str = FAIL,
-                 tol: float = 0.0, w_max: float = 1.0) -> CheckResult:
-    """PASS if the first least entry of slack is at or above -tol * W, status
+                 tol: float = 0.0) -> CheckResult:
+    """PASS if the first least entry of slack is at or above -tol, status
     below otherwise (NaN included); witness_at maps its index to the witness."""
     at = tuple(int(i) for i in np.unravel_index(np.argmin(slack), slack.shape))
     least = float(slack[at])
-    return CheckResult(name, PASS if least >= -tol * w_max else below, tol, least,
-                       witness_at(*at))
+    return CheckResult(name, PASS if least >= -tol else below, tol, least, witness_at(*at))
 
 
 def _regular(g: RegularGraph, terms, tol: float) -> CheckResult:
@@ -153,10 +164,16 @@ def _regular(g: RegularGraph, terms, tol: float) -> CheckResult:
                            ("node heights off the node system", "non-finite node height or term"))
 
 
-def _proper_nodes(g: RegularGraph) -> CheckResult:
-    """Node-ordering properness test: every upper node at or above the
-    lower node of the same index (v_r >= u_r)."""
-    return _least_slack("proper-nodes", g.v - g.u, lambda r: {"r": r})
+def _proper_direct(g: RegularGraph, w_max: float, tol: float) -> CheckResult:
+    """Properness at the nodes that bend the graph (module docstring): at
+    every r with c_r = alpha_{r mod l} + beta_{r mod m} > 0, v_r - u_r is at
+    or above -tol * W, a node that close counting as tied.  The margin is the
+    least (v_r - u_r) / W over them, scale-free, and the witness its r."""
+    w = g.weights
+    r = np.arange(w.k)
+    bending = np.asarray(w.alpha)[r % w.l] + np.asarray(w.beta)[r % w.m] > 0
+    return _least_slack("proper-direct", np.where(bending, g.v / w_max - g.u / w_max, np.inf),
+                        lambda i: {"r": i}, tol=tol)
 
 
 def _proper_sufficient(w: Weights, terms) -> CheckResult:
@@ -237,29 +254,6 @@ def _subgraphs(g: RegularGraph, x: np.ndarray, ends: np.ndarray, w_max: float,
                            ("class lines off the class drift", "non-finite class line value"))
 
 
-def _grid_slack(g: RegularGraph, ends: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The (k, n - 1) slacks and gaps of proper-direct at the grid abscissae
-    sigma_1 .. sigma_{k-1}, tau of the grid ends (graph._window_ends), index
-    i + 1 in column i.
-
-    Just left of sigma_j is row j - 1, ordered by (value, -slope); just right
-    is row j, ordered by (value, slope); at tau it is row 0 times tau.  The
-    gaps are those just right.  Between grid abscissae the active lines are
-    fixed, and at a crossing the order changes only within lines tied there,
-    whose gaps are closed, so these are all the slacks that can fail.
-    """
-    k, slope = g.weights.k, g.lines.slope
-    after = np.append(np.arange(1, k), 0)  # row j + 1, row 0 after row k - 1
-    right = ends[0][after]
-    right[-1] *= g.schedule.tau
-    vals = np.concatenate([ends[1], right])
-    slopes = np.concatenate([slope, slope[after]])
-    order = np.lexsort((np.concatenate([-slope, slopes[k:]]), vals))
-    csum = np.cumsum(np.take_along_axis(slopes, order, axis=1), axis=1)
-    gap = np.diff(np.take_along_axis(right, order[k:], axis=1), axis=1)
-    return csum[k:, :-1] - csum[:k, :-1], gap
-
-
 def _grid_system(g: RegularGraph, x: np.ndarray, ends: np.ndarray, scale: float,
                  w_max: float, tol: float) -> CheckResult:
     """system on the line table: each row's labels are a permutation of the
@@ -283,28 +277,13 @@ def _grid_system(g: RegularGraph, x: np.ndarray, ends: np.ndarray, scale: float,
     return sums
 
 
-def _grid_proper_direct(g: RegularGraph, x: np.ndarray, ends: np.ndarray, scale: float,
-                        w_max: float, tol: float) -> CheckResult:
-    """proper-direct on the line table: the least _grid_slack where the gap
-    at grid abscissa x[1] is open (above tol * W * x), failing below
-    -tol * W.  The witness abscissa is scale * x."""
-    slack, gap = _grid_slack(g, ends)
-    # components tied at x are exempt; a NaN gap is not tied, so it counts
-    open_gap = ~(gap <= tol * w_max * x[1][:, None])
-    if not open_gap.any():  # no open gaps anywhere: vacuously proper
-        return CheckResult("proper-direct", PASS, tol, 0.0, None)
-    return _least_slack("proper-direct", np.where(open_gap, slack, np.inf),
-                        lambda b, i: {"q": float(scale * x[1, b]), "i": i + 1},
-                        tol=tol, w_max=w_max)
-
-
 def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> CheckReport:
     """Run the full verification suite, the one public check of this module.
 
-    system, proper-direct and, when d > 1, subgraphs read the line table at
-    the grid abscissae of period t_base and its closing point tau^(t_base+1);
-    t_base only places witnesses and sets the float range.  No piece table
-    is extracted.  Raises ConstructError where exporting the window (t_base,
+    system and, when d > 1, subgraphs read the line table at the grid
+    abscissae of period t_base and its closing point tau^(t_base+1); t_base
+    only places witnesses and sets the float range.  No piece table is
+    extracted.  Raises ConstructError where exporting the window (t_base,
     t_base) would (graph._window_ends), and ValueError unless 0 < tol <= the
     largest float.
     """
@@ -323,8 +302,7 @@ def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> Check
         results = [
             _grid_system(g, x, in_unit, scale, w_max * unit, tol),
             _regular(g, terms, tol),
-            _grid_proper_direct(g, x, ends, scale, w_max, tol),
-            _proper_nodes(g),
+            _proper_direct(g, w_max, tol),
             _proper_sufficient(w, terms),
             _proper_termwise(terms),
             _proper_m1(w, g.schedule),

@@ -202,7 +202,8 @@ def test_criterion_06_sufficiency_implies_properness(announce):
         factors = rng.uniform(1.05, 3.0, size=w.k)
         sch = rg.ExpansionSchedule.from_factors(factors)
         for _ in range(40):
-            report = rg.run_all_checks(rg.build_graph(w, sch))
+            g = rg.build_graph(w, sch)
+            report = rg.run_all_checks(g)
             if report.entry("proper-sufficient").status == PASS:
                 break
             factors = 1.0 + (factors - 1.0) * 1.5
@@ -210,7 +211,7 @@ def test_criterion_06_sufficiency_implies_properness(announce):
         else:
             escalation_failures += 1
             continue
-        nodes_ok = report.entry("proper-nodes").status == PASS
+        nodes_ok = bool(np.all(g.v >= g.u))
         direct_ok = report.entry("proper-direct").status == PASS
         if not (nodes_ok and direct_ok):
             counterexamples += 1
@@ -262,12 +263,13 @@ def test_criterion_08_schedule_designer(announce):
                 bound = (a_r + l) / (a_next + l)
                 factors.append(max(bound * (1.0 + delta), 1.0 + 1e-6))
             sch = rg.ExpansionSchedule.from_factors(factors)
-            report = rg.run_all_checks(rg.build_graph(w, sch))
+            g = rg.build_graph(w, sch)
+            report = rg.run_all_checks(g)
             m1 = report.entry("proper-m1")
-            nodes = report.entry("proper-nodes")
+            direct = report.entry("proper-direct")
             trials += 1
-            if m1.status != PASS or nodes.status != PASS:
-                failures.append((delta, alpha, m1.status, nodes.status))
+            if m1.status != PASS or direct.status != PASS or not np.all(g.v >= g.u):
+                failures.append((delta, alpha, m1.status, direct.status))
     ok = not failures
     announce(
         f"criterion 08: {'PASS' if ok else 'FAIL'} - single-fall schedules built "

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import tracemalloc
 from math import lcm
 from pathlib import Path
@@ -8,7 +9,7 @@ import pytest
 
 import regraph as rg
 from regraph import analyze, graph
-from regraph.cli import load_config
+from regraph.cli import load_config, main
 
 from conftest import make_instance, random_instance, window_grid, window_rows
 from test_piece_table import reference_check_proper_direct, reference_check_system
@@ -20,9 +21,9 @@ def test_fig_report(fig_instance):
     rep = rg.run_all_checks(fig_instance)
     assert rep.entry("system").status == "pass"
     assert rep.entry("regular").status == "pass"
+    assert np.min(fig_instance.v - fig_instance.u) > 0  # every upper node above its lower
     assert rep.entry("proper-direct").status == "pass"
-    assert rep.entry("proper-nodes").status == "pass"
-    assert rep.entry("proper-nodes").margin > 0
+    assert rep.entry("proper-direct").margin > 0
     assert rep.entry("proper-sufficient").status == "not-sufficient"
     assert rep.entry("proper-m1").status == "not-applicable"
     assert rep.ok  # not-sufficient / not-applicable do not flag the instance
@@ -39,9 +40,10 @@ def test_fig_sufficient_witness_values(fig_instance):
 def test_classical_checks(classical_instance):
     rep = rg.run_all_checks(classical_instance)
     assert rep.ok
-    nodes = rep.entry("proper-nodes")
-    assert nodes.status == "pass"
-    assert nodes.margin == pytest.approx(1.0, abs=1e-12)
+    assert np.all(classical_instance.v >= classical_instance.u)
+    direct = rep.entry("proper-direct")
+    assert direct.status == "pass"
+    assert direct.margin == pytest.approx(1.0, abs=1e-12)  # (v - u) / W, W = 1
     # the symmetric instance satisfies the ratio condition with equality:
     # psi^2+1 = 10, psi^1+psi^1 = 6, Omega/omega = 1
     suff = rep.entry("proper-sufficient")
@@ -50,11 +52,12 @@ def test_classical_checks(classical_instance):
 
 def test_improper_instance_flagged(improper_instance):
     rep = rg.run_all_checks(improper_instance)
-    nodes = rep.entry("proper-nodes")
-    assert nodes.status == "fail"
-    assert nodes.witness == {"r": 5}
-    assert nodes.margin == pytest.approx(-0.16160183, abs=1e-6)
-    assert rep.entry("proper-direct").status == "fail"
+    g = improper_instance
+    assert g.v[5] - g.u[5] == pytest.approx(-0.16160183, abs=1e-6)
+    direct = rep.entry("proper-direct")
+    assert direct.status == "fail"
+    assert direct.witness == {"r": 5}
+    assert direct.margin == pytest.approx(-0.16160183 / 4.24, abs=1e-6)  # W = beta_2
     assert not rep.ok
     # the structural checks still hold: the graph is valid, just not proper
     assert rep.entry("system").status == "pass"
@@ -197,32 +200,35 @@ def test_sufficient_passes_for_large_factors(fig_instance):
     w = fig_instance.weights
     factors = np.array(fig_instance.schedule.factors)
     for _ in range(40):
-        report = rg.run_all_checks(rg.build_graph(w, rg.ExpansionSchedule.from_factors(factors)))
+        g = rg.build_graph(w, rg.ExpansionSchedule.from_factors(factors))
+        report = rg.run_all_checks(g)
         if report.entry("proper-sufficient").status == "pass":
             break
         factors = 1.0 + (factors - 1.0) * 2.0
     else:
         pytest.fail("ratio condition never became satisfiable")
-    assert report.entry("proper-nodes").status == "pass"
+    assert np.all(g.v >= g.u)
+    assert report.entry("proper-direct").status == "pass"
 
 
 SEED_IMPLICATIONS = 90210
 
 
 def test_implication_chain_randomized():
-    # certified ratio condition => termwise condition => nodes => direct
+    # certified ratio condition => termwise condition => v >= u => direct
     rng = np.random.default_rng(SEED_IMPLICATIONS)
     checked = 0
     for _ in range(150):
-        report = rg.run_all_checks(random_instance(rng))
-        suff, term, nodes = (report.entry(name) for name in
-                             ("proper-sufficient", "proper-termwise", "proper-nodes"))
+        g = random_instance(rng)
+        report = rg.run_all_checks(g)
+        suff, term = (report.entry(name) for name in ("proper-sufficient", "proper-termwise"))
+        nodes_ok = bool(np.all(g.v >= g.u))
         if suff.status == "pass":
             assert term.status == "pass"
         if term.status == "pass":
-            assert nodes.status == "pass"
+            assert nodes_ok
             checked += 1
-        if nodes.status == "pass":
+        if nodes_ok:
             assert report.entry("proper-direct").status == "pass"
     assert checked > 10  # the chain must actually have been exercised
 
@@ -235,10 +241,12 @@ def test_m1_implies_nodes_randomized():
         alpha *= l / alpha.sum()  # balance against beta_1 = l
         w = rg.validate_weights(l, 1, alpha, (float(l),))
         sch = rg.ExpansionSchedule.from_factors(rng.uniform(1.05, 2.5, size=l))
-        report = rg.run_all_checks(rg.build_graph(w, sch))
+        g = rg.build_graph(w, sch)
+        report = rg.run_all_checks(g)
         if report.entry("proper-m1").status != "pass":
             continue
-        assert report.entry("proper-nodes").status == "pass"
+        assert np.all(g.v >= g.u)
+        assert report.entry("proper-direct").status == "pass"
 
 
 def test_subgraph_check(l2m2_instance, l4m2_instance, fig_instance):
@@ -318,10 +326,12 @@ def close_period(sys, tau):
 
 @pytest.mark.parametrize("t_base", [-20, 0, 10])
 def test_closing_piece_tests_period_end(l4m2_instance, t_base):
-    # bend the bottom and top lines of the last subinterval about sigma_{k-1}
-    # by +-D: this keeps their values there and every line sum, raises the
-    # slacks at sigma_{k-1}, and leaves the bottom slope sums falling only at
-    # tau^(t_base+1), where the next period's first subinterval closes the period
+    # the grid reference reads the closing row at tau too: bend the bottom and
+    # top lines of the last subinterval about sigma_{k-1} by +-D.  This keeps
+    # their values there and every line sum, raises the slacks at sigma_{k-1},
+    # and leaves the bottom slope sums falling only at tau^(t_base+1), where the
+    # next period's first subinterval closes the period.  The node test reads
+    # u, v and the weights, not the line table, so the bend does not reach it
     g = l4m2_instance
     j, sig = g.weights.k - 1, g.schedule.sigmas[-1]
     lines = g.lines
@@ -333,9 +343,12 @@ def test_closing_piece_tests_period_end(l4m2_instance, t_base):
         slope[j, i] += d
         y0[j, i] -= d * (sig - lines.x0[j, i])
     assert rg.run_all_checks(g, t_base=t_base).entry("proper-direct").status == "pass"
-    report = rg.run_all_checks(with_lines(g, slope=slope, y0=y0), t_base=t_base)
+    assert grid_proper_direct(g, t_base=t_base).status == "pass"
+    bent = with_lines(g, slope=slope, y0=y0)
+    report = rg.run_all_checks(bent, t_base=t_base)
     assert report.entry("system").status == "pass"
-    res = report.entry("proper-direct")
+    assert report.entry("proper-direct").status == "pass"
+    res = grid_proper_direct(bent, t_base=t_base)
     assert res.status == "fail"
     assert res.witness["q"] == pytest.approx(g.tau ** (t_base + 1), rel=1e-15)
 
@@ -450,12 +463,59 @@ def table_slack(sys, tol):
     return csum[1:, :-1] - csum[:-1, :-1], ~(gap <= tol * w_max * sys.breakpoints[1:-1, None])
 
 
+def grid_slack(g, ends):
+    """The (k, n - 1) slacks and gaps of proper-direct's grid route at the
+    grid abscissae sigma_1 .. sigma_{k-1}, tau of the grid ends
+    (graph._window_ends), index i + 1 in column i.
+
+    Just left of sigma_j is row j - 1, ordered by (value, -slope); just right
+    is row j, ordered by (value, slope); at tau it is row 0 times tau.  The
+    gaps are those just right.  Between grid abscissae the active lines are
+    fixed, and at a crossing the order changes only within lines tied there,
+    whose gaps are closed, so these are all the slacks that can fail.
+    """
+    k, slope = g.weights.k, g.lines.slope
+    after = np.append(np.arange(1, k), 0)  # row j + 1, row 0 after row k - 1
+    right = ends[0][after]
+    right[-1] *= g.schedule.tau
+    vals = np.concatenate([ends[1], right])
+    slopes = np.concatenate([slope, slope[after]])
+    order = np.lexsort((np.concatenate([-slope, slopes[k:]]), vals))
+    csum = np.cumsum(np.take_along_axis(slopes, order, axis=1), axis=1)
+    gap = np.diff(np.take_along_axis(right, order[k:], axis=1), axis=1)
+    return csum[k:, :-1] - csum[:k, :-1], gap
+
+
+def grid_proper_direct(g, tol=1e-9, t_base=0):
+    """The grid route of proper-direct, the O(k n log n) reference of the node
+    test: the least grid_slack where the gap at grid abscissa x is open (above
+    tol * W * x), failing below -tol * W, vacuously proper without an open gap.
+    The margin is in the units of the weights; the witness is the abscissa q
+    of period t_base and the index i."""
+    x, ends, power = graph._window_ends(g, t_base, t_base)
+    w_max = float(np.max(np.abs(g.lines.slope)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        slack, gap = grid_slack(g, ends)
+    # components tied at x are exempt; a NaN gap is not tied, so it counts
+    open_gap = ~(gap <= tol * w_max * x[1][:, None])
+    if not open_gap.any():
+        return analyze.CheckResult("proper-direct", analyze.PASS, tol, 0.0, None)
+    slack = np.where(open_gap, slack, np.inf)
+    b, i = np.unravel_index(np.argmin(slack), slack.shape)
+    least = float(slack[b, i])
+    return analyze.CheckResult(
+        "proper-direct", analyze.PASS if least >= -tol * w_max else analyze.FAIL, tol, least,
+        {"q": float(power[0] * x[1, b]), "i": int(i) + 1})
+
+
 def test_grid_route_matches_table_route():
-    # run_all_checks reads the line table at the grid abscissae; the table
-    # route extracts period t_base and closes it with one piece.  The loop
-    # references referee the statuses in period 0 (the other periods give the
-    # same verdicts: test_direct_check_window_translation_invariance), and
-    # the slacks of the two routes agree in every period tested
+    # run_all_checks reads the line table at the grid abscissae, and
+    # grid_proper_direct does for proper-direct; the table route extracts
+    # period t_base and closes it with one piece.  The loop references referee
+    # the statuses of run_all_checks and of the grid route in period 0 (the other
+    # periods give the same verdicts:
+    # test_direct_check_window_translation_invariance), and the slacks of the
+    # two routes agree in every period tested
     tol = 1e-9
     graphs = reproduction_set()
     graphs += [load_config(path).graph() for path in sorted(CONFIG_DIR.glob("*.json"))]
@@ -473,9 +533,10 @@ def test_grid_route_matches_table_route():
                     want = reference(closed, tol)
                     assert got.status == want.status, (g.weights, got, want)
                     statuses.add((got.name, got.status))
+                assert grid_proper_direct(g, tol).status == want.status
             # the slacks of every (q, i) both routes test, q a grid abscissa
             x, ends, _ = analyze._window_ends(g, t_base, t_base)
-            slack, gap = analyze._grid_slack(g, ends)
+            slack, gap = grid_slack(g, ends)
             w_max = np.max(np.abs(g.lines.slope))
             grid_open = ~(gap <= tol * w_max * x[1][:, None])
             want_slack, want_open = table_slack(closed, tol)
@@ -489,13 +550,70 @@ def test_grid_route_matches_table_route():
     assert {("system", "pass"), ("proper-direct", "pass"), ("proper-direct", "fail")} <= statuses
 
 
-def test_zero_weight_verdicts_pinned():
-    # proper-direct and proper-nodes disagree on this zero-weight instance; which
-    # one the paper's definition backs is open, so today's verdicts are pinned
-    g = make_instance(2, 4, [0.0, 3.0], [2.25, 0.0, 0.0, 0.75], [1.48, 2.24, 2.02, 2.66])
-    report = rg.run_all_checks(g)
-    assert report.entry("proper-direct").status == "pass"
-    assert report.entry("proper-nodes").status == "fail"
+def bending_weight(g):
+    """c_r = alpha_{r mod l} + beta_{r mod m}, the two weights that bend the
+    graph at the nodes of index r."""
+    w, r = g.weights, np.arange(g.weights.k)
+    return np.asarray(w.alpha)[r % w.l] + np.asarray(w.beta)[r % w.m]
+
+
+def test_grid_slacks_are_node_weights():
+    # the argument of the node test: at the grid abscissa sigma_j (tau closes the
+    # period, node 0 of the next) every slack at an open gap is 0 or +-c_j, and
+    # the verdict is the grid route's, but where 0 < c_j <= tol * W
+    tol = 1e-9
+    verdicts = set()
+    for g in reproduction_set():
+        x, ends, _ = analyze._window_ends(g, 0, 0)
+        slack, gap = grid_slack(g, ends)
+        w_max, c = np.max(np.abs(g.lines.slope)), bending_weight(g)
+        at_row = np.roll(c, -1)[:, None]  # row b is node (b + 1) mod k
+        open_gap = ~(gap <= tol * w_max * x[1][:, None])
+        off = np.min(np.abs([slack, slack - at_row, slack + at_row]), axis=0)
+        assert off[open_gap].max(initial=0.0) <= 1e-12 * w_max, g.weights
+        got = rg.run_all_checks(g, tol).entry("proper-direct").status
+        if got != grid_proper_direct(g, tol).status:
+            assert np.any((0 < c) & (c <= tol * w_max)), g.weights
+        verdicts.add((got, bool(np.any(c == 0.0))))
+    assert verdicts == {(s, z) for s in ("pass", "fail") for z in (False, True)}
+
+
+ZERO_PAIR = {"l": 2, "m": 4, "alpha": [0.0, 3.0], "beta": [2.25, 0.0, 0.0, 0.75],
+             "rho": [1.48, 2.24, 2.02, 2.66], "window": {"t_min": 0, "t_max": 1}}
+
+
+def pair_graph(doc):
+    return make_instance(doc["l"], doc["m"], doc["alpha"], doc["beta"], doc["rho"])
+
+
+def test_zero_weight_pair_bends_nothing(capsys):
+    # node r = 2 is inverted, but c_2 = alpha_0 + beta_2 = 0: the lines that
+    # swap there have slope 0 and bend no component, so the graph is proper
+    g = pair_graph(ZERO_PAIR)
+    inverted = np.flatnonzero(g.v < g.u)
+    assert inverted.tolist() == [2] and bending_weight(g)[2] == 0.0
+    res = rg.run_all_checks(g).entry("proper-direct")
+    assert res.status == "pass" and res.margin > 0
+    assert grid_proper_direct(g).status == "pass"
+    assert main(["check", json.dumps(ZERO_PAIR)]) == 0
+    assert "proper-direct: PASS" in capsys.readouterr().out
+
+
+def test_small_bending_weight_fails(capsys):
+    # the same shape with c_2 = 3e-10, so c_2 / W = 1e-10 <= tol: the grid route
+    # reads the slack -c_2 and passes it; the node test reads v_2 - u_2
+    doc = dict(ZERO_PAIR, alpha=[2e-10, 3.0], beta=[2.25, 1e-10, 1e-10, 0.75])
+    g = pair_graph(doc)
+    w_max = 3.0
+    assert 0 < bending_weight(g)[2] <= 1e-9 * w_max
+    ref = grid_proper_direct(g)
+    assert ref.status == "pass" and ref.margin == pytest.approx(-3e-10, rel=1e-6)
+    res = rg.run_all_checks(g).entry("proper-direct")
+    assert res.status == "fail" and res.witness == {"r": 2}
+    assert res.margin == pytest.approx((g.v[2] - g.u[2]) / w_max, rel=1e-12)
+    assert res.margin == pytest.approx(-0.2016, abs=1e-4)
+    assert main(["check", json.dumps(doc)]) == 1
+    assert "proper-direct: FAIL" in capsys.readouterr().out
 
 
 def with_lines(g, **fields):

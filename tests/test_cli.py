@@ -259,7 +259,7 @@ def test_cmd_check_improper_exits_one(tmp_path, capsys):
     cfg = write_config(tmp_path, "improper.json", IMPROPER_DOC)
     assert main(["check", cfg]) == 1
     out = capsys.readouterr().out
-    assert "proper-nodes: FAIL" in out
+    assert "proper-direct: FAIL" in out
 
 
 def fig_text(**fields):
