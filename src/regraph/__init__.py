@@ -3,8 +3,8 @@
 Exports the one pipeline: validate the weights, build the expansion
 schedule, solve the node data in closed form, evaluate or extract the
 sorted component functions, then check and render.  The typed errors,
-the individual checks, the piece and config records and the command
-line (see the README) stay in their submodules.
+the check statuses and result records, the piece and config records and
+the command line (see the README) stay in their submodules.
 """
 
 from .weights import validate_weights

@@ -41,7 +41,7 @@ run_all_checks is the one public check: it runs every check below on one
 graph, in a fixed order, and extracts no piece table.  system and (when
 d > 1) subgraphs read the graph's line table once, at the k grid
 abscissae of one period and its closing point, in O(k n log n).
-Thresholds scale with W, the largest |slope|, and proper-m1 normalises
+Thresholds scale with W, the largest weight, and proper-m1 normalises
 the weights to beta_1 = l, so weights times c, which give the graph times
 c, move no verdict.  A period whose values leave the float range makes
 run_all_checks raise ConstructError before any check runs, by the rule
@@ -231,7 +231,7 @@ def _subgraphs(g: RegularGraph, x: np.ndarray, ends: np.ndarray, w_max: float,
     """Residue-class decomposition consistency for non-coprime sizes (d > 1).
 
     The class drifts gamma_f must cancel to tol * W, W the largest
-    |slope|, and above every subinterval j of the line table the lines of
+    weight, and above every subinterval j of the line table the lines of
     class f (r = f mod d) must sum to gamma_f * x at both ends x of its
     subinterval (graph._window_ends).
     A residual fails above tol * W * x, with margin residual / (W x); a
@@ -254,19 +254,13 @@ def _subgraphs(g: RegularGraph, x: np.ndarray, ends: np.ndarray, w_max: float,
                            ("class lines off the class drift", "non-finite class line value"))
 
 
-def _grid_system(g: RegularGraph, x: np.ndarray, ends: np.ndarray, scale: float,
-                 w_max: float, tol: float) -> CheckResult:
-    """system on the line table: each row's labels are a permutation of the
-    alphabet, its lines sum to 0 * x at both ends x of its subinterval
-    (failing above tol * W * x, margin the largest residual / (W x)), and row
-    0 at x = 1 is consistent with vanishing at 0, |P_i(1)| <= W (1 + tol).
-    ends and w_max may be in any power-of-two unit.  Witness abscissae are
-    scale * x."""
-    bad = np.any(np.sort(g.lines.label, axis=1) != np.arange(g.weights.n), axis=1)
-    if bad.any():
-        j = int(np.argmax(bad))
-        return CheckResult("system", FAIL, tol, -1.0, {"j": j, "q": float(scale * x[0, j])},
-                           note="slope labels are not a permutation of the alphabet")
+def _grid_system(x: np.ndarray, ends: np.ndarray, scale: float, w_max: float,
+                 tol: float) -> CheckResult:
+    """system on the line table: each row's lines sum to 0 * x at both ends x
+    of its subinterval (failing above tol * W * x, margin the largest residual
+    / (W x)), and row 0 at x = 1 is consistent with vanishing at 0, |P_i(1)|
+    <= W (1 + tol).  ends and w_max may be in any power-of-two unit.  Witness
+    abscissae are scale * x."""
     sums = _worst_residual("system", _rel(np.abs(ends.sum(axis=-1)), x, w_max), tol,
                            lambda e, j: {"q": float(scale * x[e, j])},
                            ("component sum off the expected line", "non-finite component value"))
@@ -290,8 +284,8 @@ def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> Check
     if not 0 < tol <= sys.float_info.max:
         raise ValueError(f"tol: must be a finite positive number, got {tol!r}")
     x, ends, power = _window_ends(g, t_base, t_base)
-    scale, w_max = float(power[0]), float(np.max(np.abs(g.lines.slope)))
     w = g.weights
+    scale, w_max = float(power[0]), max(max(w.alpha), max(w.beta))
     terms = growth_terms(w, g.schedule)
     # system and subgraphs sum in units of 2^-e, e = 0 unless n values of the
     # largest |end| could overflow; the scaling is exact, so margins keep their bits
@@ -300,7 +294,7 @@ def run_all_checks(g: RegularGraph, tol: float = 1e-9, t_base: int = 0) -> Check
     in_unit = ends * unit
     with np.errstate(over="ignore", invalid="ignore"):  # a slack past the float range is +-inf
         results = [
-            _grid_system(g, x, in_unit, scale, w_max * unit, tol),
+            _grid_system(x, in_unit, scale, w_max * unit, tol),
             _regular(g, terms, tol),
             _proper_direct(g, w_max, tol),
             _proper_sufficient(w, terms),

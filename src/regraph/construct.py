@@ -258,20 +258,20 @@ class LineTable:
     j-1, ..., j-l+1; columns l..n-1 the falling lines, based at j, ...,
     j-m+1.  An index below zero wraps into the period before.  Each kind
     is stored in ascending order of its segment index r (mod k), the
-    identity order the extraction ranks ties by.  There is exactly one
-    line per slope label.  Per line: r, its anchor in period 0, slope
-    and label, an index into weights.slope_labels.  The anchor is the
-    line's base node: x0 = sigma_r (tau^-1 sigma_r if r wrapped, r > j)
-    and y0 = x0 * height, the node height u_r rising or v_r falling (inf
-    where that overflows).  In period t the line passes through
-    (tau^t x0, tau^t y0).  All arrays are (k, n) and read-only.
+    identity order the extraction ranks ties by.  Per line: r, its anchor
+    in period 0 and slope.  The anchor is the line's base node: x0 =
+    sigma_r (tau^-1 sigma_r if r wrapped, r > j) and y0 = x0 * height,
+    the node height u_r rising or v_r falling (inf where that overflows).
+    In period t the line passes through (tau^t x0, tau^t y0).  All arrays
+    are (k, n) and read-only.  A row holds one line per slope label, r mod
+    l rising and l + r mod m falling (graph.component_functions): its
+    rising r are l consecutive integers and l divides k (falling: m).
     """
 
     r: np.ndarray
     x0: np.ndarray
     y0: np.ndarray
     slope: np.ndarray
-    label: np.ndarray
 
     @classmethod
     def build(cls, weights: Weights, schedule: ExpansionSchedule,
@@ -289,7 +289,6 @@ class LineTable:
             y0=y0,
             slope=np.where(falls, -np.asarray(weights.beta)[r % m],
                            np.asarray(weights.alpha)[r % l]),
-            label=np.where(falls, l + r % m, r % l),
         )
         for a in vars(table).values():
             a.flags.writeable = False

@@ -94,7 +94,7 @@ class PiecewiseLinearSystem:
     """The sorted component functions over a window, as a view of period 0.
 
     breakpoints holds the subinterval boundaries tau^t sigma_j, every
-    interior crossing abscissa and the window terminus; q_lo and q_hi are
+    interior crossing abscissa and the window terminus; q_lo and q_hi read
     its first and last entries.  Row p of the (P0, n) arrays is piece p of
     period 0, [1, tau): values0 are the components at its left end, slopes0
     their slopes and labels0 integer codes into alphabet.  power holds
@@ -103,15 +103,15 @@ class PiecewiseLinearSystem:
     scaled by power[i // P0], as P(tau q) = tau P(q).
     """
 
-    n: int
-    q_lo: float
-    q_hi: float
     breakpoints: np.ndarray
     values0: np.ndarray
     slopes0: np.ndarray
     labels0: np.ndarray
     power: np.ndarray
     alphabet: tuple[tuple[str, int], ...]
+    n = property(lambda self: self.values0.shape[1])
+    q_lo = property(lambda self: float(self.breakpoints[0]))
+    q_hi = property(lambda self: float(self.breakpoints[-1]))
 
     @property
     def pieces(self) -> range:
@@ -219,8 +219,9 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
     (sig, hi), _, power = _window_ends(g, t_lo, t_hi)  # each subinterval's two ends
     w, lines = g.weights, g.lines
     tau, n = g.schedule.tau, w.n
-    x0, y0, slope = lines.x0, lines.y0, lines.slope
-    code = lines.label.astype(np.min_scalar_type(-n))
+    x0, y0, slope, r = lines.x0, lines.y0, lines.slope, lines.r
+    # slope label, an index into w.slope_labels: rising r mod l, falling l + r mod m
+    code = np.where(np.arange(n) < w.l, r % w.l, w.l + r % w.m).astype(np.min_scalar_type(-n))
     ia, ib = np.triu_indices(n, 1)
     c = y0 - slope * x0
     ds = slope[:, ia] - slope[:, ib]
@@ -244,9 +245,8 @@ def component_functions(g: RegularGraph, t_lo: int, t_hi: int) -> PiecewiseLinea
     labels = code[line]
     for a in (breakpoints, values, slopes, labels, scale):
         a.flags.writeable = False
-    return PiecewiseLinearSystem(
-        n=n, q_lo=float(breakpoints[0]), q_hi=float(breakpoints[-1]), breakpoints=breakpoints,
-        values0=values, slopes0=slopes, labels0=labels, power=scale, alphabet=w.slope_labels)
+    return PiecewiseLinearSystem(breakpoints=breakpoints, values0=values, slopes0=slopes,
+                                 labels0=labels, power=scale, alphabet=w.slope_labels)
 
 
 __all__ = [

@@ -36,8 +36,8 @@ def _int_text(value: int) -> str:
 
 @dataclass(frozen=True)
 class Weights:
-    """Validated weight data plus its derived integers n = l + m,
-    k = lcm(l, m) and d = gcd(l, m).
+    """Validated weight data; n = l + m, k = lcm(l, m) and d = gcd(l, m)
+    are read off l and m.
 
     Ordering is significant: the graph construction depends on it, so no
     sorting or rescaling is ever applied.  Instances are immutable and
@@ -48,9 +48,9 @@ class Weights:
     m: int
     alpha: tuple[float, ...]
     beta: tuple[float, ...]
-    n: int
-    k: int
-    d: int
+    n = property(lambda self: self.l + self.m)
+    k = property(lambda self: lcm(self.l, self.m))
+    d = property(lambda self: gcd(self.l, self.m))
 
     @property
     def slope_labels(self) -> tuple[tuple[str, int], ...]:
@@ -78,7 +78,7 @@ def validate_weights(
     alpha: Sequence[float],
     beta: Sequence[float],
 ) -> Weights:
-    """Validate raw weight input and populate all derived constants.
+    """Validate raw weight input.
 
     Rejects non-finite and negative entries, the all-zero system,
     mismatched lengths, sums that overflow a float and unbalanced sums,
@@ -112,4 +112,4 @@ def validate_weights(
             f"weight sums differ: |{total_alpha} - {total_beta}| = {imbalance}"
             f" > {DEFAULT_BALANCE_TOL} * {total}"
         )
-    return Weights(l=l, m=m, alpha=alpha, beta=beta, n=l + m, k=lcm(l, m), d=gcd(l, m))
+    return Weights(l=l, m=m, alpha=alpha, beta=beta)

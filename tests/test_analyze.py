@@ -374,13 +374,14 @@ def test_run_all_checks_rejects_bad_tolerance(tol):
 
 
 class SealedLines:
-    """A line table whose anchors x0, y0 may not be read once sealed."""
+    """A line table whose columns x0, y0 and slope may not be read once sealed:
+    past the grid ends, check reads only r, and W comes from the weights."""
 
     def __init__(self, lines):
         self.lines, self.sealed = lines, False
 
     def __getattr__(self, name):
-        if self.sealed and name in ("x0", "y0"):
+        if self.sealed and name in ("x0", "y0", "slope"):
             raise AssertionError(f"line table evaluated again: {name} read after _window_ends")
         return getattr(self.lines, name)
 
@@ -451,6 +452,17 @@ def reproduction_set():
         beta *= alpha.sum() / beta.sum()
         graphs.append(make_instance(l, m, alpha, beta, rng.uniform(1.05, 1.15, size=lcm(l, m))))
     return graphs
+
+
+def test_slope_labels_permute_each_row():
+    # the extraction codes labels from r (rising r mod l, falling l + r mod m),
+    # and no check reads them back: every row of every piece must hold each
+    # slope label exactly once
+    graphs = reproduction_set()
+    graphs.append(random_instance(np.random.default_rng(31), 31, 29, 1.01, 1.02))
+    for g in graphs:
+        labels = rg.component_functions(g, 0, 0).labels0
+        assert (np.sort(labels, axis=1) == np.arange(g.weights.n)).all(), g.weights
 
 
 def table_slack(sys, tol):
@@ -635,11 +647,6 @@ def test_grid_system_detects_broken_graph(fig_instance):
     slope[3, 0] = 0.0
     res = rg.run_all_checks(with_lines(g, slope=slope)).entry("system")
     assert res.status == "fail" and res.note == "component sum off the expected line"
-    label = g.lines.label.copy()
-    label[3, 0] = label[3, 1]
-    res = rg.run_all_checks(with_lines(g, label=label), t_base=2).entry("system")
-    assert res.status == "fail" and res.note == "slope labels are not a permutation of the alphabet"
-    assert res.witness == {"j": 3, "q": pytest.approx(g.tau**2 * g.schedule.sigmas[3])}
     # shifting two lines by +-D keeps every sum and breaks vanishing at 0
     y0 = g.lines.y0.copy()
     y0[:, 0] += 10.0

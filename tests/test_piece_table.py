@@ -560,7 +560,8 @@ def test_line_table_follows_replaced_heights(l4m2_instance):
 def test_line_table_order():
     # each kind's lines sit in ascending segment index, the order the
     # extraction ranks ties by, and a line wrapped (r > j) is anchored at
-    # sigma_r / tau, below 1, the others at sigma_r
+    # sigma_r / tau, below 1, the others at sigma_r; the extraction codes a
+    # line's slope label from r, rising r mod l and falling l + r mod m
     cases = [load_config(extract_doc(i)).graph() for i in range(20)]
     cases += [make_instance(l, m, [1.0] * l, [l / m] * m, [1.5] * lcm(l, m))
               for l, m in ((1, 1), (4, 2), (2, 4), (3, 3), (6, 4), (5, 1))]
@@ -574,5 +575,6 @@ def test_line_table_order():
             assert same_bits(lines.x0[j], [s * g.tau**-1 if a[2] == -1 else s
                                            for s, a in zip(sig, ref)])
             assert (lines.x0[j] < 1.0).tolist() == (lines.r[j] > j).tolist()
-            assert [w.slope_labels[c] for c in lines.label[j]] == [a[6] for a in ref]
+            code = np.where(np.arange(w.n) < w.l, lines.r[j] % w.l, w.l + lines.r[j] % w.m)
+            assert [w.slope_labels[c] for c in code] == [a[6] for a in ref]
             assert lines.slope[j].tolist() == [a[5] for a in ref]

@@ -4,17 +4,22 @@
 extract/evaluate -> check/render and nothing else; the typed errors,
 the check statuses and result records, the piece table and the config
 record are imported from their submodules.  `run_all_checks` is the only check:
-`regraph.analyze` has no single-check functions.
+`regraph.analyze` has no single-check functions.  The records store only
+what nothing else fixes, and read the rest off their fields.
 """
 
+import dataclasses
 import importlib
 import re
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
 
 import regraph
-from regraph.weights import WeightError
+from regraph.construct import LineTable
+from regraph.graph import PiecewiseLinearSystem
+from regraph.weights import Weights, WeightError
 
 PUBLIC = {
     "validate_weights",
@@ -96,3 +101,23 @@ def test_readme_library_block_runs():
     block = match.group(1)
     assert "import regraph as rg" in block
     exec(compile(block, str(README), "exec"), {})
+
+
+def test_records_store_only_what_nothing_else_fixes():
+    fields = {cls: tuple(f.name for f in dataclasses.fields(cls))
+              for cls in (Weights, LineTable, PiecewiseLinearSystem)}
+    assert fields == {
+        Weights: ("l", "m", "alpha", "beta"),
+        LineTable: ("r", "x0", "y0", "slope"),
+        PiecewiseLinearSystem: ("breakpoints", "values0", "slopes0", "labels0", "power",
+                                "alphabet"),
+    }
+    w = regraph.validate_weights(4, 6, [1.5] * 4, [1.0] * 6)
+    g = regraph.build_graph(w, regraph.ExpansionSchedule.from_factors([1.2] * 12))
+    sys1 = regraph.component_functions(g, -1, 1)
+    assert (sys1.n, sys1.q_lo, sys1.q_hi) == (
+        10, sys1.breakpoints[0], sys1.breakpoints[-1])
+    # replacing l and alpha together keeps n, k and d in step with them
+    for w in (w, dataclasses.replace(w, l=3, alpha=(2.0,) * 3)):
+        assert (w.n, w.k, w.d) == (w.l + w.m, lcm(w.l, w.m), gcd(w.l, w.m))
+    assert (w.n, w.k, w.d) == (9, 6, 3)
