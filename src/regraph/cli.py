@@ -53,6 +53,8 @@ class InstanceConfig:
     t_max: int
     tolerance: float
     samples_per_piece: int
+    # read, outside the tests, only by bench/workloads.py; they go with the benchmark's
+    # next change (ROADMAP item 14)
     l = property(lambda self: self.weights.l)
     m = property(lambda self: self.weights.m)
     alpha = property(lambda self: self.weights.alpha)
@@ -226,19 +228,18 @@ def cmd_plot(cfg: InstanceConfig, out_path: str) -> int:
 # 3 * 2^-53 * 1e12 + 2^-14 < 4e-4 of M = |x| * 10^(11 - e), and r = rint(m) is M
 # rounded to the nearest integer, that is |x| correctly rounded to 12 significant
 # digits, whenever |m - r| < 1/2 - _TIE_GUARD, m >= 1e11 and r < 1e12 (this holds
-# even where log10 puts e one off).  All other values (near-ties, a carry to 1e12,
-# inf, nan) are formatted by Python's own b"%.12g"; zero is a form of its own.
+# even where log10 puts e one off).  All other values (zero, near-ties, a carry to
+# 1e12, inf, nan) are formatted by Python's own b"%.12g".
 #
 # Layout: each value fills a 40-byte row with every character its %.12g text
 # can use, and a mask row, looked up by (form, trailing zeros of r, sign),
 # keeps the ones it prints:
 #   0: "-"   1-5: "0.000"   8-31: d0 "." d1 "." ... d11 "."
-#   32-36: "e", exponent sign, 3 exponent digits   39: separator
+#   32-36: "e", exponent sign, 3 exponent digits   39: "," or, ending a row, "\n"
 # Forms 0-15 are fixed notation with exponent e = form - 4 (%.12g's -4 <= e < 12),
-# 16 and 17 exponent notation with 2 and 3 exponent digits, 18 zero.
+# 16 and 17 exponent notation with 2 and 3 exponent digits.
 _CSV_CHUNK = 8192  # values export formats at once; bounds its memory
 _TIE_GUARD = 5e-4  # above the 4e-4 error bound of m
-_ZERO_FORM = 18
 _E_MIN = -324  # floor(log10|x|) of the smallest subnormal
 _K_MIN = -149  # (11 - 308) // 2, the smallest k1
 
@@ -269,8 +270,7 @@ def _csv_tables():
              | point & (j == x) & (x + 1 < n)  # the point, when a digit follows it
              | (x < 0) & (slot >= 1) & (slot <= 1 - x))  # "0." and -x - 1 zeros
     expo = digit & (j < n) | point & (j == 0) & (1 < n) | (slot >= 32) & (slot <= 36)
-    zero = np.broadcast_to(slot == 1, expo.shape)
-    keep = np.stack([*fixed, expo & (slot != 34), expo, zero])  # (form, z, slot)
+    keep = np.stack([*fixed, expo & (slot != 34), expo])  # (form, z, slot)
     keep = np.repeat(keep[:, :, None], 2, axis=2)  # (form, z, sign, slot)
     keep[..., 0] = [False, True]
     keep[..., 39] = True
@@ -279,9 +279,10 @@ def _csv_tables():
             exponent.view(np.uint64).ravel(), form_of_e, keep.reshape(-1, 40))
 
 
-def _csv_text(x: np.ndarray, separators: np.ndarray) -> np.ndarray:
-    """The %.12g texts of x, each followed by its separator, as one byte array."""
+def _csv_text(table: np.ndarray) -> np.ndarray:
+    """The rows of a 2-D table as %.12g CSV lines, as one byte array."""
     prefix, pairs, trailing_zeros, pow10, exponent, form_of_e, keep_rows = _csv_tables()
+    x = table.ravel()
     a = np.abs(x)
     with np.errstate(divide="ignore", invalid="ignore"):
         e = np.floor(np.log10(a))
@@ -299,10 +300,11 @@ def _csv_text(x: np.ndarray, separators: np.ndarray) -> np.ndarray:
     row[:, 1:4] = np.take(pairs, np.stack([hi, mid, lo], axis=1))
     row[:, 4] = np.take(exponent, e - _E_MIN)
     text = row.view(np.uint8)
-    text[:, 39] = separators
-    form = np.where(a == 0, _ZERO_FORM, np.take(form_of_e, e - _E_MIN))
+    text[:, 39] = ord(",")
+    text.reshape(*table.shape, 40)[:, -1, 39] = ord("\n")
+    form = np.take(form_of_e, e - _E_MIN)
     keep = np.take(keep_rows, (form * 12 + z) * 2 + np.signbit(x), axis=0)
-    for i in np.flatnonzero(~ok & (a != 0)):
+    for i in np.flatnonzero(~ok):
         s = b"%.12g" % x[i]
         text[i, :len(s)] = np.frombuffer(s, dtype=np.uint8)
         keep[i, :39] = np.arange(39) < len(s)
@@ -323,9 +325,6 @@ def cmd_export(cfg: InstanceConfig, out_path: str) -> int:
             f"samples_per_piece: {_int_text(spp)} samples per piece need at least"
             f" {_int_text(need)} bytes, more than the {free} free in {folder}")
     block = max(1, _CSV_CHUNK // (n + 1))  # rows formatted and written at once
-    table = np.empty((block, n + 1))
-    separators = np.full((block, n + 1), ord(","), dtype=np.uint8)
-    separators[:, -1] = ord("\n")
     last = len(breakpoints) - 1
     with open(out_path, "wb") as fh:
         fh.write(("q," + ",".join(f"P_{i + 1}" for i in range(n)) + "\n").encode())
@@ -343,10 +342,7 @@ def cmd_export(cfg: InstanceConfig, out_path: str) -> int:
             q = lo + offset
             # values_at reads the piece holding q (q >= lo), which may be the next
             # one where q rounds onto its end
-            rows_here = table[:len(q)]
-            rows_here[:, 0] = q
-            rows_here[:, 1:] = system.values_at(q)
-            fh.write(_csv_text(rows_here.ravel(), separators[:len(q)].ravel()))
+            fh.write(_csv_text(np.column_stack([q, system.values_at(q)])))
     print(f"wrote {out_path}")
     return 0
 

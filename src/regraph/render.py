@@ -86,9 +86,15 @@ def render_svg(
 ) -> str:
     """Render the window [tau^t_lo, tau^(t_hi+1)] as an SVG document.
 
-    Raises ConstructError when t_lo exceeds t_hi or the window's values leave
-    the float range (_window_ends, the rule check and export share).
+    Raises ValueError unless the plot area, width - 75 by height - 62 inside
+    the margins, is positive, and ConstructError when t_lo exceeds t_hi or the
+    window's values leave the float range (_window_ends, the rule check and
+    export share).
     """
+    ml, mr, mt, mb = 55, 20, 20, 42
+    iw, ih = width - ml - mr, height - mt - mb
+    if iw <= 0 or ih <= 0:
+        raise ValueError(f"width, height: {width} x {height} leaves a plot area of {iw} x {ih}")
     _, ends, power = _window_ends(g, t_lo, t_hi)
     # ordinates and their padded range are formed in a power-of-two unit at or
     # above tau^t_hi max|ends|, the rule's bound on every value of the window,
@@ -112,9 +118,6 @@ def render_svg(
     pad = 0.08 * (y_max - y_min or 1.0)
     y_min -= pad
     y_max += pad
-
-    ml, mr, mt, mb = 55, 20, 20, 42
-    iw, ih = width - ml - mr, height - mt - mb
 
     def sx(q: float) -> float:
         return ml + (q - q_lo) / (q_hi - q_lo) * iw

@@ -30,9 +30,7 @@ def reference_csv(table, header):
 
 def written(table, header="h"):
     """header and table as %.12g CSV, from the writer's one formatting call."""
-    separators = np.full(table.shape, ord(","), dtype=np.uint8)
-    separators[:, -1] = ord("\n")
-    return f"{header}\n".encode() + cli._csv_text(table.ravel(), separators.ravel()).tobytes()
+    return f"{header}\n".encode() + cli._csv_text(table).tobytes()
 
 
 def decades(rng, per_decade=8):
@@ -102,6 +100,22 @@ def test_writer_matches_percent_g(cols):
 def test_writer_one_row_and_header():
     table = np.array([[1.0, -0.5, 1e22, 1e-5, 0.0001]])
     assert written(table, "q,P_1") == b"q,P_1\n1,-0.5,1e+22,1e-05,0.0001\n"
+    # zero takes the fallback; in one column, every field ends its row
+    assert written(np.array([[0.0, -0.0], [-0.0, 0.0]])) == b"h\n0,-0\n-0,0\n"
+    assert written(np.array([[2.5], [-0.0], [1e300]])) == b"h\n2.5\n-0\n1e+300\n"
+
+
+@pytest.mark.parametrize("off", [1, -1])
+def test_writer_guards_log10_one_off(off, monkeypatch):
+    # where log10 puts e one too high, m < 1e11, and one too low, r >= 1e12: the
+    # two range guards send such values to the fallback
+    rng = np.random.default_rng(33)
+    e = np.where(np.arange(1000) % 2, rng.integers(-300, 300, 1000), rng.integers(-6, 14, 1000))
+    x = rng.choice([-1.0, 1.0], 1000) * rng.uniform(1, 10, 1000) * 10.0**e
+    log10 = np.log10
+    monkeypatch.setattr(np, "log10", lambda a: log10(a) + off)
+    table = x.reshape(-1, 4)
+    assert written(table) == reference_csv(table, "h")
 
 
 # ------------------------------------------------------ export, end to end

@@ -13,11 +13,13 @@ plain units.
 """
 
 import json
+import xml.etree.ElementTree as ET
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import regraph as rg
 from regraph.cli import load_config
@@ -243,3 +245,17 @@ def test_coprime_unit_sizes_have_no_protruders():
     assert 'data-period="-1"' not in svg
     assert svg.count('class="seg ') == 4
 
+
+@pytest.mark.parametrize("width, height", [(75, 600), (960, 62), (60, 50)])
+def test_size_without_plot_area_raises(width, height):
+    # the margins take 75 of the width and 62 of the height
+    g = make_instance(1, 1, [1.0], [1.0], [3.0])
+    with pytest.raises(ValueError, match="plot area"):
+        rg.render_svg(g, 0, 1, width=width, height=height)
+
+
+def test_smallest_size_renders():
+    g = make_instance(1, 1, [1.0], [1.0], [3.0])
+    root = ET.fromstring(rg.render_svg(g, 0, 1, width=76, height=63))
+    frame = root.find("{http://www.w3.org/2000/svg}rect")
+    assert (frame.get("width"), frame.get("height")) == ("1", "1")
