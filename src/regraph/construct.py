@@ -266,6 +266,14 @@ class LineTable:
     are (k, n) and read-only.  A row holds one line per slope label, r mod
     l rising and l + r mod m falling (graph.component_functions): its
     rising r are l consecutive integers and l divides k (falling: m).
+
+    bound is the largest |node height| plus the largest |slope|, max|y0 /
+    x0| + max|slope|, one O(k n) reduction on its first read and inf where
+    a y0 is.  As x0 < tau, at every x in [1, tau) a line's value |y0 +
+    slope (x - x0)| is below tau * bound.  graph.evaluate forms row j and
+    its values scaled by tau^s unguarded where tau * bound * (tau^s + 1)
+    is below half the largest float; only the other calls, on weights or
+    q near the ends of the float range, test the row for overflow.
     """
 
     r: np.ndarray
@@ -293,6 +301,13 @@ class LineTable:
         for a in vars(table).values():
             a.flags.writeable = False
         return table
+
+    @cached_property
+    def bound(self) -> float:
+        # y0 / x0 rounds to inf, quietly, only for a height within ulps of the top
+        with np.errstate(over="ignore"):
+            height = float(np.max(np.abs(self.y0 / self.x0)))
+        return height + float(np.max(np.abs(self.slope)))
 
 
 @dataclass(frozen=True, eq=False)

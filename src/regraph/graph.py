@@ -20,7 +20,8 @@ built on its first read), where each line is its slope and its
 anchor (x0, y0) in period 0.  `evaluate` is the same view of period 0:
 it maps q to x = q / tau^s in [1, tau), finds the subinterval by
 bisection over sigma and scales that row's values back by tau^s, so a
-call costs O(log k + n log n).
+call costs O(log k + n log n); whether the row can leave the float
+range is read off the table's cached bound (`LineTable.bound`).
 
 Window convention: a window (t_lo, t_hi) of period indices covers
 abscissae [tau^t_lo, tau^(t_hi+1)].
@@ -39,6 +40,9 @@ from .construct import ConstructError, RegularGraph
 from .weights import _int_text
 
 CROSSING_REL_TOL = 1e-12
+#: evaluate skips its float-range guard below this bound of a row's values,
+#: half the largest float so that rounding cannot reach it
+_HALF_MAX = sys.float_info.max / 2
 
 
 def evaluate(g: RegularGraph, q: float) -> np.ndarray:
@@ -55,7 +59,12 @@ def evaluate(g: RegularGraph, q: float) -> np.ndarray:
     abscissa.  Where a period-0 anchor y0 or value of row j does not fit a
     float, row j is read in period -1 from the node heights instead, whose
     terms are at most max|slope| and so finite, and scaled by tau^(s+1).
-    Costs O(log k + n log n) per call.
+    Costs O(log k + n log n) per call, after one O(k n) reduction on the
+    table's first call: its bound B (the largest |node height| plus the
+    largest |slope|) bounds every period-0 value by tau * B, so a call with
+    tau * B * (tau^s + 1) below half the largest float forms the row with
+    no float-range guard.  Only the others, graphs or q near the ends of
+    the float range, test row j for overflow under np.errstate.
     """
     if not isfinite(q) or q < 0:
         raise ValueError(f"q = {q}")
@@ -71,6 +80,15 @@ def evaluate(g: RegularGraph, q: float) -> np.ndarray:
         x = q / a / b
     j = max(bisect_right(g.schedule.sigmas, x) - 1, 0)
     lines = g.lines
+    if lines.bound * tau * (a * b + 1.0) < _HALF_MAX:
+        # a * b + 1 > max(a * b, 1): row j fits a float before and after scaling
+        vals = x - lines.x0[j]
+        vals *= lines.slope[j]
+        vals += lines.y0[j]  # y0 + slope * (x - x0) bit for bit: IEEE + and * commute
+        vals.sort()
+        vals *= a
+        vals *= b
+        return vals
     with np.errstate(over="ignore", invalid="ignore"):  # a component beyond the float range is +-inf
         vals = lines.y0[j] + lines.slope[j] * (x - lines.x0[j])
         vals.sort()

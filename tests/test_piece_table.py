@@ -27,7 +27,7 @@ import sys
 import tracemalloc
 from bisect import bisect_right
 from fractions import Fraction
-from math import floor, lcm, log
+from math import floor, inf, lcm, log
 from pathlib import Path
 
 import numpy as np
@@ -519,13 +519,16 @@ def test_evaluate_exact_near_grid():
             assert float(err) <= 1e-14 * q * w, q
 
 
+#: weights near the float range: some anchors y0 and period-0 values do not
+#: fit a float, yet every value below period 0 does (|P(q)| <= q W)
+NEAR_TOP = {"l": 3, "m": 4, "alpha": [1e306] * 3, "beta": [7.5e305] * 4,
+            "rho": [2] * 12, "window": {"t_min": 0, "t_max": 0}}
+
+
 def test_evaluate_overflowing_period_zero_anchor():
-    # weights near the float range: some anchors y0 and period-0 values do not
-    # fit a float, yet every value below period 0 does (|P(q)| <= q W); there
     # evaluate reads the node heights one period lower and agrees with the
     # snap formula, which placed the lines in q's own period
-    g = load_config({"l": 3, "m": 4, "alpha": [1e306] * 3, "beta": [7.5e305] * 4,
-                     "rho": [2] * 12, "window": {"t_min": 0, "t_max": 0}}).graph()
+    g = load_config(NEAR_TOP).graph()
     assert not np.isfinite(g.lines.y0).all()
     w = float(np.max(np.abs(g.lines.slope)))
     rng = np.random.default_rng(17)
@@ -539,6 +542,66 @@ def test_evaluate_overflowing_period_zero_anchor():
             old = snap_evaluate(g, q)
         if np.isfinite(old).all():
             assert (np.abs(got - old) <= 1e-12 * q * w).all(), q
+
+
+@pytest.fixture
+def guarded_calls(monkeypatch):
+    """The np.errstate entries while the test runs: evaluate enters one on
+    its guarded route only, the unguarded one none."""
+    calls, errstate = [], np.errstate
+
+    def counted(**kwargs):
+        calls.append(kwargs)
+        return errstate(**kwargs)
+
+    monkeypatch.setattr(np, "errstate", counted)
+    return calls
+
+
+def test_evaluate_routes_agree(monkeypatch, guarded_calls):
+    # the unguarded route gives the guarded route's bits wherever it is taken;
+    # a bound of inf forces the guarded route.  Most points take the unguarded one
+    rng = np.random.default_rng(19)
+    calls = guarded = 0
+    for g, n_log in evaluate_cases(rng) + [(load_config(NEAR_TOP).graph(), 400)]:
+        qs = evaluate_points(g, rng, n_log).tolist()
+        assert g.lines.bound > 0  # its reduction enters np.errstate once
+        guarded_calls.clear()
+        got = [rg.evaluate(g, q) for q in qs]
+        calls, guarded = calls + len(qs), guarded + len(guarded_calls)
+        if g.lines.bound == inf:  # the near-top graph: every q > 0 is guarded
+            assert len(guarded_calls) == len(qs) - qs.count(0.0)
+        with monkeypatch.context() as patch:
+            patch.setitem(vars(g.lines), "bound", inf)
+            for q, values in zip(qs, got):
+                assert same_bits(values, rg.evaluate(g, q)), q
+    assert guarded < 0.2 * calls, (guarded, calls)
+
+
+def test_evaluate_route_threshold(guarded_calls):
+    # l = m = 1, alpha = beta = [4], rho = [2]: q on both sides of the first
+    # period s whose tau * bound * (tau^s + 1) reaches half the largest float.
+    # Each side equals the rebuilt lines, +-inf exactly where they overflow,
+    # and raises no RuntimeWarning (an error under this suite's filter)
+    g = load_config({"l": 1, "m": 1, "alpha": [4], "beta": [4], "rho": [2],
+                     "window": {"t_min": 0, "t_max": 1}}).graph()
+    tau, bound = g.schedule.tau, g.lines.bound
+    assert bound == np.max(np.abs(g.lines.y0 / g.lines.x0)) + 4
+    top = floor(log(sys.float_info.max / 2 / (tau * bound)) / log(tau))
+    while tau * bound * (tau**top + 1) < sys.float_info.max / 2:
+        top += 1
+    overflows = []
+    for s in range(top - 3, 1024):  # tau^1023 * nextafter(tau, 0) is the largest float
+        for x in (1.0, 1.25, 1.5, np.nextafter(tau, 0)):
+            q = tau**s * x
+            guarded_calls.clear()
+            got = rg.evaluate(g, q)
+            assert len(guarded_calls) == (s >= top), q
+            with np.errstate(over="ignore"):
+                ref = reference_evaluate(g, q)
+            assert same_bits(got, ref), q
+            overflows.append(np.isinf(got).any())
+    assert overflows[-1] and not overflows[0]
 
 
 def test_line_table_follows_replaced_heights(l4m2_instance):

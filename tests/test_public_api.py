@@ -10,13 +10,16 @@ what nothing else fixes, and read the rest off their fields.
 
 import dataclasses
 import importlib
+import math
 import re
 from math import gcd, lcm
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import regraph
+from regraph.cli import load_config
 from regraph.construct import LineTable
 from regraph.graph import PiecewiseLinearSystem
 from regraph.weights import Weights, WeightError
@@ -121,3 +124,11 @@ def test_records_store_only_what_nothing_else_fixes():
     for w in (w, dataclasses.replace(w, l=3, alpha=(2.0,) * 3)):
         assert (w.n, w.k, w.d) == (w.l + w.m, lcm(w.l, w.m), gcd(w.l, w.m))
     assert (w.n, w.k, w.d) == (9, 6, 3)
+    # the line table's bound, a cached property and no field, is read off its
+    # arrays: inf where a y0 overflows
+    near_top = load_config({"l": 3, "m": 4, "alpha": [1e306] * 3, "beta": [7.5e305] * 4,
+                            "rho": [2] * 12, "window": {"t_min": 0, "t_max": 0}}).graph()
+    for lines in (g.lines, near_top.lines):
+        assert lines.bound == (float(np.max(np.abs(lines.y0 / lines.x0)))
+                               + float(np.max(np.abs(lines.slope))))
+    assert math.isfinite(g.lines.bound) and near_top.lines.bound == math.inf
